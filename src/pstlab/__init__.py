@@ -35,6 +35,7 @@ from .hardcore import (
     DeletionMask,
     SignedDiagonal,
     apply_deletion,
+    ascending_labels,
     c_operator,
     commutator_check_antisymmetry,
     component_isomorphism_check,
@@ -87,7 +88,6 @@ from .pst_verify import (
 )
 from .spectral import (
     PST_TOL,
-    TOL_EIG,
     Propagator,
     PstPair,
     RatioConditionResult,

@@ -32,7 +32,7 @@ from .graph_core import (
     simple_path,
     weighted_path,
 )
-from .hardcore import symmetric_power
+from .hardcore import ascending_labels, symmetric_power
 from .partition import (
     check_equitable,
     load_partition,
@@ -155,13 +155,11 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def _print_legend(kind: str, n: int, k: int, size: int) -> None:
     """Vertex-to-label legend for power graphs, written to stderr."""
-    import itertools
-
     print(f"# vertex labels for {kind} (n={n}, k={k})", file=sys.stderr)
     if kind == "cartesian-power":
         labels = (label_of_index(i, n, k).sites for i in range(size))
     else:
-        labels = itertools.combinations(range(1, n + 1), k)
+        labels = ascending_labels(n, k)
     for vid, sites in enumerate(labels, start=1):
         rendered = ",".join(str(x) for x in sites)
         print(f"# {vid}: ({rendered})", file=sys.stderr)

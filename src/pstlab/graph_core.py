@@ -13,8 +13,10 @@ Graph file format (JSON text)::
 Endpoints are 1-based, ``u == v`` denotes a self-loop, and every undirected
 edge slot may appear at most once. Duplicates are rejected rather than
 summed; the same slot listed with two different weights is rejected as an
-asymmetry. Weights must be finite reals. ``save_graph`` followed by
-``load_graph`` reproduces the adjacency matrix bit for bit.
+asymmetry. Weights must be finite reals. A document whose ``n`` exceeds
+the size cap (``resolve_size_cap``) is refused with ResourceCapError before
+anything is allocated. ``save_graph`` followed by ``load_graph`` reproduces
+the adjacency matrix bit for bit.
 """
 
 from __future__ import annotations
@@ -166,6 +168,9 @@ def load_graph(text: str) -> WeightedGraph:
     n = doc["n"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise FormatError(f'"n" must be a positive integer, got {n!r}')
+    limit = resolve_size_cap()
+    if n > limit:
+        raise ResourceCapError(f"graph document has {n} vertices, cap is {limit}")
     edges = doc["edges"]
     if not isinstance(edges, list):
         raise FormatError('"edges" must be a list')

@@ -294,6 +294,14 @@ def _is_line_path(g: WeightedGraph) -> bool:
     return bool(np.all(super_diag != 0.0))
 
 
+def ascending_labels(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The C(n, k) strictly ascending k-subsets of the sites 1..n, lexicographic order.
+
+    This is the vertex order of every identical-walker graph in the package.
+    """
+    return tuple(itertools.combinations(range(1, n + 1), k))
+
+
 def symmetric_power(
     g: WeightedGraph, k: int, allow_non_path: bool = False, cap: int | None = None
 ) -> WeightedGraph:
@@ -316,7 +324,8 @@ def symmetric_power(
     limit = resolve_size_cap(cap)
     if m > limit:
         raise ResourceCapError(f"symmetric power has {m} vertices, cap is {limit}")
-    combos = list(itertools.combinations(range(g.n), k))
+    # 0-based site tuples, so the loop below indexes the adjacency directly.
+    combos = [tuple(x - 1 for x in label) for label in ascending_labels(g.n, k)]
     position = {c: i for i, c in enumerate(combos)}
     a = g.adjacency
     out = np.zeros((m, m))
@@ -346,6 +355,26 @@ def c_operator(label: OccupationLabel) -> OccupationLabel:
     return OccupationLabel(mirrored, label.n)
 
 
+def _mirror_permutation(
+    n: int, k: int, labels: tuple[tuple[int, ...], ...] | None = None
+) -> np.ndarray:
+    """0-based index map of the mirror map on a label list.
+
+    ``labels`` defaults to the ascending labels of (n, k). Raises
+    PreconditionError when the image of a label is not in the list.
+    """
+    if labels is None:
+        labels = ascending_labels(n, k)
+    position = {lab: i for i, lab in enumerate(labels)}
+    perm = np.empty(len(labels), dtype=np.int64)
+    for i, lab in enumerate(labels):
+        image = c_operator(OccupationLabel(lab, n)).sites
+        if image not in position:
+            raise PreconditionError(f"mirror image of {lab} leaves the label set")
+        perm[i] = position[image]
+    return perm
+
+
 def mirror_partition(
     g: WeightedGraph,
     n: int,
@@ -365,16 +394,6 @@ def mirror_partition(
             raise PreconditionError(
                 f"graph has {g.n} vertices, expected C({n},{k}) = {math.comb(n, k)} ascending labels"
             )
-        labels = tuple(
-            tuple(x + 1 for x in combo) for combo in itertools.combinations(range(n), k)
-        )
-    if len(labels) != g.n:
+    elif len(labels) != g.n:
         raise PreconditionError("label list length does not match the graph")
-    position = {lab: i for i, lab in enumerate(labels)}
-    perm = np.empty(g.n, dtype=np.int64)
-    for i, lab in enumerate(labels):
-        image = c_operator(OccupationLabel(lab, n)).sites
-        if image not in position:
-            raise PreconditionError(f"mirror image of {lab} leaves the label set")
-        perm[i] = position[image]
-    return orbit_partition(g, perm)
+    return orbit_partition(g, _mirror_permutation(n, k, labels))

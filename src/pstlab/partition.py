@@ -16,11 +16,13 @@ Partition file format (JSON text)::
     {"n": <int>, "cells": [[v, ...], ...]}
 
 with 1-based vertex ids; cells must be disjoint, non-empty and cover 1..n.
-Cell order in the file fixes the quotient vertex order.
+Cell order in the file fixes the quotient vertex order. As for graph
+documents, an ``n`` above the size cap is refused with ResourceCapError.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from bisect import bisect_left
@@ -34,8 +36,9 @@ from .errors import (
     InvalidSizeError,
     NotEquitableError,
     PreconditionError,
+    ResourceCapError,
 )
-from .graph_core import WeightedGraph, _check_vertex
+from .graph_core import WeightedGraph, _check_vertex, resolve_size_cap
 from .spectral import eigh, eigh_matrix, evolve
 
 TOL_EQ = 1e-10
@@ -45,6 +48,9 @@ TOL_EQ = 1e-10
 _AUTOMORPHISM_TOL = 1e-12
 
 _SPECTRUM_MATCH_TOL = 1e-8
+
+# Uncovered vertices named in a coverage error; the rest are only counted.
+_MISSING_SHOWN = 5
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,8 +80,11 @@ class Partition:
                     raise PreconditionError(f"vertex {v} appears in two cells")
                 seen.add(v)
         if len(seen) != self.n:
-            missing = sorted(set(range(1, self.n + 1)) - seen)
-            raise PreconditionError(f"partition does not cover vertices {missing}")
+            uncovered = (v for v in range(1, self.n + 1) if v not in seen)
+            shown = list(itertools.islice(uncovered, _MISSING_SHOWN))
+            more = self.n - len(seen) - len(shown)
+            suffix = f" and {more} more" if more else ""
+            raise PreconditionError(f"partition does not cover vertices {shown}{suffix}")
         object.__setattr__(self, "cells", cells)
         cell_index = np.empty(self.n, dtype=np.int64)
         for ci, cell in enumerate(cells):
@@ -446,6 +455,9 @@ def load_partition(text: str) -> Partition:
     n = doc["n"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise FormatError(f'"n" must be a positive integer, got {n!r}')
+    limit = resolve_size_cap()
+    if n > limit:
+        raise ResourceCapError(f"partition document has {n} vertices, cap is {limit}")
     cells = doc["cells"]
     if not isinstance(cells, list) or not all(isinstance(c, list) for c in cells):
         raise FormatError('"cells" must be a list of lists')

@@ -1,17 +1,25 @@
 """End-to-end verifiers for hard-core walker transfer on weighted paths.
 
-Phase bookkeeping used throughout: on a mirror-symmetric chain the
-reflection parity of the eigenvector ladder alternates downward from the
-all-positive top state, so the j-th eigenvector from the bottom has parity
-(-1)**(n - 1 - j). For k walkers the parities multiply and contribute a
-global factor (-1)**(k(n-1)) to the end-to-end transfer amplitude on top of
-the phase fixed by the bottom of the spectrum, giving
+Every check of one (n, k) case reads one shared context: the identical-walker
+graph on ascending labels, its spectral decomposition, the mirror map and
+the propagators at t = pi/2 and t = pi. A case therefore runs one
+eigensolve of the C(n, k)-vertex graph and one of its mirror quotient.
 
-    gamma(n, k) = (-1)**(k(n-1)) * exp(-i pi k (k - n) / 2)
+Phase bookkeeping: propagators are U(t) = exp(-i t A), and the amplitude
+toward the mirror label at t = pi/2 is exactly
 
-at t = pi/2, while the full revival at t = pi carries exp(-i pi k (k - n))
-with no parity correction. The parity factor matters exactly when k is odd
-and n is even.
+    gamma(n, k) = exp(+i pi k (k - n) / 2) = exp(-i pi k (n - k) / 2).
+
+This is the complex conjugate of exp(-i pi k (k - n) / 2), the form that
+belongs to the convention U(t) = exp(+i t A). The two agree when k (k - n)
+is even and differ by a factor -1 when k is odd and n is even; the smallest
+such case is (n, k) = (6, 3). Spectrally, the amplitude sums
+exp(-i pi lambda / 2) times the mirror parity over the eigenvalue classes.
+The bottom class lambda = k (k - n) has parity (-1)**(k (n - 1)), and each
+step of 2 up the ladder flips both the parity and the phase factor, so the
+sum is (-1)**(k (n - 1)) * exp(-i pi k (k - n) / 2), which equals gamma(n, k)
+because k (k - 1) is even. The full revival at t = pi carries
+exp(-i pi k (k - n)), the square of gamma(n, k), in either convention.
 """
 
 from __future__ import annotations
@@ -21,22 +29,22 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import PreconditionError, PstlabError, ResourceCapError
 from .graph_core import WeightedGraph, weighted_path
 from .hardcore import (
+    _mirror_permutation,
     apply_deletion,
-    c_operator,
+    ascending_labels,
     decompose_components,
     deletion_mask,
-    mirror_partition,
     symmetric_power,
 )
-from .partition import check_equitable, normalized_partition_matrix, quotient
-from .products import OccupationLabel, cartesian_power
+from .partition import check_equitable, normalized_partition_matrix, orbit_partition, quotient
+from .products import cartesian_power
 from .spectral import PST_TOL, SpectralDecomposition, eigh, evolve, find_pst_pairs
 
 FAMILIES = ("hc-path",)
@@ -112,25 +120,13 @@ _QUARTER_PHASES = (1 + 0j, -1j, -1 + 0j, 1j)
 
 
 def predicted_transfer_phase(n: int, k: int) -> complex:
-    """Exact closed-form transfer phase gamma(n, k) at t = pi/2 (see module docstring)."""
-    parity = -1.0 if (k * (n - 1)) % 2 else 1.0
-    return parity * _QUARTER_PHASES[(k * (k - n)) % 4]
+    """Exact transfer phase gamma(n, k) = exp(-i pi k (n - k) / 2) at t = pi/2."""
+    return _QUARTER_PHASES[(k * (n - k)) % 4]
 
 
 def predicted_period_phase(n: int, k: int) -> complex:
     """Exact global phase of the revival at t = pi."""
     return complex(-1.0 if (k * (k - n)) % 2 else 1.0)
-
-
-def _mirror_permutation(n: int, k: int) -> np.ndarray:
-    """Index map of the mirror involution on ascending labels."""
-    combos = list(itertools.combinations(range(1, n + 1), k))
-    position = {c: i for i, c in enumerate(combos)}
-    perm = np.empty(len(combos), dtype=np.int64)
-    for i, sites in enumerate(combos):
-        image = c_operator(OccupationLabel(sites, n)).sites
-        perm[i] = position[image]
-    return perm
 
 
 def _eigenvalue_classes(values: np.ndarray) -> list[np.ndarray]:
@@ -153,54 +149,63 @@ def _unitarity_check(u: np.ndarray, anchor: str) -> CheckResult:
     return _check("unitarity", anchor, dev, UNITARITY_TOL)
 
 
-def _case_setup(n: int, k: int, cap: int | None):
-    path = weighted_path(n)
-    identical = symmetric_power(path, k, cap=cap)
-    return identical, eigh(identical)
+@dataclass(frozen=True, eq=False)
+class _Case:
+    """What every check of one (n, k) case reads, built once.
+
+    ``graph`` is the identical-walker graph on ascending labels, ``spec`` its
+    decomposition, ``mirror`` the mirror map as a 0-based index map, and
+    ``u_half`` and ``u_full`` the propagators at t = pi/2 and t = pi.
+    """
+
+    n: int
+    k: int
+    graph: WeightedGraph
+    spec: SpectralDecomposition
+    mirror: np.ndarray
+    u_half: np.ndarray
+    u_full: np.ndarray
 
 
-def verify_periodicity(n: int, k: int, cap: int | None = None) -> VerificationReport:
-    """Full revival of the hard-core walk at t = pi up to the predicted phase."""
-    start = time.perf_counter()
-    identical, spec = _case_setup(n, k, cap)
-    u_full = evolve(spec, math.pi).matrix
-    phase = predicted_period_phase(n, k)
-    dev = float(np.abs(u_full - phase * np.eye(identical.n)).max())
-    checks = (
-        _check("periodicity-at-pi", "global revival of the identical-walker walk", dev, PERIOD_TOL),
-        _unitarity_check(u_full, "propagator unitarity at t = pi"),
-    )
-    return VerificationReport(
-        family="hc-path",
+def _build_case(n: int, k: int, cap: int | None) -> _Case:
+    graph = symmetric_power(weighted_path(n), k, cap=cap)
+    spec = eigh(graph)
+    return _Case(
         n=n,
         k=k,
-        checks=checks,
-        gamma_predicted=phase,
-        gamma_measured=complex(u_full[0, 0]),
-        runtime_s=time.perf_counter() - start,
+        graph=graph,
+        spec=spec,
+        mirror=_mirror_permutation(n, k),
+        u_half=evolve(spec, math.pi / 2.0).matrix,
+        u_full=evolve(spec, math.pi).matrix,
     )
 
 
-def verify_theorem1(n: int, k: int, cap: int | None = None) -> VerificationReport:
-    """Mirror transfer of every ascending label at t = pi/2 with the closed-form phase.
+class _Outcome(NamedTuple):
+    checks: tuple[CheckResult, ...]
+    gamma_predicted: complex
+    gamma_measured: complex
 
-    Checks, for every vertex of the identical-walker graph: the amplitude
-    toward the mirror label has modulus 1, matches gamma(n, k), and every
-    other amplitude vanishes. A spectral route recomputes the amplitudes
-    from per-class projector weights with alternating signs and must agree
-    with the direct propagator entries.
-    """
-    start = time.perf_counter()
-    identical, spec = _case_setup(n, k, cap)
-    u_half = evolve(spec, math.pi / 2.0).matrix
-    mirror = _mirror_permutation(n, k)
-    cols = np.arange(identical.n)
-    amps = u_half[mirror, cols]
+
+def _periodicity(case: _Case) -> _Outcome:
+    phase = predicted_period_phase(case.n, case.k)
+    dev = float(np.abs(case.u_full - phase * np.eye(case.graph.n)).max())
+    checks = (
+        _check("periodicity-at-pi", "global revival of the identical-walker walk", dev, PERIOD_TOL),
+        _unitarity_check(case.u_full, "propagator unitarity at t = pi"),
+    )
+    return _Outcome(checks, phase, complex(case.u_full[0, 0]))
+
+
+def _theorem1(case: _Case) -> _Outcome:
+    n, k, spec, mirror = case.n, case.k, case.spec, case.mirror
+    cols = np.arange(case.graph.n)
+    amps = case.u_half[mirror, cols]
     gamma = predicted_transfer_phase(n, k)
 
     modulus_dev = float((1.0 - np.abs(amps)).max())
     phase_dev = float(np.abs(np.conj(gamma) * amps - 1.0).max())
-    residue = u_half.copy()
+    residue = case.u_half.copy()
     residue[mirror, cols] = 0.0
     off_target = float(np.abs(residue).max())
 
@@ -208,7 +213,7 @@ def verify_theorem1(n: int, k: int, cap: int | None = None) -> VerificationRepor
     classes = _eigenvalue_classes(spec.eigenvalues)
     lam0 = float(spec.eigenvalues[classes[0]].mean())
     global_sign = -1.0 if (k * (n - 1)) % 2 else 1.0
-    rebuilt = np.zeros(identical.n, dtype=complex)
+    rebuilt = np.zeros(case.graph.n, dtype=complex)
     for cls in classes:
         lam = float(spec.eigenvalues[cls].mean())
         step = round((lam - lam0) / 2.0)
@@ -227,43 +232,25 @@ def verify_theorem1(n: int, k: int, cap: int | None = None) -> VerificationRepor
             sign_law_dev,
             PHASE_TOL,
         ),
-        _unitarity_check(u_half, "propagator unitarity at t = pi/2"),
+        _unitarity_check(case.u_half, "propagator unitarity at t = pi/2"),
     )
-    return VerificationReport(
-        family="hc-path",
-        n=n,
-        k=k,
-        checks=checks,
-        gamma_predicted=gamma,
-        gamma_measured=complex(amps[0]),
-        runtime_s=time.perf_counter() - start,
-    )
+    return _Outcome(checks, gamma, complex(amps[0]))
 
 
-def verify_lemma5_and_theorem2(n: int, k: int, cap: int | None = None) -> VerificationReport:
-    """Mirror-quotient structure: spectral thinning, periodicity and transport.
-
-    The mirror-orbit partition of the identical-walker graph must be
-    equitable; its quotient keeps exactly every second eigenvalue class
-    (verified against a brute-force even-sector dimension count), is
-    periodic at t = pi/2 with phase gamma(n, k), and its diagonal reproduces
-    the mirror-transfer amplitudes of the parent walk.
-    """
-    start = time.perf_counter()
-    identical, spec = _case_setup(n, k, cap)
-    part = mirror_partition(identical, n, k)
+def _lemma5_and_theorem2(case: _Case) -> _Outcome:
+    identical, spec, mirror = case.graph, case.spec, case.mirror
+    part = orbit_partition(identical, mirror)
     report = check_equitable(identical, part)
     checks = [
         _check("mirror-equitable", "mirror orbits form an equitable partition", report.max_spread, SPREAD_TOL)
     ]
-    gamma = predicted_transfer_phase(n, k)
+    gamma = predicted_transfer_phase(case.n, case.k)
     measured = 0j
     if report.equitable:
         pm = normalized_partition_matrix(identical, part)
         quot = quotient(identical, pm)
         spec_q = eigh(quot)
 
-        mirror = _mirror_permutation(n, k)
         z = spec.eigenvectors
         classes = _eigenvalue_classes(spec.eigenvalues)
         even_overlap = np.einsum("vj,vj->j", z[mirror, :], z)
@@ -311,12 +298,11 @@ def verify_lemma5_and_theorem2(n: int, k: int, cap: int | None = None) -> Verifi
             )
         )
 
-        u_full = evolve(spec, math.pi / 2.0).matrix
         transport_dev = 0.0
         for ci, cell in enumerate(part.cells):
             v = cell[0] - 1
             transport_dev = max(
-                transport_dev, float(abs(u_quot[ci, ci] - u_full[mirror[v], v]))
+                transport_dev, float(abs(u_quot[ci, ci] - case.u_half[mirror[v], v]))
             )
         checks.append(
             _check(
@@ -327,20 +313,59 @@ def verify_lemma5_and_theorem2(n: int, k: int, cap: int | None = None) -> Verifi
             )
         )
         measured = complex(u_quot[0, 0])
+    return _Outcome(tuple(checks), gamma, measured)
+
+
+def _verify(
+    check: Callable[[_Case], _Outcome], n: int, k: int, cap: int | None
+) -> VerificationReport:
+    """Build the case, run one check function over it and time both."""
+    start = time.perf_counter()
+    outcome = check(_build_case(n, k, cap))
     return VerificationReport(
         family="hc-path",
         n=n,
         k=k,
-        checks=tuple(checks),
-        gamma_predicted=gamma,
-        gamma_measured=measured,
+        checks=outcome.checks,
+        gamma_predicted=outcome.gamma_predicted,
+        gamma_measured=outcome.gamma_measured,
         runtime_s=time.perf_counter() - start,
     )
+
+
+def verify_periodicity(n: int, k: int, cap: int | None = None) -> VerificationReport:
+    """Full revival of the hard-core walk at t = pi up to the predicted phase."""
+    return _verify(_periodicity, n, k, cap)
+
+
+def verify_theorem1(n: int, k: int, cap: int | None = None) -> VerificationReport:
+    """Mirror transfer of every ascending label at t = pi/2 with the closed-form phase.
+
+    Checks, for every vertex of the identical-walker graph: the amplitude
+    toward the mirror label has modulus 1, matches gamma(n, k), and every
+    other amplitude vanishes. A spectral route recomputes the amplitudes
+    from per-class projector weights with alternating signs and must agree
+    with the direct propagator entries.
+    """
+    return _verify(_theorem1, n, k, cap)
+
+
+def verify_lemma5_and_theorem2(n: int, k: int, cap: int | None = None) -> VerificationReport:
+    """Mirror-quotient structure: spectral thinning, periodicity and transport.
+
+    The mirror-orbit partition of the identical-walker graph must be
+    equitable; its quotient keeps exactly every second eigenvalue class
+    (verified against a brute-force even-sector dimension count), is
+    periodic at t = pi/2 with phase gamma(n, k), and its diagonal reproduces
+    the mirror-transfer amplitudes of the parent walk.
+    """
+    return _verify(_lemma5_and_theorem2, n, k, cap)
 
 
 def run_case(family: str, n: int, k: int, cap: int | None = None) -> VerificationReport:
     """All verifiers for one case, merged into a single report.
 
+    The case is built and diagonalized once and shared by every check.
     Failures of preconditions or resource limits are captured in the
     report's ``error`` field instead of propagating.
     """
@@ -348,11 +373,8 @@ def run_case(family: str, n: int, k: int, cap: int | None = None) -> Verificatio
         raise PreconditionError(f"unknown family {family!r}, known: {', '.join(FAMILIES)}")
     start = time.perf_counter()
     try:
-        parts = (
-            verify_periodicity(n, k, cap),
-            verify_theorem1(n, k, cap),
-            verify_lemma5_and_theorem2(n, k, cap),
-        )
+        case = _build_case(n, k, cap)
+        parts = [check(case) for check in (_periodicity, _theorem1, _lemma5_and_theorem2)]
     except PstlabError as exc:
         return VerificationReport(
             family=family,
@@ -485,7 +507,7 @@ def conjecture_probe(
 
     identical = symmetric_power(g, k, allow_non_path=True, cap=cap)
     spec = eigh(identical)
-    labels = list(itertools.combinations(range(1, g.n + 1), k))
+    labels = ascending_labels(g.n, k)
     best = (0.0, 0.0, 0, 0)
     candidates = sorted(set(grid) | set(single_times))
     for t in candidates:

@@ -21,7 +21,6 @@ import numpy as np
 from .errors import ConvergenceError, PreconditionError
 from .graph_core import WeightedGraph, _check_vertex
 
-TOL_EIG = 1e-9
 PST_TOL = 1e-9
 
 # Jacobi termination: largest off-diagonal magnitude relative to the Frobenius

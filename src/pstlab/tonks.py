@@ -25,6 +25,7 @@ from .hardcore import (
     SignedDiagonal,
     _digits,
     apply_deletion,
+    ascending_labels,
     decompose_components,
     deletion_mask,
     symmetric_power,
@@ -146,9 +147,9 @@ def project_identical(state: StateVector, mask: DeletionMask) -> StateVector:
         raise PreconditionError("project_identical needs a kept-basis state")
     if (state.n, state.k) != (mask.n, mask.k):
         raise PreconditionError("state and mask were built for different (n, k)")
-    combos = list(itertools.combinations(range(1, mask.n + 1), mask.k))
-    position = {c: i for i, c in enumerate(combos)}
-    out = np.zeros(len(combos))
+    labels = ascending_labels(mask.n, mask.k)
+    position = {c: i for i, c in enumerate(labels)}
+    out = np.zeros(len(labels))
     for amp, label in zip(state.amplitudes, mask.kept_labels()):
         out[position[tuple(sorted(label))]] += amp
     out /= math.sqrt(math.factorial(mask.k))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,6 +219,42 @@ def test_cap_exit_code(tmp_path, capsys, monkeypatch):
     code, _, _ = run(capsys, "build", "hypercube", "--n", "4", "--cap", "100")
     assert code == 0
     monkeypatch.delenv("PSTLAB_CAP")
+
+
+def run_traced(capsys, *argv):
+    """``run`` plus the peak traced allocation of the call, in MiB."""
+    tracemalloc.start()
+    try:
+        result = run(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak / 2**20
+
+
+def test_oversized_graph_document_refused(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 10000000, "edges": []}')
+    (code, _, err), peak = run_traced(capsys, "spectrum", "--in", str(path))
+    assert code == 4 and "cap" in err
+    assert peak < 8.0
+    # the environment cap applies too; a 2000-vertex adjacency would be 32 MiB
+    monkeypatch.setenv("PSTLAB_CAP", "100")
+    path.write_text('{"n": 2000, "edges": []}')
+    (code, _, err), peak = run_traced(capsys, "spectrum", "--in", str(path))
+    assert code == 4 and "cap" in err
+    assert peak < 8.0
+
+
+def test_oversized_partition_document_refused(tmp_path, capsys):
+    graph = write_graph(tmp_path, weighted_path(4))
+    part = tmp_path / "huge_p.json"
+    part.write_text('{"n": 1000000, "cells": [[1]]}')
+    (code, _, err), peak = run_traced(
+        capsys, "quotient", "--in", graph, "--partition", str(part)
+    )
+    assert code == 4 and "cap" in err
+    assert peak < 8.0
 
 
 def test_verify_single_case(capsys):

@@ -13,6 +13,7 @@ from pstlab import (
     Partition,
     PreconditionError,
     apply_deletion,
+    ascending_labels,
     c_operator,
     cartesian_power,
     commutator_check_antisymmetry,
@@ -223,3 +224,19 @@ def test_mirror_partition_rejects_wrong_size():
     sg = symmetric_power(weighted_path(4), 2)
     with pytest.raises(PreconditionError):
         mirror_partition(sg, 5, 2)
+
+
+def test_ascending_labels_lexicographic():
+    assert ascending_labels(4, 2) == ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+    for n, k in [(5, 1), (6, 3), (7, 7)]:
+        labels = ascending_labels(n, k)
+        assert len(labels) == math.comb(n, k)
+        assert list(labels) == sorted(labels)
+        assert all(list(lab) == sorted(set(lab)) for lab in labels)
+
+
+def test_mirror_partition_rejects_labels_outside_image():
+    # the mirror of (1, 2) on 4 sites is (3, 4), which this list lacks
+    sg = symmetric_power(weighted_path(3), 2)
+    with pytest.raises(PreconditionError):
+        mirror_partition(sg, 4, 2, labels=((1, 2), (1, 3), (2, 3)))

@@ -52,6 +52,8 @@ def test_partition_validation():
         Partition(3, ((1, 2, 3), ()))
     with pytest.raises(PreconditionError):
         Partition(3, ((1, 2), (4,)))
+    with pytest.raises(PreconditionError, match=r"vertices \[2, 3, 4, 5, 6\] and 4 more$"):
+        Partition(10, ((1,),))
     p = Partition(3, ((3, 1), (2,)))
     assert p.cells == ((1, 3), (2,))  # members sorted inside each cell
     assert p.m == 2

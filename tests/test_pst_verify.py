@@ -88,6 +88,39 @@ def test_run_case_merges_all_checks():
     assert abs(report.gamma_predicted - (-1.0)) == 0.0
 
 
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(4, 8) for k in (2, 3)])
+def test_run_case_diagonalizes_twice(monkeypatch, n, k):
+    # one eigensolve of the C(n, k)-vertex graph and one of its mirror quotient
+    import pstlab.spectral
+
+    real = pstlab.spectral.eigh_matrix
+    dims = []
+
+    def counting(a):
+        dims.append(np.asarray(a).shape[0])
+        return real(a)
+
+    monkeypatch.setattr(pstlab.spectral, "eigh_matrix", counting)
+    report = run_case("hc-path", n, k)
+    assert report.ok
+    m = math.comb(n, k)
+    fixed = int((_mirror_permutation(n, k) == np.arange(m)).sum())
+    assert dims == [m, (m + fixed) // 2]
+
+
+@pytest.mark.parametrize("n,k", [(5, 2), (6, 3), (7, 3)])
+def test_run_case_equals_public_verifiers(n, k):
+    merged = run_case("hc-path", n, k)
+    parts = (verify_periodicity(n, k), verify_theorem1(n, k), verify_lemma5_and_theorem2(n, k))
+
+    def fields(checks):
+        return [(c.name, c.anchor, c.passed, c.value, c.tol) for c in checks]
+
+    assert fields(merged.checks) == [f for part in parts for f in fields(part.checks)]
+    assert merged.gamma_predicted == parts[1].gamma_predicted
+    assert merged.gamma_measured == parts[1].gamma_measured
+
+
 def test_run_case_unknown_family():
     with pytest.raises(PreconditionError):
         run_case("ring", 4, 2)
