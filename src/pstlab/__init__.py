@@ -69,7 +69,6 @@ from .products import (
     OccupationLabel,
     cartesian_power,
     cartesian_product,
-    index_of_label,
     label_of_index,
     propagator_factorization_check,
 )
@@ -82,9 +81,6 @@ from .pst_verify import (
     predicted_transfer_phase,
     run_case,
     sweep,
-    verify_lemma5_and_theorem2,
-    verify_periodicity,
-    verify_theorem1,
 )
 from .spectral import (
     PST_TOL,

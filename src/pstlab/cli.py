@@ -34,10 +34,10 @@ from .graph_core import (
 )
 from .hardcore import ascending_labels, symmetric_power
 from .partition import (
+    _quotient_graph,
     check_equitable,
     load_partition,
     normalized_partition_matrix,
-    quotient,
 )
 from .products import cartesian_power, label_of_index
 from .pst_verify import conjecture_probe, sweep
@@ -206,8 +206,7 @@ def cmd_quotient(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    pm = normalized_partition_matrix(g, part)
-    quot = quotient(g, pm)
+    quot = _quotient_graph(g, normalized_partition_matrix(g, part))
     doc = {
         "equitable": True,
         "max_spread": report.max_spread,
@@ -225,13 +224,7 @@ def cmd_quotient(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    reports = sweep(
-        families=args.family,
-        n_range=args.n,
-        k_range=args.k,
-        workers=args.workers,
-        cap=args.cap,
-    )
+    reports = sweep(n_range=args.n, k_range=args.k, cap=args.cap)
     header = f"{'family':<10} {'n':>3} {'k':>3} {'status':<6} {'checks':>7} worst"
     print(header)
     all_ok = True
@@ -301,12 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_quotient.set_defaults(handler=cmd_quotient)
 
     p_verify = sub.add_parser("verify", help="run the verification sweep over (n, k) ranges")
+    p_verify.add_argument("--n", type=_parse_range, required=True, help='path sizes n >= 2, e.g. "4..8"')
     p_verify.add_argument(
-        "--family", action="append", default=None, help="case family (default hc-path)"
+        "--k", type=_parse_range, required=True, help='walker counts k >= 1, e.g. "2..3"; k >= n is skipped'
     )
-    p_verify.add_argument("--n", type=_parse_range, required=True, help='path sizes, e.g. "4..8"')
-    p_verify.add_argument("--k", type=_parse_range, required=True, help='walker counts, e.g. "2..3"')
-    p_verify.add_argument("--workers", type=int, default=1, help="worker pool size (default 1)")
     p_verify.add_argument("--cap", type=int, help="override the vertex cap")
     p_verify.add_argument("--out", help="write the JSON report list here")
     p_verify.set_defaults(handler=cmd_verify)
@@ -328,8 +319,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return 0 if code == 0 else 2
-    if getattr(args, "command", None) == "verify" and args.family is None:
-        args.family = ["hc-path"]
     try:
         return args.handler(args)
     except FormatError as exc:

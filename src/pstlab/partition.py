@@ -279,6 +279,11 @@ def quotient(g: WeightedGraph, pm: PartitionMatrix, tol: float = TOL_EQ) -> Weig
             f"{report.worst_vertex} spreads b toward cell {report.worst_target_cell} "
             f"by {report.max_spread:.3e}"
         )
+    return _quotient_graph(g, pm)
+
+
+def _quotient_graph(g: WeightedGraph, pm: PartitionMatrix) -> WeightedGraph:
+    """B = Q^T A Q for a partition whose equitability the caller has already checked."""
     b = pm.q.T @ g.adjacency @ pm.q
     # Matrix products are not bit-symmetric; the averaging only moves entries
     # at roundoff scale.

@@ -71,10 +71,6 @@ def label_of_index(i: int, n: int, k: int) -> OccupationLabel:
     return OccupationLabel(tuple(reversed(digits)), n)
 
 
-def index_of_label(label: OccupationLabel) -> int:
-    return label.index
-
-
 def cartesian_product(g: WeightedGraph, h: WeightedGraph, cap: int | None = None) -> WeightedGraph:
     """Cartesian product via the Kronecker sum A_G (+) A_H.
 

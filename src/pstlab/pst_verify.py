@@ -24,17 +24,15 @@ exp(-i pi k (k - n)), the square of gamma(n, k), in either convention.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import PreconditionError, PstlabError, ResourceCapError
-from .graph_core import WeightedGraph, weighted_path
+from .graph_core import WeightedGraph, resolve_size_cap, weighted_path
 from .hardcore import (
     _mirror_permutation,
     apply_deletion,
@@ -43,11 +41,9 @@ from .hardcore import (
     deletion_mask,
     symmetric_power,
 )
-from .partition import check_equitable, normalized_partition_matrix, orbit_partition, quotient
+from .partition import _quotient_graph, check_equitable, normalized_partition_matrix, orbit_partition
 from .products import cartesian_power
 from .spectral import PST_TOL, SpectralDecomposition, eigh, evolve, find_pst_pairs
-
-FAMILIES = ("hc-path",)
 
 MODULUS_TOL = 1e-9
 PHASE_TOL = 1e-8
@@ -79,9 +75,9 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of one verification case, JSON-serializable."""
+    """Outcome of one verification case of the weighted-path family, JSON-serializable."""
 
-    family: str
+    family: ClassVar[str] = "hc-path"
     n: int
     k: int
     checks: tuple[CheckResult, ...]
@@ -168,6 +164,14 @@ class _Case:
 
 
 def _build_case(n: int, k: int, cap: int | None) -> _Case:
+    # At k = n the graph is one zero-weight vertex and the mirror quotient is undefined.
+    if not 1 <= k < n:
+        raise PreconditionError(f"verify needs 1 <= k < n, got n={n}, k={k}")
+    # Refuse before weighted_path(n) allocates its dense n x n adjacency.
+    m = math.comb(n, k)
+    limit = resolve_size_cap(cap)
+    if m > limit:
+        raise ResourceCapError(f"symmetric power has {m} vertices, cap is {limit}")
     graph = symmetric_power(weighted_path(n), k, cap=cap)
     spec = eigh(graph)
     return _Case(
@@ -181,23 +185,25 @@ def _build_case(n: int, k: int, cap: int | None) -> _Case:
     )
 
 
-class _Outcome(NamedTuple):
-    checks: tuple[CheckResult, ...]
-    gamma_predicted: complex
-    gamma_measured: complex
-
-
-def _periodicity(case: _Case) -> _Outcome:
+def _periodicity(case: _Case) -> tuple[CheckResult, ...]:
+    """Full revival of the hard-core walk at t = pi up to the predicted phase."""
     phase = predicted_period_phase(case.n, case.k)
     dev = float(np.abs(case.u_full - phase * np.eye(case.graph.n)).max())
-    checks = (
+    return (
         _check("periodicity-at-pi", "global revival of the identical-walker walk", dev, PERIOD_TOL),
         _unitarity_check(case.u_full, "propagator unitarity at t = pi"),
     )
-    return _Outcome(checks, phase, complex(case.u_full[0, 0]))
 
 
-def _theorem1(case: _Case) -> _Outcome:
+def _theorem1(case: _Case) -> tuple[CheckResult, ...]:
+    """Mirror transfer of every ascending label at t = pi/2 with the closed-form phase.
+
+    Checks, for every vertex of the identical-walker graph: the amplitude
+    toward the mirror label has modulus 1, matches gamma(n, k), and every
+    other amplitude vanishes. A spectral route recomputes the amplitudes
+    from per-class projector weights with alternating signs and must agree
+    with the direct propagator entries.
+    """
     n, k, spec, mirror = case.n, case.k, case.spec, case.mirror
     cols = np.arange(case.graph.n)
     amps = case.u_half[mirror, cols]
@@ -222,7 +228,7 @@ def _theorem1(case: _Case) -> _Outcome:
         rebuilt += np.exp(-1j * (math.pi / 2.0) * lam) * sign * weight
     sign_law_dev = float(np.abs(rebuilt - amps).max())
 
-    checks = (
+    return (
         _check("transfer-modulus", "mirror transfer modulus for every label", modulus_dev, MODULUS_TOL),
         _check("transfer-phase", "closed-form transfer phase gamma(n, k)", phase_dev, PHASE_TOL),
         _check("off-target", "all non-mirror amplitudes vanish", off_target, OFF_TARGET_TOL),
@@ -234,10 +240,17 @@ def _theorem1(case: _Case) -> _Outcome:
         ),
         _unitarity_check(case.u_half, "propagator unitarity at t = pi/2"),
     )
-    return _Outcome(checks, gamma, complex(amps[0]))
 
 
-def _lemma5_and_theorem2(case: _Case) -> _Outcome:
+def _lemma5_and_theorem2(case: _Case) -> tuple[CheckResult, ...]:
+    """Mirror-quotient structure: spectral thinning, periodicity and transport.
+
+    The mirror-orbit partition of the identical-walker graph must be
+    equitable; its quotient keeps exactly every second eigenvalue class
+    (verified against a brute-force even-sector dimension count), is
+    periodic at t = pi/2 with phase gamma(n, k), and its diagonal reproduces
+    the mirror-transfer amplitudes of the parent walk.
+    """
     identical, spec, mirror = case.graph, case.spec, case.mirror
     part = orbit_partition(identical, mirror)
     report = check_equitable(identical, part)
@@ -245,10 +258,8 @@ def _lemma5_and_theorem2(case: _Case) -> _Outcome:
         _check("mirror-equitable", "mirror orbits form an equitable partition", report.max_spread, SPREAD_TOL)
     ]
     gamma = predicted_transfer_phase(case.n, case.k)
-    measured = 0j
     if report.equitable:
-        pm = normalized_partition_matrix(identical, part)
-        quot = quotient(identical, pm)
+        quot = _quotient_graph(identical, normalized_partition_matrix(identical, part))
         spec_q = eigh(quot)
 
         z = spec.eigenvectors
@@ -312,72 +323,22 @@ def _lemma5_and_theorem2(case: _Case) -> _Outcome:
                 TRANSPORT_TOL,
             )
         )
-        measured = complex(u_quot[0, 0])
-    return _Outcome(tuple(checks), gamma, measured)
+    return tuple(checks)
 
 
-def _verify(
-    check: Callable[[_Case], _Outcome], n: int, k: int, cap: int | None
-) -> VerificationReport:
-    """Build the case, run one check function over it and time both."""
-    start = time.perf_counter()
-    outcome = check(_build_case(n, k, cap))
-    return VerificationReport(
-        family="hc-path",
-        n=n,
-        k=k,
-        checks=outcome.checks,
-        gamma_predicted=outcome.gamma_predicted,
-        gamma_measured=outcome.gamma_measured,
-        runtime_s=time.perf_counter() - start,
-    )
-
-
-def verify_periodicity(n: int, k: int, cap: int | None = None) -> VerificationReport:
-    """Full revival of the hard-core walk at t = pi up to the predicted phase."""
-    return _verify(_periodicity, n, k, cap)
-
-
-def verify_theorem1(n: int, k: int, cap: int | None = None) -> VerificationReport:
-    """Mirror transfer of every ascending label at t = pi/2 with the closed-form phase.
-
-    Checks, for every vertex of the identical-walker graph: the amplitude
-    toward the mirror label has modulus 1, matches gamma(n, k), and every
-    other amplitude vanishes. A spectral route recomputes the amplitudes
-    from per-class projector weights with alternating signs and must agree
-    with the direct propagator entries.
-    """
-    return _verify(_theorem1, n, k, cap)
-
-
-def verify_lemma5_and_theorem2(n: int, k: int, cap: int | None = None) -> VerificationReport:
-    """Mirror-quotient structure: spectral thinning, periodicity and transport.
-
-    The mirror-orbit partition of the identical-walker graph must be
-    equitable; its quotient keeps exactly every second eigenvalue class
-    (verified against a brute-force even-sector dimension count), is
-    periodic at t = pi/2 with phase gamma(n, k), and its diagonal reproduces
-    the mirror-transfer amplitudes of the parent walk.
-    """
-    return _verify(_lemma5_and_theorem2, n, k, cap)
-
-
-def run_case(family: str, n: int, k: int, cap: int | None = None) -> VerificationReport:
-    """All verifiers for one case, merged into a single report.
+def run_case(n: int, k: int, cap: int | None = None) -> VerificationReport:
+    """Every check of one (n, k) case, with 1 <= k < n, in a single report.
 
     The case is built and diagonalized once and shared by every check.
     Failures of preconditions or resource limits are captured in the
     report's ``error`` field instead of propagating.
     """
-    if family not in FAMILIES:
-        raise PreconditionError(f"unknown family {family!r}, known: {', '.join(FAMILIES)}")
     start = time.perf_counter()
     try:
         case = _build_case(n, k, cap)
-        parts = [check(case) for check in (_periodicity, _theorem1, _lemma5_and_theorem2)]
+        checks = _periodicity(case) + _theorem1(case) + _lemma5_and_theorem2(case)
     except PstlabError as exc:
         return VerificationReport(
-            family=family,
             n=n,
             k=k,
             checks=(),
@@ -386,52 +347,42 @@ def run_case(family: str, n: int, k: int, cap: int | None = None) -> Verificatio
             runtime_s=time.perf_counter() - start,
             error=f"{type(exc).__name__}: {exc}",
         )
-    checks = tuple(itertools.chain.from_iterable(p.checks for p in parts))
     return VerificationReport(
-        family=family,
         n=n,
         k=k,
         checks=checks,
-        gamma_predicted=parts[1].gamma_predicted,
-        gamma_measured=parts[1].gamma_measured,
+        gamma_predicted=predicted_transfer_phase(n, k),
+        gamma_measured=complex(case.u_half[case.mirror[0], 0]),
         runtime_s=time.perf_counter() - start,
     )
 
 
 def sweep(
-    families: Iterable[str],
     n_range: tuple[int, int],
     k_range: tuple[int, int],
-    workers: int = 1,
     cap: int | None = None,
 ) -> tuple[VerificationReport, ...]:
-    """Run every (family, n, k) case over inclusive ranges, in a worker pool.
+    """Run every (n, k) case with 1 <= k < n over inclusive ranges, in (n, k) order.
 
-    Results are ordered by (family, n, k) regardless of worker count or
-    completion order; combinations with k > n are skipped; per-case errors
-    are captured inside the corresponding report.
+    Needs n >= 2 and k >= 1 at the low ends; walker counts k >= n are
+    skipped. Since C(n, k) >= n for every such case, an ``n_range`` that
+    reaches past the size cap is refused up front. Per-case errors are
+    captured inside the corresponding report.
     """
-    families = tuple(families)
-    for family in families:
-        if family not in FAMILIES:
-            raise PreconditionError(f"unknown family {family!r}, known: {', '.join(FAMILIES)}")
     n_lo, n_hi = n_range
     k_lo, k_hi = k_range
     if n_lo > n_hi or k_lo > k_hi:
         raise PreconditionError("ranges must satisfy lo <= hi")
-    if workers < 1:
-        raise PreconditionError("workers must be >= 1")
-    cases = [
-        (family, n, k)
-        for family in sorted(set(families))
+    if n_lo < 2 or k_lo < 1:
+        raise PreconditionError(f"verify needs n >= 2 and k >= 1, got n from {n_lo}, k from {k_lo}")
+    limit = resolve_size_cap(cap)
+    if n_hi > limit:
+        raise ResourceCapError(f"n = {n_hi} gives at least {n_hi} vertices, cap is {limit}")
+    return tuple(
+        run_case(n, k, cap=cap)
         for n in range(n_lo, n_hi + 1)
-        for k in range(k_lo, k_hi + 1)
-        if k <= n
-    ]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        reports = list(pool.map(lambda c: run_case(*c, cap=cap), cases))
-    reports.sort(key=lambda r: (r.family, r.n, r.k))
-    return tuple(reports)
+        for k in range(k_lo, min(k_hi, n - 1) + 1)
+    )
 
 
 @dataclass(frozen=True)

@@ -278,22 +278,49 @@ def test_verify_report_file(tmp_path, capsys):
         assert all(c["pass"] for c in doc["checks"])
 
 
-def test_verify_worker_determinism(tmp_path, capsys):
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    code_a, _, _ = run(capsys, "verify", "--n", "3..4", "--k", "1..2", "--out", str(a))
-    code_b, _, _ = run(
-        capsys, "verify", "--n", "3..4", "--k", "1..2", "--workers", "3", "--out", str(b)
-    )
-    assert code_a == code_b == 0
+def test_verify_oversized_n_refused(capsys, monkeypatch):
+    # every case at n has at least n vertices; weighted_path(3000) alone is about 69 MiB
+    (code, out, err), peak = run_traced(capsys, "verify", "--n", "3000", "--k", "2", "--cap", "100")
+    assert code == 4 and "cap" in err
+    assert out == ""
+    assert peak < 8.0
+    monkeypatch.setenv("PSTLAB_CAP", "100")
+    (code, _, err), peak = run_traced(capsys, "verify", "--n", "4..2000", "--k", "1")
+    assert code == 4 and "cap" in err
+    assert peak < 8.0
 
-    def strip(text):
-        docs = json.loads(text)
-        for doc in docs:
-            doc.pop("runtime_s")
-        return docs
 
-    assert strip(a.read_text()) == strip(b.read_text())
+def test_verify_domain(capsys):
+    # full occupation (k = n) is skipped, not reported as a failure
+    code, out, _ = run(capsys, "verify", "--n", "3..4", "--k", "3..4")
+    assert code == 0
+    rows = [line.split()[:4] for line in out.strip().splitlines()[1:]]
+    assert rows == [["hc-path", "4", "3", "pass"]]
+    for argv in (["--n", "4", "--k", "0"], ["--n", "1", "--k", "1"], ["--n", "1..4", "--k", "1"]):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2, argv
+        assert out == "" and "verify needs" in err
+
+
+def test_quotient_checks_equitability_once(tmp_path, capsys, monkeypatch):
+    import pstlab.cli
+    import pstlab.partition
+    from pstlab import hypercube
+
+    real = pstlab.partition.check_equitable
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].n)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pstlab.partition, "check_equitable", counting)
+    monkeypatch.setattr(pstlab.cli, "check_equitable", counting)
+    gpath = write_graph(tmp_path, hypercube(3))
+    ppath = write_partition(tmp_path, hamming_partition(3))
+    code, _, _ = run(capsys, "quotient", "--in", gpath, "--partition", ppath)
+    assert code == 0
+    assert calls == [8]
 
 
 def test_verify_error_case_fails(capsys):

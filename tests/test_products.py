@@ -15,7 +15,6 @@ from pstlab import (
     cartesian_product,
     eigh,
     hypercube,
-    index_of_label,
     label_of_index,
     propagator_factorization_check,
     simple_path,
@@ -28,8 +27,8 @@ def test_label_index_examples():
     assert label_of_index(1, 4, 2).sites == (1, 2)
     # first coordinate is the most significant digit
     assert label_of_index(4, 4, 2).sites == (2, 1)
-    assert index_of_label(OccupationLabel((1, 2), 4)) == 1
-    assert index_of_label(OccupationLabel((3, 1, 4), 4)) == 2 * 16 + 0 * 4 + 3
+    assert OccupationLabel((1, 2), 4).index == 1
+    assert OccupationLabel((3, 1, 4), 4).index == 2 * 16 + 0 * 4 + 3
 
 
 def test_label_round_trip():
@@ -37,7 +36,6 @@ def test_label_round_trip():
     for i in range(n**k):
         lab = label_of_index(i, n, k)
         assert lab.index == i
-        assert index_of_label(lab) == i
     seen = {label_of_index(i, n, k).sites for i in range(n**k)}
     assert seen == set(itertools.product(range(1, n + 1), repeat=k))
 

@@ -2,21 +2,20 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pstlab import (
     PreconditionError,
+    ResourceCapError,
     conjecture_probe,
     eigh,
     predicted_period_phase,
     predicted_transfer_phase,
     run_case,
     sweep,
-    verify_lemma5_and_theorem2,
-    verify_periodicity,
-    verify_theorem1,
     weighted_path,
 )
 from pstlab.pst_verify import _mirror_permutation
@@ -57,17 +56,13 @@ def test_mirror_permutation_small():
 
 @pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (6, 3), (5, 1)])
 def test_verifiers_green(n, k):
-    for report in (
-        verify_periodicity(n, k),
-        verify_theorem1(n, k),
-        verify_lemma5_and_theorem2(n, k),
-    ):
-        assert report.error is None
-        assert report.ok, [c for c in report.checks if not c.passed]
+    report = run_case(n, k)
+    assert report.error is None
+    assert report.ok, [c for c in report.checks if not c.passed]
 
 
 def test_run_case_merges_all_checks():
-    report = run_case("hc-path", 5, 2)
+    report = run_case(5, 2)
     assert report.ok
     names = [c.name for c in report.checks]
     assert names == [
@@ -101,33 +96,67 @@ def test_run_case_diagonalizes_twice(monkeypatch, n, k):
         return real(a)
 
     monkeypatch.setattr(pstlab.spectral, "eigh_matrix", counting)
-    report = run_case("hc-path", n, k)
+    report = run_case(n, k)
     assert report.ok
     m = math.comb(n, k)
     fixed = int((_mirror_permutation(n, k) == np.arange(m)).sum())
     assert dims == [m, (m + fixed) // 2]
 
 
+def test_run_case_checks_equitability_once(monkeypatch):
+    # the Lemma 5 check builds the mirror quotient from the report it already holds
+    import pstlab.partition
+    import pstlab.pst_verify
+
+    real = pstlab.partition.check_equitable
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].n)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pstlab.partition, "check_equitable", counting)
+    monkeypatch.setattr(pstlab.pst_verify, "check_equitable", counting)
+    report = run_case(6, 3)
+    assert report.ok
+    assert calls == [20]
+
+
 @pytest.mark.parametrize("n,k", [(5, 2), (6, 3), (7, 3)])
-def test_run_case_equals_public_verifiers(n, k):
-    merged = run_case("hc-path", n, k)
-    parts = (verify_periodicity(n, k), verify_theorem1(n, k), verify_lemma5_and_theorem2(n, k))
+def test_run_case_gamma_is_first_mirror_amplitude(n, k):
+    # the label (1, ..., k) transfers to its mirror, the last ascending label
+    from pstlab import evolve, symmetric_power
 
-    def fields(checks):
-        return [(c.name, c.anchor, c.passed, c.value, c.tol) for c in checks]
-
-    assert fields(merged.checks) == [f for part in parts for f in fields(part.checks)]
-    assert merged.gamma_predicted == parts[1].gamma_predicted
-    assert merged.gamma_measured == parts[1].gamma_measured
+    report = run_case(n, k)
+    u = evolve(eigh(symmetric_power(weighted_path(n), k)), math.pi / 2.0).matrix
+    assert report.gamma_predicted == predicted_transfer_phase(n, k)
+    assert report.gamma_measured == complex(u[-1, 0])
 
 
-def test_run_case_unknown_family():
-    with pytest.raises(PreconditionError):
-        run_case("ring", 4, 2)
+@pytest.mark.parametrize("n,k", [(3, 3), (4, 4), (4, 5), (1, 1), (4, 0)])
+def test_run_case_outside_domain(n, k):
+    # k = n leaves one zero-weight vertex, whose mirror quotient is undefined
+    report = run_case(n, k)
+    assert not report.ok
+    assert report.checks == ()
+    assert report.error.startswith("PreconditionError")
+
+
+def test_run_case_refuses_before_allocating():
+    # the dense weighted_path(3000) alone would be about 69 MiB
+    tracemalloc.start()
+    try:
+        report = run_case(3000, 2, cap=100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.error.startswith("ResourceCapError")
+    assert "cap is 100" in report.error
+    assert peak / 2**20 < 8.0
 
 
 def test_report_schema():
-    report = run_case("hc-path", 4, 2)
+    report = run_case(4, 2)
     doc = report.to_dict()
     assert set(doc) == {"case", "checks", "gamma_predicted", "gamma_measured", "runtime_s"}
     assert doc["case"] == {"family": "hc-path", "n": 4, "k": 2}
@@ -139,7 +168,7 @@ def test_report_schema():
 
 
 def test_report_error_capture():
-    report = run_case("hc-path", 6, 3, cap=10)
+    report = run_case(6, 3, cap=10)
     assert report.error is not None
     assert not report.ok
     assert report.checks == ()
@@ -158,31 +187,28 @@ def test_thinned_spectrum_5_2():
 
 
 def test_sweep_orders_and_skips():
-    reports = sweep(["hc-path"], (3, 5), (1, 2))
+    reports = sweep((3, 5), (1, 2))
     cases = [(r.n, r.k) for r in reports]
     assert cases == [(3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 2)]
     assert all(r.ok for r in reports)
-
-
-def test_sweep_worker_determinism():
-    solo = sweep(["hc-path"], (3, 5), (2, 3))
-    pooled = sweep(["hc-path"], (3, 5), (2, 3), workers=3)
-
-    def strip(rep):
-        doc = rep.to_dict()
-        doc.pop("runtime_s")
-        return doc
-
-    assert [strip(r) for r in solo] == [strip(r) for r in pooled]
+    # k >= n is skipped, full occupation included
+    reports = sweep((2, 4), (1, 5))
+    assert [(r.n, r.k) for r in reports] == [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)]
+    assert all(r.ok for r in reports)
+    assert sweep((3, 4), (4, 6)) == ()
 
 
 def test_sweep_validation():
     with pytest.raises(PreconditionError):
-        sweep(["hc-path"], (5, 3), (1, 1))
+        sweep((5, 3), (1, 1))
     with pytest.raises(PreconditionError):
-        sweep(["hc-path"], (3, 4), (1, 1), workers=0)
+        sweep((1, 4), (1, 1))
     with pytest.raises(PreconditionError):
-        sweep(["bad-family"], (3, 4), (1, 1))
+        sweep((3, 4), (0, 2))
+    # every case at n has at least n vertices, so n beyond the cap is refused up front
+    with pytest.raises(ResourceCapError):
+        sweep((3, 101), (1, 1), cap=100)
+    assert [(r.n, r.k) for r in sweep((3, 5), (1, 1), cap=5)] == [(3, 1), (4, 1), (5, 1)]
 
 
 def test_three_way_amplitude_agreement():
