@@ -104,6 +104,7 @@ from .tonks import (
     hc_spectrum,
     parity_sign_rule,
     project_identical,
+    slater_decomposition,
     tg_boson_state,
     verify_corollary1,
 )

@@ -2,8 +2,10 @@
 
 Every check of one (n, k) case reads one shared context: the identical-walker
 graph on ascending labels, its spectral decomposition, the mirror map and
-the propagators at t = pi/2 and t = pi. A case therefore runs one
-eigensolve of the C(n, k)-vertex graph and one of its mirror quotient.
+the propagators at t = pi/2 and t = pi. The decomposition is built from
+Slater determinants of the n-vertex path's modes (Corollary 1), and a check
+ties it back to the graph's adjacency. A case therefore runs one eigensolve
+of the n-vertex path and one of the mirror quotient of the graph.
 
 Phase bookkeeping: propagators are U(t) = exp(-i t A), and the amplitude
 toward the mirror label at t = pi/2 is exactly
@@ -44,6 +46,7 @@ from .hardcore import (
 from .partition import _quotient_graph, check_equitable, normalized_partition_matrix, orbit_partition
 from .products import cartesian_power
 from .spectral import PST_TOL, SpectralDecomposition, eigh, evolve, find_pst_pairs
+from .tonks import slater_decomposition
 
 MODULUS_TOL = 1e-9
 PHASE_TOL = 1e-8
@@ -53,6 +56,7 @@ UNITARITY_TOL = 1e-8
 SPREAD_TOL = 1e-10
 SPECTRUM_TOL = 1e-8
 TRANSPORT_TOL = 1e-8
+EIGENBASIS_TOL = 1e-12
 
 # Eigenvalues closer than this are treated as one degenerate class when
 # building projectors; the hard-core ladders have unit gaps times two.
@@ -172,8 +176,9 @@ def _build_case(n: int, k: int, cap: int | None) -> _Case:
     limit = resolve_size_cap(cap)
     if m > limit:
         raise ResourceCapError(f"symmetric power has {m} vertices, cap is {limit}")
-    graph = symmetric_power(weighted_path(n), k, cap=cap)
-    spec = eigh(graph)
+    path = weighted_path(n)
+    graph = symmetric_power(path, k, cap=cap)
+    spec = slater_decomposition(eigh(path), k)
     return _Case(
         n=n,
         k=k,
@@ -182,6 +187,26 @@ def _build_case(n: int, k: int, cap: int | None) -> _Case:
         mirror=_mirror_permutation(n, k),
         u_half=evolve(spec, math.pi / 2.0).matrix,
         u_full=evolve(spec, math.pi).matrix,
+    )
+
+
+def _corollary1(case: _Case) -> tuple[CheckResult, ...]:
+    """The determinant eigenbasis diagonalizes the identical-walker graph.
+
+    Every other check reads the decomposition, so this one measures it
+    against the adjacency it stands for: the eigen-residual A Z - Z Lambda
+    and the deviation of Z^T Z from the identity.
+    """
+    z, values = case.spec.eigenvectors, case.spec.eigenvalues
+    residual = float(np.abs(case.graph.adjacency @ z - z * values).max())
+    gram = float(np.abs(z.T @ z - np.eye(case.graph.n)).max())
+    return (
+        _check(
+            "determinant-eigenbasis",
+            "Corollary 1: Slater determinants diagonalize the identical-walker graph",
+            max(residual, gram),
+            EIGENBASIS_TOL,
+        ),
     )
 
 
@@ -329,14 +354,16 @@ def _lemma5_and_theorem2(case: _Case) -> tuple[CheckResult, ...]:
 def run_case(n: int, k: int, cap: int | None = None) -> VerificationReport:
     """Every check of one (n, k) case, with 1 <= k < n, in a single report.
 
-    The case is built and diagonalized once and shared by every check.
+    The case is built once and shared by every check: its eigenbasis comes
+    from one eigensolve of the n-vertex path, and the first check confirms
+    that basis against the C(n, k)-vertex graph.
     Failures of preconditions or resource limits are captured in the
     report's ``error`` field instead of propagating.
     """
     start = time.perf_counter()
     try:
         case = _build_case(n, k, cap)
-        checks = _periodicity(case) + _theorem1(case) + _lemma5_and_theorem2(case)
+        checks = _corollary1(case) + _periodicity(case) + _theorem1(case) + _lemma5_and_theorem2(case)
     except PstlabError as exc:
         return VerificationReport(
             n=n,

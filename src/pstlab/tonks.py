@@ -6,7 +6,10 @@ every collision label, survives the hard-core deletion untouched, and after
 multiplication by the component-sorting signs becomes symmetric under
 walker exchange. Projecting onto the ascending-label graph then yields a
 complete orthonormal eigenbasis of the hard-core adjacency; eigenvalues are
-sums of the chosen single-particle eigenvalues.
+sums of the chosen single-particle eigenvalues. On an ascending label the
+projected amplitude is the k x k determinant itself, so
+``slater_decomposition`` builds that eigenbasis straight from the n-vertex
+decomposition, without the n**k power.
 """
 
 from __future__ import annotations
@@ -25,14 +28,13 @@ from .hardcore import (
     SignedDiagonal,
     _digits,
     apply_deletion,
-    ascending_labels,
     decompose_components,
     deletion_mask,
     symmetric_power,
     unit_antisymmetry,
 )
 from .products import cartesian_power
-from .spectral import SpectralDecomposition, eigh
+from .spectral import SpectralDecomposition, _fix_signs, eigh
 
 _BASIS_TAGS = ("power", "kept", "identical")
 
@@ -147,13 +149,50 @@ def project_identical(state: StateVector, mask: DeletionMask) -> StateVector:
         raise PreconditionError("project_identical needs a kept-basis state")
     if (state.n, state.k) != (mask.n, mask.k):
         raise PreconditionError("state and mask were built for different (n, k)")
-    labels = ascending_labels(mask.n, mask.k)
-    position = {c: i for i, c in enumerate(labels)}
-    out = np.zeros(len(labels))
-    for amp, label in zip(state.amplitudes, mask.kept_labels()):
-        out[position[tuple(sorted(label))]] += amp
-    out /= math.sqrt(math.factorial(mask.k))
+    n, k = mask.n, mask.k
+    # Sorted digits read as base-n numbers rank the ascending labels lexicographically.
+    ordered = np.sort(_digits(mask.kept_indices(), n, k), axis=1)
+    codes = ordered @ (n ** np.arange(k - 1, -1, -1, dtype=np.int64))
+    _, cell = np.unique(codes, return_inverse=True)
+    out = np.bincount(cell, weights=state.amplitudes, minlength=math.comb(n, k))
+    out /= math.sqrt(math.factorial(k))
     return StateVector(out, "identical", state.n, state.k)
+
+
+def slater_decomposition(single: SpectralDecomposition, k: int) -> SpectralDecomposition:
+    """Identical-walker eigenbasis on ascending labels from the single-walker one.
+
+    ``single`` decomposes an n-vertex path-family graph. By the
+    Tonks-Girardeau construction (Corollary 1), the ascending mode tuple L
+    gives the eigenvalue sum(lambda[L]) and the eigenvector whose entry on the
+    ascending label x is det Z[x, L]; the k-th compound of an orthogonal Z is
+    orthogonal, so the columns are orthonormal. Columns are sorted by
+    eigenvalue with a stable sort and carry the sign convention of
+    SpectralDecomposition. Determinants are taken a block of rows at a time,
+    so the temporary stays within a small multiple of the C(n, k)-square
+    result.
+    """
+    n = single.n
+    if not isinstance(k, int) or not 1 <= k <= n:
+        raise InvalidSizeError(f"need 1 <= k <= {n}, got k={k!r}")
+    # Ascending k-subsets of range(n): the site labels and the mode tuples alike.
+    subsets = np.array(list(itertools.combinations(range(n), k)), dtype=np.int64)
+    values = single.eigenvalues[subsets].sum(axis=1)
+    order = np.argsort(values, kind="stable")
+    modes = subsets[order]
+    m = subsets.shape[0]
+    z = single.eigenvectors
+    vecs = np.empty((m, m))
+    # Each block gathers rows * m * k * k entries, about the size of the result.
+    rows = max(1, m // (k * k))
+    for start in range(0, m, rows):
+        walkers = z[subsets[start : start + rows]]  # (rows, k, n): sites by modes
+        # minors[r, c, i, j] = Z[site i of row r, mode j of column c]
+        minors = walkers[:, :, modes].transpose(0, 2, 1, 3)
+        vecs[start : start + rows] = np.linalg.det(minors)
+    # Rebinding frees the unsigned matrix before SpectralDecomposition copies.
+    vecs = _fix_signs(vecs)
+    return SpectralDecomposition(values[order], vecs)
 
 
 def hc_spectrum(n: int, k: int) -> tuple[tuple[float, int], ...]:

@@ -263,7 +263,7 @@ def test_verify_single_case(capsys):
     lines = out.strip().splitlines()
     assert lines[0].split() == ["family", "n", "k", "status", "checks", "worst"]
     assert "pass" in lines[1]
-    assert "12/12" in lines[1]
+    assert "13/13" in lines[1]
 
 
 def test_verify_report_file(tmp_path, capsys):

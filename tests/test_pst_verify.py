@@ -10,6 +10,7 @@ import pytest
 from pstlab import (
     PreconditionError,
     ResourceCapError,
+    WeightedGraph,
     conjecture_probe,
     eigh,
     predicted_period_phase,
@@ -66,6 +67,7 @@ def test_run_case_merges_all_checks():
     assert report.ok
     names = [c.name for c in report.checks]
     assert names == [
+        "determinant-eigenbasis",
         "periodicity-at-pi",
         "unitarity",
         "transfer-modulus",
@@ -85,7 +87,7 @@ def test_run_case_merges_all_checks():
 
 @pytest.mark.parametrize("n,k", [(n, k) for n in range(4, 8) for k in (2, 3)])
 def test_run_case_diagonalizes_twice(monkeypatch, n, k):
-    # one eigensolve of the C(n, k)-vertex graph and one of its mirror quotient
+    # one eigensolve of the n-vertex path and one of the mirror quotient
     import pstlab.spectral
 
     real = pstlab.spectral.eigh_matrix
@@ -100,7 +102,7 @@ def test_run_case_diagonalizes_twice(monkeypatch, n, k):
     assert report.ok
     m = math.comb(n, k)
     fixed = int((_mirror_permutation(n, k) == np.arange(m)).sum())
-    assert dims == [m, (m + fixed) // 2]
+    assert dims == [n, (m + fixed) // 2]
 
 
 def test_run_case_checks_equitability_once(monkeypatch):
@@ -124,13 +126,40 @@ def test_run_case_checks_equitability_once(monkeypatch):
 
 @pytest.mark.parametrize("n,k", [(5, 2), (6, 3), (7, 3)])
 def test_run_case_gamma_is_first_mirror_amplitude(n, k):
-    # the label (1, ..., k) transfers to its mirror, the last ascending label
-    from pstlab import evolve, symmetric_power
+    # the label (1, ..., k) transfers to its mirror, the last ascending label;
+    # agreement of this U with the dense route is tested in test_tonks
+    from pstlab import evolve, slater_decomposition
 
     report = run_case(n, k)
-    u = evolve(eigh(symmetric_power(weighted_path(n), k)), math.pi / 2.0).matrix
+    u = evolve(slater_decomposition(eigh(weighted_path(n)), k), math.pi / 2.0).matrix
     assert report.gamma_predicted == predicted_transfer_phase(n, k)
     assert report.gamma_measured == complex(u[-1, 0])
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (6, 3)])
+def test_determinant_eigenbasis_fails_off_the_graph(monkeypatch, n, k):
+    # build the checked graph from a path whose middle weight is off by 1e-6,
+    # which keeps the mirror symmetry, while the decomposition still comes
+    # from the true path
+    import pstlab.pst_verify
+
+    real = pstlab.pst_verify.symmetric_power
+
+    def skewed(g, k, cap=None):
+        a = g.adjacency.copy()
+        mid = g.n // 2
+        a[mid - 1, mid] += 1e-6
+        a[mid, mid - 1] += 1e-6
+        return real(WeightedGraph(g.n, a), k, cap=cap)
+
+    monkeypatch.setattr(pstlab.pst_verify, "symmetric_power", skewed)
+    report = run_case(n, k)
+    assert report.error is None
+    assert not report.ok
+    check = report.checks[0]
+    assert check.name == "determinant-eigenbasis"
+    assert not check.passed
+    assert check.value > 1e-8
 
 
 @pytest.mark.parametrize("n,k", [(3, 3), (4, 4), (4, 5), (1, 1), (4, 0)])

@@ -1,10 +1,13 @@
 """Determinant states, their hard-core projections and the many-body spectrum."""
 
+import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pstlab import (
     InvalidSizeError,
@@ -17,10 +20,12 @@ from pstlab import (
     decompose_components,
     deletion_mask,
     eigh,
+    evolve,
     fermion_state,
     hc_spectrum,
     parity_sign_rule,
     project_identical,
+    slater_decomposition,
     symmetric_power,
     tg_boson_state,
     unit_antisymmetry,
@@ -166,3 +171,88 @@ def test_verify_corollary1_grid():
 
     for n, k in [(3, 2), (4, 2), (5, 2), (5, 3), (6, 2)]:
         assert verify_corollary1(n, k) <= 1e-8
+
+
+@functools.lru_cache(maxsize=None)
+def dense_and_slater(n, k):
+    # the dense route is the oracle: Jacobi on the whole C(n, k)-vertex graph
+    dense = eigh(symmetric_power(weighted_path(n), k))
+    return dense, slater_decomposition(eigh(weighted_path(n)), k)
+
+
+def assert_routes_agree(n, k, times):
+    dense, slater = dense_and_slater(n, k)
+    assert np.abs(slater.eigenvalues - dense.eigenvalues).max() <= 1e-12
+    for t in times:
+        u_dense = evolve(dense, t).matrix
+        u_slater = evolve(slater, t).matrix
+        assert np.abs(u_slater - u_dense).max() <= 1e-12, (n, k, t)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_slater_matches_dense_route(n):
+    for k in range(1, n):
+        assert_routes_agree(n, k, (math.pi / 2.0, math.pi))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_slater_matches_dense_route_random_time(data):
+    n = data.draw(st.integers(min_value=2, max_value=8))
+    k = data.draw(st.integers(min_value=1, max_value=n - 1))
+    t = data.draw(st.floats(min_value=-10.0, max_value=10.0, allow_nan=False))
+    assert_routes_agree(n, k, (t,))
+
+
+def test_slater_decomposition_basis():
+    # columns are sorted by eigenvalue, orthonormal, with the sign convention
+    spec = slater_decomposition(eigh(weighted_path(7)), 3)
+    assert spec.n == math.comb(7, 3)
+    assert np.all(np.diff(spec.eigenvalues) >= -1e-12)
+    z = spec.eigenvectors
+    assert np.abs(z.T @ z - np.eye(spec.n)).max() <= 1e-12
+    lead = np.argmax(np.abs(z), axis=0)
+    assert np.all(z[lead, np.arange(spec.n)] > 0.0)
+    flat = np.concatenate([[v] * c for v, c in hc_spectrum(7, 3)])
+    assert np.abs(spec.eigenvalues - flat).max() <= 1e-12
+
+
+def test_slater_decomposition_full_occupation_and_validation():
+    single = eigh(weighted_path(4))
+    full = slater_decomposition(single, 4)
+    assert full.eigenvectors.shape == (1, 1)
+    assert full.eigenvalues[0] == pytest.approx(0.0, abs=1e-12)
+    assert full.eigenvectors[0, 0] == pytest.approx(1.0, abs=1e-12)
+    for k in (0, 5):
+        with pytest.raises(InvalidSizeError):
+            slater_decomposition(single, k)
+
+
+def test_slater_decomposition_memory_is_blocked():
+    # an unblocked (m, k, m, k) gather would take about 63 MB at (12, 4)
+    single = eigh(weighted_path(12))
+    tracemalloc.start()
+    try:
+        slater_decomposition(single, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / 2**20 < 8.0
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (5, 3), (6, 3)])
+def test_project_identical_matches_cell_loop(n, k):
+    # the scatter adds amplitudes in kept order, like the plain loop over cells
+    spec = eigh(weighted_path(n))
+    mask = deletion_mask(n, k)
+    g_hc = apply_deletion(cartesian_power(weighted_path(n), k), mask)
+    signed = unit_antisymmetry(decompose_components(g_hc, n, k))
+    boson = tg_boson_state(fermion_state(spec, ModeTuple(tuple(range(1, k + 1)))), signed, mask)
+    labels = list(itertools.combinations(range(1, n + 1), k))
+    expected = np.zeros(len(labels))
+    for amp, label in zip(boson.amplitudes, mask.kept_labels()):
+        expected[labels.index(tuple(sorted(label)))] += amp
+    expected /= math.sqrt(math.factorial(k))
+    projected = project_identical(boson, mask)
+    assert projected.basis == "identical"
+    assert np.array_equal(projected.amplitudes, expected)
