@@ -86,8 +86,9 @@ def test_run_case_merges_all_checks():
 
 
 @pytest.mark.parametrize("n,k", [(n, k) for n in range(4, 8) for k in (2, 3)])
-def test_run_case_diagonalizes_twice(monkeypatch, n, k):
-    # one eigensolve of the n-vertex path and one of the mirror quotient
+def test_run_case_diagonalizes_once(monkeypatch, n, k):
+    # the n-vertex path is the only eigensolve; the mirror quotient is
+    # certified by a residual bound, not diagonalized
     import pstlab.spectral
 
     real = pstlab.spectral.eigh_matrix
@@ -100,9 +101,7 @@ def test_run_case_diagonalizes_twice(monkeypatch, n, k):
     monkeypatch.setattr(pstlab.spectral, "eigh_matrix", counting)
     report = run_case(n, k)
     assert report.ok
-    m = math.comb(n, k)
-    fixed = int((_mirror_permutation(n, k) == np.arange(m)).sum())
-    assert dims == [n, (m + fixed) // 2]
+    assert dims == [n]
 
 
 def test_run_case_checks_equitability_once(monkeypatch):
@@ -136,8 +135,7 @@ def test_run_case_gamma_is_first_mirror_amplitude(n, k):
     assert report.gamma_measured == complex(u[-1, 0])
 
 
-@pytest.mark.parametrize("n,k", [(4, 2), (6, 3)])
-def test_determinant_eigenbasis_fails_off_the_graph(monkeypatch, n, k):
+def _skew_checked_graph(monkeypatch):
     # build the checked graph from a path whose middle weight is off by 1e-6,
     # which keeps the mirror symmetry, while the decomposition still comes
     # from the true path
@@ -153,6 +151,11 @@ def test_determinant_eigenbasis_fails_off_the_graph(monkeypatch, n, k):
         return real(WeightedGraph(g.n, a), k, cap=cap)
 
     monkeypatch.setattr(pstlab.pst_verify, "symmetric_power", skewed)
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (6, 3)])
+def test_determinant_eigenbasis_fails_off_the_graph(monkeypatch, n, k):
+    _skew_checked_graph(monkeypatch)
     report = run_case(n, k)
     assert report.error is None
     assert not report.ok
@@ -160,6 +163,64 @@ def test_determinant_eigenbasis_fails_off_the_graph(monkeypatch, n, k):
     assert check.name == "determinant-eigenbasis"
     assert not check.passed
     assert check.value > 1e-8
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (6, 3)])
+def test_quotient_thinning_match_fails_off_the_graph(monkeypatch, n, k):
+    # the quotient comes from the skewed graph, the even Slater columns from
+    # the true path: the residual bound must see the difference
+    _skew_checked_graph(monkeypatch)
+    report = run_case(n, k)
+    assert report.error is None
+    assert not report.ok
+    (check,) = [c for c in report.checks if c.name == "quotient-thinning-match"]
+    assert not check.passed
+    assert check.value > 1e-8
+
+
+def test_quotient_count_mismatch_fails_every_quotient_check(monkeypatch):
+    # a quotient one vertex short of the even sector cannot be certified, and
+    # the quotient-walk checks are reported as failed instead of dropped
+    import pstlab.pst_verify
+
+    real = pstlab.pst_verify._quotient_graph
+
+    def truncated(g, pm):
+        b = real(g, pm)
+        return WeightedGraph(b.n - 1, b.adjacency[:-1, :-1])
+
+    monkeypatch.setattr(pstlab.pst_verify, "_quotient_graph", truncated)
+    report = run_case(5, 2)
+    assert not report.ok
+    checks = {c.name: c for c in report.checks}
+    for name in ("quotient-thinning-match", "quotient-periodicity", "quotient-transport"):
+        assert not checks[name].passed
+        assert checks[name].value == 2.0
+    assert checks["mirror-equitable"].passed
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_quotient_even_sector_matches_dense_route(n):
+    # the Jacobi solve of the mirror quotient is the oracle for the even
+    # Slater columns pushed down into it
+    from pstlab import SpectralDecomposition, evolve, normalized_partition_matrix, orbit_partition
+    from pstlab.partition import _quotient_graph
+    from pstlab.pst_verify import _build_case
+
+    for k in range(1, n):
+        case = _build_case(n, k, None)
+        pm = normalized_partition_matrix(case.graph, orbit_partition(case.graph, case.mirror))
+        quot = _quotient_graph(case.graph, pm)
+        z = case.spec.eigenvectors
+        even = np.einsum("vj,vj->j", z[case.mirror, :], z) > 0.0
+        lam_e = case.spec.eigenvalues[even]
+        y = pm.q.T @ z[:, even]
+        oracle = eigh(quot)
+        assert np.abs(oracle.eigenvalues - lam_e).max() <= 1e-12
+        t = math.pi / 2.0
+        u_oracle = evolve(oracle, t).matrix
+        u_even = evolve(SpectralDecomposition(lam_e, y), t).matrix
+        assert np.abs(u_oracle - u_even).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n,k", [(3, 3), (4, 4), (4, 5), (1, 1), (4, 0)])
