@@ -10,6 +10,7 @@ diagnostics and legends go to stderr.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import re
 import sys
@@ -59,8 +60,6 @@ def _to_json(obj) -> str:
     if obj is False:
         return "false"
     if isinstance(obj, str):
-        import json
-
         return json.dumps(obj)
     if isinstance(obj, int):
         return str(obj)
@@ -216,8 +215,6 @@ def cmd_quotient(args: argparse.Namespace) -> int:
         _write_graph(quot, args.out)
         doc["written_to"] = args.out
     else:
-        import json
-
         doc["quotient"] = json.loads(save_graph(quot))
     print(_to_json(doc))
     return 0

@@ -8,12 +8,18 @@ symmetric power directly on ascending labels. The signed diagonal that
 records each component's label-sorting parity commutes with the deleted
 adjacency and is what turns free-fermion eigenvectors into hard-core-boson
 ones.
+
+In both graphs an edge is one walker hopping to a free site, so both are
+built from one list of hops over their own labels, never from the dense
+n**k power, which ``cartesian_power`` and ``apply_deletion`` keep as the
+paper's reference construction.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +31,8 @@ from .errors import (
     ResourceCapError,
 )
 from .graph_core import WeightedGraph, resolve_size_cap
-from .partition import Partition, orbit_partition
-from .products import OccupationLabel
+from .partition import Partition, _components, orbit_partition
+from .products import OccupationLabel, _digits
 
 # Entries at or below this magnitude do not count as edges when walking
 # components.
@@ -35,14 +41,40 @@ _EDGE_THRESHOLD = 1e-14
 _ISOMORPHISM_TOL = 1e-12
 
 
-def _digits(indices: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Mixed-radix digits (0-based sites) of flat power indices, shape (len, k)."""
-    out = np.empty((indices.size, k), dtype=np.int64)
-    rem = np.array(indices, dtype=np.int64)
-    for pos in range(k - 1, -1, -1):
-        out[:, pos] = rem % n
-        rem //= n
-    return out
+def _label_rows(table: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """First row of ``table`` holding each row of ``labels``; PreconditionError if one is absent.
+
+    Rows compare as whole byte strings of int64 sites: exact for any table,
+    where a base-n code would overflow once n**k reaches 2**63.
+    """
+    table, labels = (np.ascontiguousarray(x, dtype=np.int64) for x in (table, labels))
+    row_key = np.dtype((np.void, table.itemsize * table.shape[1]))
+    keys, wanted = table.view(row_key).ravel(), labels.view(row_key).ravel()
+    order = np.argsort(keys, kind="stable")
+    rows = order[np.minimum(np.searchsorted(keys, wanted, sorter=order), keys.size - 1)]
+    if (keys[rows] != wanted).any():
+        raise PreconditionError(f"label {labels[keys[rows] != wanted][0].tolist()} is not in the label table")
+    return rows
+
+
+def _hops(a: np.ndarray, table: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every hop of one walker to a free site, over the nonzeros of ``a``.
+
+    ``table`` lists labels with distinct 0-based sites, one per row. Yields,
+    a block of rows at a time, the row each hop leaves, the label it reaches
+    (the walker keeps its slot) and its weight ``a[site, target]``; blocks
+    keep the temporaries near 2**22 entries. Self-loops are not hops.
+    """
+    step = max(1, 2**22 // (table.shape[1] ** 2 * a.shape[0]))
+    for start in range(0, table.shape[0], step):
+        block = table[start : start + step]
+        free = np.ones((block.shape[0], a.shape[0]), dtype=bool)
+        free[np.arange(block.shape[0])[:, None], block] = False
+        # a[block][r, i, b] is the weight for the walker in slot i of row r to reach site b.
+        row, slot, target = np.nonzero((a[block] != 0.0) & free[:, None, :])
+        moved = block[row]
+        moved[np.arange(row.size), slot] = target
+        yield start + row, moved, a[block[row, slot], target]
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,8 +101,7 @@ class DeletionMask:
 
     def kept_labels(self) -> tuple[tuple[int, ...], ...]:
         """1-based site tuples of the kept vertices, in kept order."""
-        digits = _digits(self.kept_indices(), self.n, self.k) + 1
-        return tuple(tuple(int(x) for x in row) for row in digits)
+        return tuple(map(tuple, (_digits(self.kept_indices(), self.n, self.k) + 1).tolist()))
 
 
 def deletion_mask(n: int, k: int, cap: int | None = None) -> DeletionMask:
@@ -83,9 +114,8 @@ def deletion_mask(n: int, k: int, cap: int | None = None) -> DeletionMask:
     limit = resolve_size_cap(cap)
     if size > limit:
         raise ResourceCapError(f"power has {size} labels, cap is {limit}")
-    digits = _digits(np.arange(size), n, k)
-    ordered = np.sort(digits, axis=1)
-    repeat = (np.diff(ordered, axis=1) == 0).any(axis=1) if k > 1 else np.zeros(size, dtype=bool)
+    ordered = np.sort(_digits(np.arange(size), n, k), axis=1)
+    repeat = (np.diff(ordered, axis=1) == 0).any(axis=1)
     return DeletionMask(n, k, ~repeat)
 
 
@@ -98,6 +128,21 @@ def apply_deletion(g_power: WeightedGraph, mask: DeletionMask) -> WeightedGraph:
     idx = mask.kept_indices()
     sub = g_power.adjacency[np.ix_(idx, idx)]
     return WeightedGraph(idx.size, sub)
+
+
+def _kept_graph(g: WeightedGraph, mask: DeletionMask) -> WeightedGraph:
+    """``apply_deletion(cartesian_power(g, k), mask)``, built on the kept labels alone.
+
+    Each hop keeps its walker's slot, and the self-loops of the k slots are
+    accumulated first slot first, as the Kronecker sum adds them, so the
+    result is equal entry for entry without the n**k power.
+    """
+    table = _digits(mask.kept_indices(), mask.n, mask.k)
+    out = np.zeros((table.shape[0], table.shape[0]))
+    for row, moved, weight in _hops(g.adjacency, table):
+        out[row, _label_rows(table, moved)] = weight
+    np.fill_diagonal(out, np.add.accumulate(np.diagonal(g.adjacency)[table], axis=1)[:, -1])
+    return WeightedGraph(table.shape[0], out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,47 +187,27 @@ def decompose_components(g_hc: WeightedGraph, n: int, k: int) -> ComponentDecomp
             f"graph has {g_hc.n} vertices but the (n={n}, k={k}) deletion keeps {mask.kept_count}"
         )
     labels = mask.kept_labels()
-    adjacency = np.abs(g_hc.adjacency) > _EDGE_THRESHOLD
-    seen = np.zeros(g_hc.n, dtype=bool)
-    raw: list[list[int]] = []
-    for start in range(g_hc.n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        members = []
-        while stack:
-            u = stack.pop()
-            members.append(u)
-            for v in np.flatnonzero(adjacency[u]):
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(int(v))
-        raw.append(sorted(members))
+    component_of = _components(np.abs(g_hc.adjacency) > _EDGE_THRESHOLD)
+    sizes = np.bincount(component_of)
     expected_count = math.factorial(k)
     expected_size = math.comb(n, k)
-    if len(raw) != expected_count:
+    if sizes.size != expected_count:
         raise InvariantViolationError(
-            f"expected {expected_count} components for k={k}, found {len(raw)}; "
+            f"expected {expected_count} components for k={k}, found {sizes.size}; "
             "the underlying single-particle graph is not in the path family"
         )
-    sizes = sorted(len(c) for c in raw)
-    if sizes != [expected_size] * expected_count:
+    if (sizes != expected_size).any():
         raise InvariantViolationError(
-            f"expected every component to have {expected_size} vertices, got sizes {sizes}"
+            f"expected every component to have {expected_size} vertices, got sizes {sorted(sizes.tolist())}"
         )
-    ascending = tuple(range(1, k + 1))
-    home = labels.index(ascending)
-    canonical_pos = next(ci for ci, members in enumerate(raw) if home in members)
-    ordered = [raw[canonical_pos]] + [c for i, c in enumerate(raw) if i != canonical_pos]
-    component_of = np.empty(g_hc.n, dtype=np.int64)
-    for ci, members in enumerate(ordered):
-        component_of[members] = ci
+    home = component_of[_label_rows(np.array(labels), np.arange(1, k + 1)[None, :])[0]]
+    # Move the canonical component to position 0, keeping the others in order.
+    component_of = np.where(component_of == home, 0, component_of + (component_of < home))
     return ComponentDecomposition(
         n=n,
         k=k,
         component_of=component_of,
-        components=tuple(np.array(c) for c in ordered),
+        components=tuple(np.flatnonzero(component_of == c) for c in range(expected_count)),
         labels=labels,
         canonical=0,
     )
@@ -193,22 +218,19 @@ def component_isomorphism_check(decomp: ComponentDecomposition, g_hc: WeightedGr
 
     The isomorphism sends a vertex to the kept vertex whose label is its
     sorted label; for path-family inputs this is exact, so the return value
-    measures roundoff only.
+    measures roundoff only. A sorted label outside the canonical component
+    (a path not laid out along vertex order) raises PreconditionError.
     """
     a = g_hc.adjacency
-    lookup = {lab: i for i, lab in enumerate(decomp.labels)}
+    labels = np.array(decomp.labels)
     canonical = decomp.components[0]
-    canon_pos = {int(v): pos for pos, v in enumerate(canonical)}
+    # Position of each vertex's sorted label inside the canonical component.
+    target = _label_rows(labels[canonical], np.sort(labels, axis=1))
     canon_sub = a[np.ix_(canonical, canonical)]
     worst = 0.0
     for comp in decomp.components:
-        target = np.empty(comp.size, dtype=np.int64)
-        for pos, v in enumerate(comp):
-            sorted_label = tuple(sorted(decomp.labels[int(v)]))
-            target[pos] = canon_pos[lookup[sorted_label]]
         sub = a[np.ix_(comp, comp)]
-        dev = float(np.abs(sub - canon_sub[np.ix_(target, target)]).max())
-        worst = max(worst, dev)
+        worst = max(worst, float(np.abs(sub - canon_sub[np.ix_(target[comp], target[comp])]).max()))
     return worst
 
 
@@ -227,29 +249,17 @@ class SignedDiagonal:
         object.__setattr__(self, "signs", signs)
 
 
-def _sorting_parity(seq: tuple[int, ...]) -> int:
-    inversions = sum(
-        1
-        for i in range(len(seq))
-        for j in range(i + 1, len(seq))
-        if seq[i] > seq[j]
-    )
-    return -1 if inversions % 2 else 1
-
-
 def unit_antisymmetry(decomp: ComponentDecomposition) -> SignedDiagonal:
     """Signs sigma(p_a) of the label-sorting permutation, constant per component.
 
     Squaring the diagonal gives the identity, and it commutes with the
     deleted adjacency because hops never reorder the walkers.
     """
-    signs = np.empty(decomp.component_of.size)
-    per_component = []
-    for comp in decomp.components:
-        sign = _sorting_parity(decomp.labels[int(comp[0])])
-        per_component.append(sign)
-        signs[comp] = float(sign)
-    return SignedDiagonal(signs, tuple(per_component))
+    firsts = np.array([decomp.labels[int(comp[0])] for comp in decomp.components])
+    # Inversions: slot pairs i < j whose sites are out of order.
+    inversions = np.triu(firsts[:, :, None] > firsts[:, None, :]).sum(axis=(1, 2))
+    per_component = 1 - 2 * (inversions % 2)
+    return SignedDiagonal(per_component[decomp.component_of], tuple(per_component.tolist()))
 
 
 def commutator_check_antisymmetry(g_hc: WeightedGraph, signed: SignedDiagonal) -> float:
@@ -268,19 +278,15 @@ def indistinguishability_partition(mask: DeletionMask | None, n: int, k: int) ->
     lives on all n**k power labels, where cells of labels with repeats are
     smaller.
     """
-    if mask is not None:
-        if (mask.n, mask.k) != (n, k):
-            raise PreconditionError("mask was built for different (n, k)")
-        labels = mask.kept_labels()
-    else:
-        size = n**k
-        digits = _digits(np.arange(size), n, k) + 1
-        labels = tuple(tuple(int(x) for x in row) for row in digits)
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for vid, lab in enumerate(labels, start=1):
-        groups.setdefault(tuple(sorted(lab)), []).append(vid)
-    cells = sorted((tuple(members) for members in groups.values()), key=lambda c: c[0])
-    return Partition(len(labels), tuple(cells))
+    if mask is not None and (mask.n, mask.k) != (n, k):
+        raise PreconditionError("mask was built for different (n, k)")
+    indices = np.arange(n**k) if mask is None else mask.kept_indices()
+    multisets = np.sort(_digits(indices, n, k), axis=1)
+    # Each vertex's cell is named by its smallest member, the first row of its multiset.
+    first = _label_rows(multisets, multisets)
+    order = np.argsort(first, kind="stable")
+    cells = np.split(order + 1, np.flatnonzero(np.diff(first[order])) + 1)
+    return Partition(indices.size, tuple(tuple(cell.tolist()) for cell in cells))
 
 
 def _is_line_path(g: WeightedGraph) -> bool:
@@ -294,12 +300,17 @@ def _is_line_path(g: WeightedGraph) -> bool:
     return bool(np.all(super_diag != 0.0))
 
 
+def _ascending(n: int, k: int) -> np.ndarray:
+    """``ascending_labels(n, k)`` as 0-based sites, shape (C(n, k), k)."""
+    return np.array(list(itertools.combinations(range(n), k)), dtype=np.int64).reshape(math.comb(n, k), k)
+
+
 def ascending_labels(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """The C(n, k) strictly ascending k-subsets of the sites 1..n, lexicographic order.
 
     This is the vertex order of every identical-walker graph in the package.
     """
-    return tuple(itertools.combinations(range(1, n + 1), k))
+    return tuple(map(tuple, (_ascending(n, k) + 1).tolist()))
 
 
 def symmetric_power(
@@ -324,23 +335,11 @@ def symmetric_power(
     limit = resolve_size_cap(cap)
     if m > limit:
         raise ResourceCapError(f"symmetric power has {m} vertices, cap is {limit}")
-    # 0-based site tuples, so the loop below indexes the adjacency directly.
-    combos = [tuple(x - 1 for x in label) for label in ascending_labels(g.n, k)]
-    position = {c: i for i, c in enumerate(combos)}
-    a = g.adjacency
+    table = _ascending(g.n, k)
     out = np.zeros((m, m))
-    for i, occupied in enumerate(combos):
-        occupied_set = set(occupied)
-        loop = float(a[list(occupied), list(occupied)].sum())
-        if loop != 0.0:
-            out[i, i] = loop
-        for site in occupied:
-            for neighbor in np.flatnonzero(a[site]):
-                neighbor = int(neighbor)
-                if neighbor == site or neighbor in occupied_set:
-                    continue
-                moved = tuple(sorted(occupied_set - {site} | {neighbor}))
-                out[i, position[moved]] = a[site, neighbor]
+    for row, moved, weight in _hops(g.adjacency, table):
+        out[row, _label_rows(table, np.sort(moved, axis=1))] = weight
+    np.fill_diagonal(out, np.diagonal(g.adjacency)[table].sum(axis=1))
     return WeightedGraph(m, out)
 
 
@@ -355,24 +354,24 @@ def c_operator(label: OccupationLabel) -> OccupationLabel:
     return OccupationLabel(mirrored, label.n)
 
 
-def _mirror_permutation(
-    n: int, k: int, labels: tuple[tuple[int, ...], ...] | None = None
-) -> np.ndarray:
+def _mirror_permutation(n: int, k: int, labels: tuple[tuple[int, ...], ...] | None = None) -> np.ndarray:
     """0-based index map of the mirror map on a label list.
 
-    ``labels`` defaults to the ascending labels of (n, k). Raises
+    ``labels`` defaults to the ascending labels of (n, k). Raises InvalidSizeError
+    unless they are non-empty tuples of one length with sites in 1..n, and
     PreconditionError when the image of a label is not in the list.
     """
     if labels is None:
-        labels = ascending_labels(n, k)
-    position = {lab: i for i, lab in enumerate(labels)}
-    perm = np.empty(len(labels), dtype=np.int64)
-    for i, lab in enumerate(labels):
-        image = c_operator(OccupationLabel(lab, n)).sites
-        if image not in position:
-            raise PreconditionError(f"mirror image of {lab} leaves the label set")
-        perm[i] = position[image]
-    return perm
+        table = _ascending(n, k) + 1
+    else:
+        try:
+            table = np.array(labels, dtype=np.int64)
+            valid = table.ndim == 2 and table.shape[1] > 0 and table.min() >= 1 and table.max() <= n
+        except ValueError:
+            valid = False
+        if not valid:
+            raise InvalidSizeError(f"labels must be non-empty tuples of one length, sites in 1..{n}")
+    return _label_rows(table, n + 1 - table[:, ::-1])
 
 
 def mirror_partition(

@@ -350,18 +350,20 @@ def quotient_spectrum_subset(g: WeightedGraph, pm: PartitionMatrix, tol: float =
     return True
 
 
-def _is_connected(a: np.ndarray) -> bool:
-    n = a.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        u = stack.pop()
-        for v in np.flatnonzero(a[u]):
-            if not seen[v]:
-                seen[v] = True
-                stack.append(int(v))
-    return bool(seen.all())
+def _components(a: np.ndarray) -> np.ndarray:
+    """Connected component of each vertex over the nonzeros of ``a``, numbered by smallest vertex."""
+    comp, count = np.full(a.shape[0], -1), 0
+    for start in range(a.shape[0]):
+        if comp[start] < 0:
+            comp[start] = count
+            stack = [start]
+            while stack:
+                fresh = np.flatnonzero(a[stack.pop()])
+                fresh = fresh[comp[fresh] < 0]
+                comp[fresh] = count
+                stack.extend(fresh.tolist())
+            count += 1
+    return comp
 
 
 def max_eigenvalue_preservation(g: WeightedGraph, pm: PartitionMatrix, tol: float = _SPECTRUM_MATCH_TOL) -> bool:
@@ -373,7 +375,7 @@ def max_eigenvalue_preservation(g: WeightedGraph, pm: PartitionMatrix, tol: floa
     a = g.adjacency
     if np.any(a < 0.0):
         raise PreconditionError("max_eigenvalue_preservation needs non-negative weights")
-    if not _is_connected(a):
+    if _components(a).max() > 0:
         raise PreconditionError("max_eigenvalue_preservation needs a connected graph")
     spec_g = eigh(g)
     b = quotient(g, pm)

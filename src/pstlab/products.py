@@ -54,6 +54,19 @@ class OccupationLabel:
         return all(a < b for a, b in zip(self.sites, self.sites[1:]))
 
 
+def _digits(indices: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Mixed-radix digits (0-based sites) of flat power indices, shape (len, k).
+
+    Inverts ``OccupationLabel.index``; an object array of ints decodes exactly past int64.
+    """
+    rem = np.array(indices)
+    out = np.empty((rem.size, k), dtype=rem.dtype)
+    for pos in range(k - 1, -1, -1):
+        out[:, pos] = rem % n
+        rem //= n
+    return out
+
+
 def label_of_index(i: int, n: int, k: int) -> OccupationLabel:
     """Inverse of ``OccupationLabel.index`` for k walkers on n sites."""
     if not isinstance(k, int) or k < 1:
@@ -63,12 +76,7 @@ def label_of_index(i: int, n: int, k: int) -> OccupationLabel:
     size = n**k
     if not isinstance(i, int) or not 0 <= i < size:
         raise InvalidSizeError(f"index {i!r} outside 0..{size - 1}")
-    digits = []
-    rem = i
-    for _ in range(k):
-        digits.append(rem % n + 1)
-        rem //= n
-    return OccupationLabel(tuple(reversed(digits)), n)
+    return OccupationLabel(tuple(_digits(np.array([i], dtype=object), n, k)[0] + 1), n)
 
 
 def cartesian_product(g: WeightedGraph, h: WeightedGraph, cap: int | None = None) -> WeightedGraph:

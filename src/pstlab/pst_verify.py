@@ -37,15 +37,14 @@ import numpy as np
 from .errors import PreconditionError, PstlabError, ResourceCapError
 from .graph_core import WeightedGraph, resolve_size_cap, weighted_path
 from .hardcore import (
+    _kept_graph,
     _mirror_permutation,
-    apply_deletion,
     ascending_labels,
     decompose_components,
     deletion_mask,
     symmetric_power,
 )
 from .partition import _quotient_graph, check_equitable, normalized_partition_matrix, orbit_partition
-from .products import cartesian_power
 from .spectral import PST_TOL, SpectralDecomposition, _fix_signs, eigh, evolve, find_pst_pairs
 from .tonks import slater_decomposition
 
@@ -155,14 +154,15 @@ class _Case:
     """What every check of one (n, k) case reads, built once.
 
     ``graph`` is the identical-walker graph on ascending labels, ``spec`` its
-    decomposition, ``mirror`` the mirror map as a 0-based index map, and
-    ``u_half`` and ``u_full`` the propagators at t = pi/2 and t = pi.
+    decomposition with degenerate eigenvalue ``classes``, ``mirror`` the
+    0-based mirror map, and ``u_half``, ``u_full`` the propagators at t = pi/2 and t = pi.
     """
 
     n: int
     k: int
     graph: WeightedGraph
     spec: SpectralDecomposition
+    classes: list[np.ndarray]
     mirror: np.ndarray
     u_half: np.ndarray
     u_full: np.ndarray
@@ -185,6 +185,7 @@ def _build_case(n: int, k: int, cap: int | None) -> _Case:
         k=k,
         graph=graph,
         spec=spec,
+        classes=_eigenvalue_classes(spec.eigenvalues),
         mirror=_mirror_permutation(n, k),
         u_half=evolve(spec, math.pi / 2.0).matrix,
         u_full=evolve(spec, math.pi).matrix,
@@ -241,8 +242,7 @@ def _theorem1(case: _Case) -> tuple[CheckResult, ...]:
     residue[mirror, cols] = 0.0
     off_target = float(np.abs(residue).max())
 
-    z = spec.eigenvectors
-    classes = _eigenvalue_classes(spec.eigenvalues)
+    z, classes = spec.eigenvectors, case.classes
     lam0 = float(spec.eigenvalues[classes[0]].mean())
     global_sign = -1.0 if (k * (n - 1)) % 2 else 1.0
     rebuilt = np.zeros(case.graph.n, dtype=complex)
@@ -310,11 +310,10 @@ def _lemma5_and_theorem2(case: _Case) -> tuple[CheckResult, ...]:
         quot = _quotient_graph(identical, pm)
 
         z = spec.eigenvectors
-        classes = _eigenvalue_classes(spec.eigenvalues)
         even_overlap = np.einsum("vj,vj->j", z[mirror, :], z)
         survivors: list[float] = []
         flags: list[bool] = []
-        for cls in classes:
+        for cls in case.classes:
             lam = float(spec.eigenvalues[cls].mean())
             even_dim = round(float((1.0 + even_overlap[cls]).sum()) / 2.0)
             flags.append(even_dim > 0)
@@ -509,9 +508,7 @@ def conjecture_probe(
         notes.append("no single-walker transfer found on the probe grid")
 
     try:
-        mask = deletion_mask(g.n, k, cap=cap)
-        kept = apply_deletion(cartesian_power(g, k, cap=cap), mask)
-        decompose_components(kept, g.n, k)
+        decompose_components(_kept_graph(g, deletion_mask(g.n, k, cap=cap)), g.n, k)
     except ResourceCapError:
         notes.append("power graph exceeds the size cap; component structure unchecked")
     except PstlabError as exc:

@@ -26,14 +26,15 @@ from .graph_core import weighted_path
 from .hardcore import (
     DeletionMask,
     SignedDiagonal,
-    _digits,
-    apply_deletion,
+    _ascending,
+    _kept_graph,
+    _label_rows,
     decompose_components,
     deletion_mask,
     symmetric_power,
     unit_antisymmetry,
 )
-from .products import cartesian_power
+from .products import _digits
 from .spectral import SpectralDecomposition, _fix_signs, eigh
 
 _BASIS_TAGS = ("power", "kept", "identical")
@@ -150,10 +151,7 @@ def project_identical(state: StateVector, mask: DeletionMask) -> StateVector:
     if (state.n, state.k) != (mask.n, mask.k):
         raise PreconditionError("state and mask were built for different (n, k)")
     n, k = mask.n, mask.k
-    # Sorted digits read as base-n numbers rank the ascending labels lexicographically.
-    ordered = np.sort(_digits(mask.kept_indices(), n, k), axis=1)
-    codes = ordered @ (n ** np.arange(k - 1, -1, -1, dtype=np.int64))
-    _, cell = np.unique(codes, return_inverse=True)
+    cell = _label_rows(_ascending(n, k), np.sort(_digits(mask.kept_indices(), n, k), axis=1))
     out = np.bincount(cell, weights=state.amplitudes, minlength=math.comb(n, k))
     out /= math.sqrt(math.factorial(k))
     return StateVector(out, "identical", state.n, state.k)
@@ -176,7 +174,7 @@ def slater_decomposition(single: SpectralDecomposition, k: int) -> SpectralDecom
     if not isinstance(k, int) or not 1 <= k <= n:
         raise InvalidSizeError(f"need 1 <= k <= {n}, got k={k!r}")
     # Ascending k-subsets of range(n): the site labels and the mode tuples alike.
-    subsets = np.array(list(itertools.combinations(range(n), k)), dtype=np.int64)
+    subsets = _ascending(n, k)
     values = single.eigenvalues[subsets].sum(axis=1)
     order = np.argsort(values, kind="stable")
     modes = subsets[order]
@@ -232,16 +230,15 @@ def verify_corollary1(n: int, k: int) -> float:
     n-vertex weighted path, pushes it through deletion, signing and the
     indistinguishability projection, and measures both the eigen-residual
     against the ascending-label adjacency and the Gram deviation from
-    orthonormality. Returns the larger of the two maxima.
+    orthonormality. Returns the larger of the two maxima. Fermion states stay
+    on the n**k basis; only the deleted graph is built directly, on kept labels.
     """
     if not isinstance(n, int) or not isinstance(k, int) or not 1 <= k <= n or n < 2:
         raise InvalidSizeError(f"need n >= 2 and 1 <= k <= n, got n={n!r}, k={k!r}")
     path = weighted_path(n)
     spec = eigh(path)
     mask = deletion_mask(n, k)
-    power = cartesian_power(path, k)
-    kept = apply_deletion(power, mask)
-    signed = unit_antisymmetry(decompose_components(kept, n, k))
+    signed = unit_antisymmetry(decompose_components(_kept_graph(path, mask), n, k))
     identical = symmetric_power(path, k)
     tuples = all_mode_tuples(n, k)
     states = np.empty((identical.n, len(tuples)))

@@ -12,6 +12,7 @@ from pstlab import (
     OccupationLabel,
     Partition,
     PreconditionError,
+    WeightedGraph,
     apply_deletion,
     ascending_labels,
     c_operator,
@@ -21,6 +22,7 @@ from pstlab import (
     decompose_components,
     deletion_mask,
     eigh,
+    hypercube,
     indistinguishability_partition,
     mirror_partition,
     normalized_partition_matrix,
@@ -29,6 +31,7 @@ from pstlab import (
     unit_antisymmetry,
     weighted_path,
 )
+from pstlab.hardcore import _ascending, _kept_graph, _label_rows, _mirror_permutation
 
 from conftest import cycle_graph
 
@@ -240,3 +243,171 @@ def test_mirror_partition_rejects_labels_outside_image():
     sg = symmetric_power(weighted_path(3), 2)
     with pytest.raises(PreconditionError):
         mirror_partition(sg, 4, 2, labels=((1, 2), (1, 3), (2, 3)))
+
+
+def symmetric_power_loop(g, k):
+    """Oracle: the hard-core adjacency built one ascending label at a time."""
+    combos = list(itertools.combinations(range(g.n), k))
+    position = {c: i for i, c in enumerate(combos)}
+    a = g.adjacency
+    out = np.zeros((len(combos), len(combos)))
+    for i, occupied in enumerate(combos):
+        loop = float(a[list(occupied), list(occupied)].sum())
+        if loop != 0.0:
+            out[i, i] = loop
+        for site in occupied:
+            for neighbor in np.flatnonzero(a[site]):
+                neighbor = int(neighbor)
+                if neighbor == site or neighbor in occupied:
+                    continue
+                moved = tuple(sorted(set(occupied) - {site} | {neighbor}))
+                out[i, position[moved]] = a[site, neighbor]
+    return out
+
+
+def mirror_lookup(n, labels):
+    """Oracle: the mirror map as a dict lookup of each label's c_operator image."""
+    position = {lab: i for i, lab in enumerate(labels)}
+    return np.array([position[c_operator(OccupationLabel(lab, n)).sites] for lab in labels])
+
+
+def seeded_graphs():
+    """A ring, the cube Q3 and a random graph, with self-loops and signed weights."""
+    rng = np.random.default_rng(20240611)
+    ring = np.zeros((7, 7))
+    for v in range(7):
+        ring[v, (v + 1) % 7] = rng.uniform(-2.0, 2.0)
+    cube = hypercube(3).adjacency * rng.uniform(-2.0, 2.0, (8, 8))
+    rand = np.triu(rng.uniform(-2.0, 2.0, (8, 8)) * (rng.random((8, 8)) < 0.4), 1)
+    graphs = []
+    for name, upper in (("ring7", np.triu(ring + ring.T, 1)), ("cube3", np.triu(cube, 1)), ("random8", rand)):
+        loops = np.diag(rng.uniform(-1.0, 1.0, upper.shape[0]) * (rng.random(upper.shape[0]) < 0.6))
+        graphs.append((name, WeightedGraph(upper.shape[0], upper + upper.T + loops)))
+    return graphs
+
+
+SEEDED = seeded_graphs()
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_symmetric_power_matches_label_loop_on_paths(n):
+    for k in range(1, n + 1):
+        g = weighted_path(n)
+        assert np.array_equal(symmetric_power(g, k).adjacency, symmetric_power_loop(g, k))
+
+
+@pytest.mark.parametrize("name,g", SEEDED, ids=[name for name, _ in SEEDED])
+def test_symmetric_power_matches_label_loop_off_paths(name, g):
+    assert np.any(np.diagonal(g.adjacency) != 0.0) and np.any(g.adjacency < 0.0)
+    for k in (1, 2, 3):
+        built = symmetric_power(g, k, allow_non_path=True).adjacency
+        assert np.array_equal(built, symmetric_power_loop(g, k))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_kept_graph_equals_deleted_power_on_paths(n):
+    for k in range(1, n + 1):
+        if n**k > 2401:
+            break
+        g, mask = weighted_path(n), deletion_mask(n, k)
+        assert np.array_equal(_kept_graph(g, mask).adjacency, apply_deletion(cartesian_power(g, k), mask).adjacency)
+
+
+@pytest.mark.parametrize("name,g", SEEDED, ids=[name for name, _ in SEEDED])
+def test_kept_graph_equals_deleted_power_off_paths(name, g):
+    for k in (1, 2, 3):
+        mask = deletion_mask(g.n, k)
+        assert np.array_equal(_kept_graph(g, mask).adjacency, apply_deletion(cartesian_power(g, k), mask).adjacency)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_mirror_permutation_matches_c_operator_lookup(n):
+    for k in range(1, n + 1):
+        assert np.array_equal(_mirror_permutation(n, k), mirror_lookup(n, ascending_labels(n, k)))
+
+
+@pytest.mark.parametrize("n,k", COMPONENT_GRID)
+def test_mirror_permutation_on_explicit_kept_labels(n, k):
+    labels = deletion_mask(n, k).kept_labels()
+    assert np.array_equal(_mirror_permutation(n, k, labels), mirror_lookup(n, labels))
+
+
+def test_label_rows_exact_past_int64_codes():
+    # 20**16 overflows int64, so a base-n code could not rank these labels
+    assert 20**16 > np.iinfo(np.int64).max
+    table = _ascending(20, 16)
+    assert table.shape == (math.comb(20, 16), 16)
+    perm = np.random.default_rng(5).permutation(table.shape[0])
+    assert np.array_equal(_label_rows(table, table[perm]), perm)
+    mirrored = _mirror_permutation(20, 16)
+    assert np.array_equal(mirrored[mirrored], np.arange(table.shape[0]))
+    assert np.array_equal(table[mirrored], 19 - table[:, ::-1])
+    with pytest.raises(PreconditionError):
+        _label_rows(table, np.zeros((1, 16)))
+
+
+def test_label_rows_returns_first_of_repeated_rows():
+    table = np.array([[1, 2], [3, 4], [1, 2], [0, 5]])
+    assert _label_rows(table, table).tolist() == [0, 1, 0, 3]
+
+
+@pytest.mark.parametrize(
+    "labels,error",
+    [
+        (((0, 2), (1, 3), (2, 3)), InvalidSizeError),
+        (((), (1, 3), (2, 3)), InvalidSizeError),
+        (((1, 2), (1, 3)), PreconditionError),
+        (((1, 2), (1, 3), (2, 3)), None),
+    ],
+)
+def test_mirror_partition_explicit_label_errors(labels, error):
+    sg = symmetric_power(weighted_path(3), 2)
+    if error is None:
+        assert mirror_partition(sg, 3, 2, labels=labels) == Partition(3, ((1, 3), (2,)))
+    else:
+        with pytest.raises(error):
+            mirror_partition(sg, 3, 2, labels=labels)
+
+
+def test_isomorphism_check_rejects_path_out_of_vertex_order():
+    # on the path 1 - 3 - 2 the canonical component holds (3, 2), but (2, 3) lies in the other one
+    a = np.zeros((3, 3))
+    a[0, 2] = a[2, 0] = 1.0
+    a[1, 2] = a[2, 1] = 2.0
+    mask = deletion_mask(3, 2)
+    kept = apply_deletion(cartesian_power(WeightedGraph(3, a), 2), mask)
+    decomp = decompose_components(kept, 3, 2)
+    with pytest.raises(PreconditionError):
+        component_isomorphism_check(decomp, kept)
+
+
+@pytest.mark.parametrize("n,k", [(3, 2), (4, 3), (5, 2), (5, 3)])
+def test_indistinguishability_partition_matches_grouping_loop(n, k):
+    for mask in (deletion_mask(n, k), None):
+        labels = mask.kept_labels() if mask else list(itertools.product(range(1, n + 1), repeat=k))
+        groups = {}
+        for vid, lab in enumerate(labels, start=1):
+            groups.setdefault(tuple(sorted(lab)), []).append(vid)
+        cells = sorted((tuple(c) for c in groups.values()), key=lambda c: c[0])
+        assert indistinguishability_partition(mask, n, k).cells == tuple(cells)
+
+
+@pytest.mark.parametrize("n,k", COMPONENT_GRID)
+def test_unit_antisymmetry_matches_inversion_count(n, k):
+    g_hc, _ = hardcore_graph(n, k)
+    decomp = decompose_components(g_hc, n, k)
+    signed = unit_antisymmetry(decomp)
+    for comp, sign in zip(decomp.components, signed.component_signs):
+        lab = decomp.labels[comp[0]]
+        inversions = sum(lab[i] > lab[j] for i in range(k) for j in range(i + 1, k))
+        assert sign == (-1) ** inversions
+        assert np.all(signed.signs[comp] == sign)
+
+
+def test_symmetric_power_matches_label_loop_across_hop_blocks():
+    # dense weights with k close to n: the hop temporaries are split over several row blocks
+    n, k = 36, 34
+    assert 2**22 // (k * k * n) < math.comb(n, k)
+    upper = np.triu(np.random.default_rng(11).uniform(-1.0, 1.0, (n, n)))
+    g = WeightedGraph(n, upper + np.triu(upper, 1).T)
+    assert np.array_equal(symmetric_power(g, k, allow_non_path=True).adjacency, symmetric_power_loop(g, k))

@@ -31,6 +31,13 @@ def test_label_index_examples():
     assert OccupationLabel((3, 1, 4), 4).index == 2 * 16 + 0 * 4 + 3
 
 
+def test_label_of_index_exact_past_int64():
+    big = 3**50 - 2
+    label = label_of_index(big, 3, 50)
+    assert label.index == big
+    assert label.sites[-2:] == (3, 2) and set(label.sites[:-2]) == {3}
+
+
 def test_label_round_trip():
     n, k = 3, 3
     for i in range(n**k):

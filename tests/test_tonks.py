@@ -29,6 +29,7 @@ from pstlab import (
     symmetric_power,
     tg_boson_state,
     unit_antisymmetry,
+    verify_corollary1,
     weighted_path,
 )
 
@@ -238,6 +239,18 @@ def test_slater_decomposition_memory_is_blocked():
     finally:
         tracemalloc.stop()
     assert peak / 2**20 < 8.0
+
+
+def test_verify_corollary1_memory_skips_the_power_graph():
+    # the dense deleted power via the 4096-vertex Kronecker power peaked near 386 MiB
+    tracemalloc.start()
+    try:
+        residual = verify_corollary1(8, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert residual <= 1e-12
+    assert peak / 2**20 < 96.0
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (5, 3), (6, 3)])
