@@ -16,7 +16,8 @@ summed; the same slot listed with two different weights is rejected as an
 asymmetry. Weights must be finite reals. A document whose ``n`` exceeds
 the size cap (``resolve_size_cap``) is refused with ResourceCapError before
 anything is allocated. ``save_graph`` followed by ``load_graph`` reproduces
-the adjacency matrix bit for bit.
+the adjacency matrix bit for bit, except that a ``-0.0`` entry, which is no
+edge, comes back as ``0.0``.
 """
 
 from __future__ import annotations
@@ -130,8 +131,9 @@ def hypercube(dim: int, cap: int | None = None) -> WeightedGraph:
 
     Vertex ``i`` is the dim-bit binary expansion of ``i - 1`` (most
     significant bit first), so neighbours differ in exactly one bit. Built by
-    repeatedly forming the Kronecker sum with a single edge, which is the
-    Cartesian product taken one factor at a time.
+    setting ``a[v, v ^ (1 << b)] = 1`` for every bit ``b``, which equals the
+    repeated Kronecker sum with a single edge (the Cartesian product taken
+    one factor at a time) without its dense temporaries.
     """
     if not isinstance(dim, int) or dim < 1:
         raise InvalidSizeError(f"hypercube needs dimension >= 1, got {dim!r}")
@@ -139,12 +141,10 @@ def hypercube(dim: int, cap: int | None = None) -> WeightedGraph:
     limit = resolve_size_cap(cap)
     if size > limit:
         raise ResourceCapError(f"hypercube of dimension {dim} has {size} vertices, cap is {limit}")
-    edge = np.array([[0.0, 1.0], [1.0, 0.0]])
-    a = edge
-    for _ in range(dim - 1):
-        m = a.shape[0]
-        # New coordinate becomes the most significant bit, keeping lexicographic order.
-        a = np.kron(edge, np.eye(m)) + np.kron(np.eye(2), a)
+    a = np.zeros((size, size))
+    v = np.arange(size)
+    for b in range(dim):
+        a[v, v ^ (1 << b)] = 1.0
     return WeightedGraph(size, a)
 
 
@@ -205,13 +205,14 @@ def load_graph(text: str) -> WeightedGraph:
 
 def save_graph(g: WeightedGraph) -> str:
     """Serialize a graph to its JSON document, edges in (u, v) lexicographic order."""
-    edges = []
     a = g.adjacency
-    for u in range(g.n):
-        for v in range(u, g.n):
-            w = a[u, v]
-            if w != 0.0:
-                edges.append([u + 1, v + 1, float(w)])
+    # np.nonzero walks in row-major order, which is already (u, v) order, and
+    # treats -0.0 as no edge.
+    rows, cols = np.nonzero(a)
+    upper = rows <= cols
+    rows, cols = rows[upper], cols[upper]
+    weights = a[rows, cols].tolist()
+    edges = [[u + 1, v + 1, w] for u, v, w in zip(rows.tolist(), cols.tolist(), weights)]
     return json.dumps({"n": g.n, "edges": edges})
 
 

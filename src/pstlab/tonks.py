@@ -111,17 +111,20 @@ def fermion_state(spec: SpectralDecomposition, modes: ModeTuple) -> StateVector:
     """Normalized Slater determinant of the chosen modes over the power basis.
 
     Amplitude on label (x_1, ..., x_k) is det(Z[x_i, l_j]) / sqrt(k!), which
-    is antisymmetric under walker exchange and zero whenever two walkers
-    share a site.
+    is antisymmetric under walker exchange and exactly 0.0 whenever two
+    walkers share a site.
     """
     n = spec.n
     k = modes.k
     if modes.modes[-1] >= n:
         raise PreconditionError(f"mode {modes.modes[-1]} outside 0..{n - 1}")
     digits = _digits(np.arange(n**k), n, k)
-    slater = spec.eigenvectors[np.ix_(np.arange(n), list(modes.modes))]
-    blocks = slater[digits, :]  # (n**k, k, k): rows are walkers, columns modes
-    dets = np.linalg.det(blocks)
+    distinct = deletion_mask(n, k).keep
+    slater = spec.eigenvectors[:, list(modes.modes)]
+    dets = np.zeros(n**k)
+    # (labels, k, k): rows are walkers, columns modes; a collision label has
+    # two equal rows, so its determinant is exactly zero and is not taken.
+    dets[distinct] = np.linalg.det(slater[digits[distinct], :])
     return StateVector(dets / math.sqrt(math.factorial(k)), "power", n, k)
 
 

@@ -21,6 +21,7 @@ from pstlab import (
     resolve_size_cap,
     save_graph,
     simple_path,
+    symmetric_power,
     weighted_path,
 )
 
@@ -79,6 +80,22 @@ def test_hypercube_regularity_and_edge_count(dim):
     assert np.count_nonzero(a) == 2 * dim * 2 ** (dim - 1)
 
 
+def hypercube_by_kronecker(dim: int) -> np.ndarray:
+    # reference construction: Kronecker sums with a single edge, the new
+    # coordinate becoming the most significant bit
+    edge = np.array([[0.0, 1.0], [1.0, 0.0]])
+    a = edge
+    for _ in range(dim - 1):
+        a = np.kron(edge, np.eye(a.shape[0])) + np.kron(np.eye(2), a)
+    return a
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_hypercube_equals_kronecker_construction(dim):
+    a = hypercube(dim).adjacency
+    assert a.tobytes() == hypercube_by_kronecker(dim).tobytes()
+
+
 def test_hypercube_cap():
     with pytest.raises(ResourceCapError):
         hypercube(15)
@@ -107,6 +124,46 @@ def test_round_trip_bit_for_bit():
     loops = graph_from_edges(3, [(1, 1, 0.25), (1, 2, 1.0 / 3.0)])
     again = load_graph(save_graph(loops))
     assert np.array_equal(again.adjacency, loops.adjacency)
+
+
+def save_graph_by_loop(g: WeightedGraph) -> str:
+    # reference serializer: every upper-triangle slot in (u, v) order
+    edges = []
+    for u in range(g.n):
+        for v in range(u, g.n):
+            w = g.adjacency[u, v]
+            if w != 0.0:
+                edges.append([u + 1, v + 1, float(w)])
+    return json.dumps({"n": g.n, "edges": edges})
+
+
+def test_save_graph_matches_loop_serializer():
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(12, 12))
+    a[rng.random((12, 12)) < 0.5] = 0.0
+    a = a + a.T
+    a[2, 2] = -0.0  # a signed zero is not an edge
+    a[4, 7] = a[7, 4] = -0.0
+    a[5, 5] = 1.5  # self-loop
+    graphs = [
+        WeightedGraph(12, a),
+        weighted_path(9),
+        hypercube(5),
+        symmetric_power(hypercube(4), 2, allow_non_path=True),
+        WeightedGraph(1, np.zeros((1, 1))),
+    ]
+    for g in graphs:
+        assert save_graph(g) == save_graph_by_loop(g)
+
+
+@given(st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=2**31 - 1))
+def test_save_graph_matches_loop_serializer_on_random_graphs(n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.4)
+    g = WeightedGraph(n, a + a.T)
+    text = save_graph(g)
+    assert text == save_graph_by_loop(g)
+    assert np.array_equal(load_graph(text).adjacency, g.adjacency)
 
 
 def test_load_graph_accepts_self_loop():

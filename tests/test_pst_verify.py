@@ -201,7 +201,7 @@ def test_quotient_count_mismatch_fails_every_quotient_check(monkeypatch):
 
 @pytest.mark.parametrize("n", range(2, 10))
 def test_quotient_even_sector_matches_dense_route(n):
-    # the Jacobi solve of the mirror quotient is the oracle for the even
+    # the dense eigensolve of the mirror quotient is the oracle for the even
     # Slater columns pushed down into it
     from pstlab import SpectralDecomposition, evolve, normalized_partition_matrix, orbit_partition
     from pstlab.partition import _quotient_graph

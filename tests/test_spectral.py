@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pstlab.spectral
 from pstlab import (
+    ConvergenceError,
     InvalidSizeError,
     PreconditionError,
     WeightedGraph,
@@ -22,17 +24,48 @@ from pstlab import (
     is_periodic,
     ratio_condition,
     simple_path,
+    symmetric_power,
     transfer_amplitude,
     weighted_path,
 )
 
 EIG_ORACLE_TOL = 1e-9
 PROP_TOL = 1e-8
+EPS = float(np.finfo(float).eps)
 
 
 def random_symmetric(rng: np.random.Generator, n: int) -> np.ndarray:
     a = rng.normal(size=(n, n))
     return a + a.T
+
+
+def with_spectrum(rng: np.random.Generator, d: np.ndarray) -> np.ndarray:
+    """Q diag(d) Q^T for a random orthogonal Q, symmetrized exactly."""
+    q, _ = np.linalg.qr(rng.normal(size=(d.size, d.size)))
+    a = (q * d) @ q.T
+    return (a + a.T) / 2.0
+
+
+def assert_eigh_accurate(a: np.ndarray) -> None:
+    """Differential check of eigh_matrix against numpy.linalg.eigh.
+
+    Both solvers are backward stable, so eigenvalues agree and the residual
+    and orthogonality stay within a small multiple of n * eps * ||A||_2.
+    Eigenvectors are not compared: inside a cluster or a degenerate
+    eigenspace any orthonormal basis is correct.
+    """
+    n = a.shape[0]
+    vals, vecs = eigh_matrix(a)
+    oracle, _ = np.linalg.eigh(a)
+    norm = float(np.abs(oracle).max())
+    bound = 10.0 * n * EPS * norm
+    assert np.all(np.diff(vals) >= 0.0)
+    assert np.abs(vals - oracle).max() <= bound
+    assert np.abs(a @ vecs - vecs * vals[None, :]).max() <= bound
+    assert np.abs(vecs.T @ vecs - np.eye(n)).max() <= 10.0 * n * EPS
+    again_vals, again_vecs = eigh_matrix(a)
+    assert again_vals.tobytes() == vals.tobytes()
+    assert again_vecs.tobytes() == vecs.tobytes()
 
 
 def test_weighted_path_integer_ladder():
@@ -56,7 +89,7 @@ def test_zero_matrix_and_diagonal():
     assert np.array_equal(vals, np.array([-1.0, 2.0, 3.0]))
 
 
-def test_jacobi_matches_lapack_oracle():
+def test_eigh_matrix_matches_lapack_oracle():
     rng = np.random.default_rng(7)
     for n in (2, 3, 5, 8, 13):
         a = random_symmetric(rng, n)
@@ -66,6 +99,111 @@ def test_jacobi_matches_lapack_oracle():
         assert np.abs(vals - oracle).max() <= EIG_ORACLE_TOL * scale
         assert np.abs(vecs.T @ vecs - np.eye(n)).max() <= 1e-12
         assert np.abs(a @ vecs - vecs * vals[None, :]).max() <= 1e-10 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=2**31 - 1))
+def test_eigh_matrix_random_spectra(n, seed):
+    assert_eigh_accurate(random_symmetric(np.random.default_rng(seed), n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=6),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_eigh_matrix_clustered_spectra(centers, size, seed):
+    # every center carries `size` eigenvalues whose gaps are near 1e-10
+    rng = np.random.default_rng(seed)
+    d = np.repeat(np.array(centers, dtype=float), size)
+    d += 1e-10 * rng.random(d.size)
+    assert_eigh_accurate(with_spectrum(rng, d))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(min_value=-2, max_value=2), min_size=1, max_size=4),
+    st.integers(min_value=1, max_value=10),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_eigh_matrix_degenerate_spectra(values, multiplicity, seed):
+    d = np.repeat(np.array(values, dtype=float), multiplicity)
+    assert_eigh_accurate(with_spectrum(np.random.default_rng(seed), d))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=8), min_size=2, max_size=4), st.integers(0, 2**31 - 1))
+def test_eigh_matrix_block_diagonal(sizes, seed):
+    rng = np.random.default_rng(seed)
+    a = np.zeros((sum(sizes), sum(sizes)))
+    start = 0
+    for size in sizes:
+        a[start : start + size, start : start + size] = random_symmetric(rng, size)
+        start += size
+    assert_eigh_accurate(a)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=2, max_value=40), st.integers(0, 2**31 - 1))
+def test_eigh_matrix_tridiagonal_input(n, seed):
+    rng = np.random.default_rng(seed)
+    off = rng.normal(size=n - 1)
+    off[rng.random(n - 1) < 0.2] = 0.0  # some blocks split from the start
+    a = np.diag(rng.normal(size=n)) + np.diag(off, 1) + np.diag(off, -1)
+    assert_eigh_accurate(a)
+
+
+@pytest.mark.parametrize("dim,k", [(2, 2), (3, 2), (3, 3), (4, 2)])
+def test_eigh_matrix_hardcore_hypercubes(dim, k):
+    # large, exactly degenerate zero eigenspaces
+    assert_eigh_accurate(symmetric_power(hypercube(dim), k, allow_non_path=True).adjacency)
+
+
+def test_eigh_matrix_small_and_trivial_inputs():
+    assert_eigh_accurate(np.array([[2.5]]))
+    assert_eigh_accurate(np.zeros((4, 4)))
+    assert_eigh_accurate(np.diag([3.0, -1.0, 2.0, -1.0]))
+    assert_eigh_accurate(np.array([[0.0, 1e-300], [1e-300, 0.0]]))
+    huge = random_symmetric(np.random.default_rng(3), 6) * 1e300  # squares overflow unscaled
+    assert_eigh_accurate(huge)
+    assert_eigh_accurate(random_symmetric(np.random.default_rng(4), 6) * 1e-300)  # squares underflow
+    assert eigh_matrix(np.zeros((0, 0)))[0].size == 0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_eigh_matrix_non_finite_input_raises(bad):
+    for pos in ((0, 0), (0, 2)):
+        a = random_symmetric(np.random.default_rng(1), 4)
+        a[pos] = a[pos[::-1]] = bad
+        with pytest.raises(ConvergenceError):
+            eigh_matrix(a)
+
+
+def test_eigh_matrix_iteration_budget(monkeypatch):
+    # with no QL steps allowed, any coupled tridiagonal exhausts the budget
+    monkeypatch.setattr(pstlab.spectral, "_QL_ITERATION_CAP", 0)
+    with pytest.raises(ConvergenceError):
+        eigh_matrix(random_symmetric(np.random.default_rng(2), 5))
+    vals, vecs = eigh_matrix(np.diag([2.0, 1.0]))  # nothing to iterate on
+    assert np.array_equal(vals, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("n", range(2, 21))
+def test_weighted_path_accuracy_is_norm_relative(n):
+    a = weighted_path(n).adjacency
+    spec = eigh(weighted_path(n))
+    z, vals = spec.eigenvectors, spec.eigenvalues
+    bound = 10.0 * n * EPS * np.linalg.norm(a, 2)
+    assert np.linalg.norm(a @ z - z * vals[None, :], 2) <= bound
+    assert np.linalg.norm(z.T @ z - np.eye(n), 2) <= bound
+
+
+def test_tridiagonal_input_skips_householder():
+    a = weighted_path(9).adjacency.copy()
+    q = pstlab.spectral._tridiagonalize(a)
+    assert np.array_equal(q, np.eye(9))
+    assert np.array_equal(a, weighted_path(9).adjacency)
 
 
 def test_sign_convention_deterministic():

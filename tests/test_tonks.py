@@ -77,6 +77,21 @@ def test_fermion_state_basics():
             assert abs(a_ij) <= 1e-14
 
 
+def test_fermion_state_collisions_are_exact_zeros():
+    # reference route: one determinant per power label, collisions included
+    n, k = 6, 3
+    spec = eigh(weighted_path(n))
+    mask = deletion_mask(n, k)
+    digits = np.array(list(itertools.product(range(n), repeat=k)))  # row-major power labels
+    for modes in all_mode_tuples(n, k)[::3]:
+        amps = fermion_state(spec, modes).amplitudes
+        slater = spec.eigenvectors[:, list(modes.modes)]
+        oracle = np.linalg.det(slater[digits, :]) / math.sqrt(math.factorial(k))
+        assert amps[mask.keep].tobytes() == oracle[mask.keep].tobytes()
+        collisions = amps[~mask.keep]
+        assert np.all(collisions == 0.0) and not np.signbit(collisions).any()
+
+
 def test_fermion_mode_out_of_range():
     spec = eigh(weighted_path(3))
     with pytest.raises(PreconditionError):
@@ -176,7 +191,7 @@ def test_verify_corollary1_grid():
 
 @functools.lru_cache(maxsize=None)
 def dense_and_slater(n, k):
-    # the dense route is the oracle: Jacobi on the whole C(n, k)-vertex graph
+    # the dense route is the oracle: one eigensolve of the whole C(n, k)-vertex graph
     dense = eigh(symmetric_power(weighted_path(n), k))
     return dense, slater_decomposition(eigh(weighted_path(n)), k)
 
