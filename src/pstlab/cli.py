@@ -20,7 +20,6 @@ from .errors import (
     DegeneratePartitionError,
     FormatError,
     InvalidSizeError,
-    NotEquitableError,
     PreconditionError,
     PstlabError,
     ResourceCapError,
@@ -327,9 +326,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (InvalidSizeError, PreconditionError, DegeneratePartitionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NotEquitableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except PstlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -210,7 +210,7 @@ def vertex_weight(g: WeightedGraph, v: int) -> float:
 
 
 def _omega(a: np.ndarray) -> np.ndarray:
-    return np.sqrt((a * a).sum(axis=0))
+    return np.sqrt(np.einsum("ij,ij->j", a, a))
 
 
 def normalized_partition_matrix(g: WeightedGraph, p: Partition) -> PartitionMatrix:
@@ -218,17 +218,15 @@ def normalized_partition_matrix(g: WeightedGraph, p: Partition) -> PartitionMatr
     if p.n != g.n:
         raise PreconditionError(f"partition is over {p.n} vertices, graph has {g.n}")
     w = _omega(g.adjacency)
+    cells = p.cell_index
+    cell_weights = np.sqrt(np.bincount(cells, weights=w * w, minlength=p.m))
+    empty = np.flatnonzero(cell_weights == 0.0)
+    if empty.size:
+        raise DegeneratePartitionError(
+            f"cell {empty[0] + 1} has zero total weight and cannot be normalized"
+        )
     q = np.zeros((g.n, p.m))
-    cell_weights = np.empty(p.m)
-    for ci, cell in enumerate(p.cells):
-        idx = [v - 1 for v in cell]
-        total = math.sqrt(float((w[idx] ** 2).sum()))
-        if total == 0.0:
-            raise DegeneratePartitionError(
-                f"cell {ci + 1} has zero total weight and cannot be normalized"
-            )
-        cell_weights[ci] = total
-        q[idx, ci] = w[idx] / total
+    q[np.arange(g.n), cells] = w / cell_weights[cells]
     return PartitionMatrix(p, q, w, cell_weights)
 
 
@@ -238,35 +236,36 @@ def check_equitable(g: WeightedGraph, p: Partition, tol: float = TOL_EQ) -> Equi
         raise PreconditionError(f"partition is over {p.n} vertices, graph has {g.n}")
     a = g.adjacency
     w = _omega(a)
-    scaled = a * w[None, :]
-    cell_sums = np.empty((g.n, p.m))
-    for cj, cell in enumerate(p.cells):
-        idx = [v - 1 for v in cell]
-        cell_sums[:, cj] = scaled[:, idx].sum(axis=1)
-    b = np.empty((p.m, p.m))
-    max_spread = 0.0
-    worst = (1, 1, p.cells[0][0])
-    for ci, cell in enumerate(p.cells):
-        idx = [v - 1 for v in cell]
-        wu = w[idx][:, None]
-        rows = cell_sums[idx, :]
-        # A zero-weight vertex has a zero adjacency column, so its connection
-        # strength toward every cell is zero by continuity.
-        vals = np.divide(rows, wu, out=np.zeros_like(rows), where=wu > 0.0)
-        b[ci, :] = vals.mean(axis=0)
-        spreads = vals.max(axis=0) - vals.min(axis=0)
-        cj = int(np.argmax(spreads))
-        if spreads[cj] > max_spread:
-            max_spread = float(spreads[cj])
-            offender = int(np.argmax(np.abs(vals[:, cj] - b[ci, cj])))
-            worst = (ci + 1, cj + 1, cell[offender])
+    cells = p.cell_index
+    # Strength of every vertex toward every cell, summed over the nonzeros only;
+    # a product with a one-hot cell matrix would cost n^2 x cells.
+    flat = np.flatnonzero(a)
+    rows, cols = np.divmod(flat, g.n)
+    strength = np.bincount(
+        rows * p.m + cells[cols], weights=a.ravel()[flat] * w[cols], minlength=g.n * p.m
+    ).reshape(g.n, p.m)
+    # A zero-weight vertex has a zero adjacency column, so its connection
+    # strength toward every cell is zero by continuity.
+    vals = np.divide(strength, w[:, None], out=np.zeros(strength.shape), where=w[:, None] > 0.0)
+    # Targets x vertices grouped by cell, so each cell is one contiguous run.
+    order = np.argsort(cells, kind="stable")
+    sizes = np.bincount(cells, minlength=p.m)
+    starts = np.cumsum(sizes) - sizes
+    by_cell = np.take(vals.T, order, axis=1)
+    b = (np.add.reduceat(by_cell, starts, axis=1) / sizes).T
+    spreads = (np.maximum.reduceat(by_cell, starts, axis=1) - np.minimum.reduceat(by_cell, starts, axis=1)).T
+    # The first cell in cell order, then its first target cell, at the largest spread.
+    ci, cj = divmod(int(np.argmax(spreads)), p.m)
+    members = np.flatnonzero(cells == ci)
+    offender = int(np.argmax(np.abs(vals[members, cj] - b[ci, cj])))
+    max_spread = float(spreads[ci, cj])
     return EquitabilityReport(
         equitable=max_spread <= tol,
         b=b,
         max_spread=max_spread,
-        worst_cell=worst[0],
-        worst_target_cell=worst[1],
-        worst_vertex=worst[2],
+        worst_cell=ci + 1,
+        worst_target_cell=cj + 1,
+        worst_vertex=int(members[offender]) + 1,
     )
 
 

@@ -129,15 +129,18 @@ def predicted_period_phase(n: int, k: int) -> complex:
     return complex(-1.0 if (k * (k - n)) % 2 else 1.0)
 
 
-def _eigenvalue_classes(values: np.ndarray) -> list[np.ndarray]:
-    """Group ascending eigenvalues into degenerate classes."""
-    groups: list[list[int]] = [[0]]
-    for j in range(1, values.size):
-        if float(values[j] - values[groups[-1][0]]) <= _CLASS_GAP:
-            groups[-1].append(j)
-        else:
-            groups.append([j])
-    return [np.array(g, dtype=np.int64) for g in groups]
+def _eigenvalue_classes(values: np.ndarray) -> np.ndarray:
+    """Degenerate class id of each ascending eigenvalue, counted from 0.
+
+    A new class starts wherever the next eigenvalue lies more than
+    ``_CLASS_GAP`` above the previous one.
+    """
+    return np.concatenate(([0], np.cumsum(np.diff(values) > _CLASS_GAP)))
+
+
+def _norm2_bound(m: np.ndarray) -> float:
+    """Upper bound on the 2-norm of a symmetric matrix: its largest absolute row sum or its Frobenius norm."""
+    return min(float(np.abs(m).sum(axis=1).max()), float(np.linalg.norm(m)))
 
 
 def _check(name: str, anchor: str, value: float, tol: float) -> CheckResult:
@@ -154,15 +157,18 @@ class _Case:
     """What every check of one (n, k) case reads, built once.
 
     ``graph`` is the identical-walker graph on ascending labels, ``spec`` its
-    decomposition with degenerate eigenvalue ``classes``, ``mirror`` the
-    0-based mirror map, and ``u_half``, ``u_full`` the propagators at t = pi/2 and t = pi.
+    decomposition, ``class_ids`` the degenerate class of each eigenvector
+    column and ``class_values`` the mean eigenvalue of each class, ``mirror``
+    the 0-based mirror map, and ``u_half``, ``u_full`` the propagators at
+    t = pi/2 and t = pi.
     """
 
     n: int
     k: int
     graph: WeightedGraph
     spec: SpectralDecomposition
-    classes: list[np.ndarray]
+    class_ids: np.ndarray
+    class_values: np.ndarray
     mirror: np.ndarray
     u_half: np.ndarray
     u_full: np.ndarray
@@ -180,12 +186,14 @@ def _build_case(n: int, k: int, cap: int | None) -> _Case:
     path = weighted_path(n)
     graph = symmetric_power(path, k, cap=cap)
     spec = slater_decomposition(eigh(path), k)
+    class_ids = _eigenvalue_classes(spec.eigenvalues)
     return _Case(
         n=n,
         k=k,
         graph=graph,
         spec=spec,
-        classes=_eigenvalue_classes(spec.eigenvalues),
+        class_ids=class_ids,
+        class_values=np.bincount(class_ids, weights=spec.eigenvalues) / np.bincount(class_ids),
         mirror=_mirror_permutation(n, k),
         u_half=evolve(spec, math.pi / 2.0).matrix,
         u_full=evolve(spec, math.pi).matrix,
@@ -231,7 +239,7 @@ def _theorem1(case: _Case) -> tuple[CheckResult, ...]:
     from per-class projector weights with alternating signs and must agree
     with the direct propagator entries.
     """
-    n, k, spec, mirror = case.n, case.k, case.spec, case.mirror
+    n, k, mirror = case.n, case.k, case.mirror
     cols = np.arange(case.graph.n)
     amps = case.u_half[mirror, cols]
     gamma = predicted_transfer_phase(n, k)
@@ -242,16 +250,13 @@ def _theorem1(case: _Case) -> tuple[CheckResult, ...]:
     residue[mirror, cols] = 0.0
     off_target = float(np.abs(residue).max())
 
-    z, classes = spec.eigenvectors, case.classes
-    lam0 = float(spec.eigenvalues[classes[0]].mean())
+    z, lam = case.spec.eigenvectors, case.class_values
     global_sign = -1.0 if (k * (n - 1)) % 2 else 1.0
-    rebuilt = np.zeros(case.graph.n, dtype=complex)
-    for cls in classes:
-        lam = float(spec.eigenvalues[cls].mean())
-        step = round((lam - lam0) / 2.0)
-        sign = global_sign * (-1.0 if step % 2 else 1.0)
-        weight = (z[:, cls] ** 2).sum(axis=1)
-        rebuilt += np.exp(-1j * (math.pi / 2.0) * lam) * sign * weight
+    sign = global_sign * (1.0 - 2.0 * (np.rint((lam - lam[0]) / 2.0) % 2))
+    coef = (np.exp(-1j * (math.pi / 2.0) * lam) * sign)[case.class_ids]
+    # Two real products: a complex one would first copy the m x m weights to complex.
+    weights = z * z
+    rebuilt = weights @ coef.real + 1j * (weights @ coef.imag)
     sign_law_dev = float(np.abs(rebuilt - amps).max())
 
     return (
@@ -272,31 +277,35 @@ def _lemma5_and_theorem2(case: _Case) -> tuple[CheckResult, ...]:
     """Mirror-quotient structure: spectral thinning, periodicity and transport.
 
     The mirror-orbit partition of the identical-walker graph must be
-    equitable; its quotient keeps exactly every second eigenvalue class
-    (verified against a brute-force even-sector dimension count), is
+    equitable; its quotient keeps exactly every second eigenvalue class, is
     periodic at t = pi/2 with phase gamma(n, k), and its diagonal reproduces
-    the mirror-transfer amplitudes of the parent walk.
+    the mirror-transfer amplitudes of the parent walk. The even-sector
+    dimension of each class is its number of columns of even mirror parity,
+    read from the same parity overlaps that select the even columns.
 
     The quotient Q = P^T A P is built from the graph, and no eigensolve of it
     runs. Each Slater column has a definite mirror parity, and the even ones
     Z_e, pushed down as Y = P^T Z_e, stand for the quotient's eigenbasis with
-    their eigenvalues Lambda_e. For square Y, with R = Q Y - Y Lambda_e,
-    E = Y^T Y - I and e = |E|_F < 1, the sorted spectrum of Q lies within
+    their eigenvalues Lambda_e. Let R = Q Y - Y Lambda_e and E = Y^T Y - I,
+    and write |M|_b for the smaller of the largest absolute row sum and the
+    Frobenius norm of M. Q and E are symmetric, so |Q|_b and e = |E|_b bound
+    their 2-norms. For square Y and e < 1 the sorted spectrum of Q lies within
 
-        r = sqrt(1 + e) |R|_F + e (|Q|_F + max |Lambda_e|)
+        r = sqrt(1 + e) |R|_F + e (|Q|_b + max |Lambda_e|)
 
     of Lambda_e entrywise: Weyl's inequality bounds the spectrum of the
     symmetric Y^T Q Y = Lambda_e + E Lambda_e + Y^T R against Lambda_e, and
     Ostrowski's theorem on congruences bounds it against the spectrum of Q
-    (Horn and Johnson, Matrix Analysis, ch. 4). At e >= 1 the term e |Q|_F
+    (Horn and Johnson, Matrix Analysis, ch. 4). At e >= 1 the term e |Q|_b
     alone exceeds the tolerance for any nonzero quotient, so r never passes
     a case it does not cover. At e = 0 this is the classical residual bound
     |R| for an orthonormal basis (Parlett, The Symmetric Eigenvalue
     Problem). The value of quotient-thinning-match is r,
-    plus the distance of Lambda_e from the even-sector class multiset, plus
+    plus the distance of Lambda_e from the means of their classes, plus
     the largest deviation of a column's mirror parity from +-1, so a mixed
-    column cannot slip into either sector. When the counts disagree, that
-    check and the two quotient-walk checks fail with the count mismatch.
+    column cannot slip into either sector. When the quotient size differs
+    from the even count, that check and the two quotient-walk checks fail
+    with the count mismatch.
     """
     identical, spec, mirror = case.graph, case.spec, case.mirror
     part = orbit_partition(identical, mirror)
@@ -311,41 +320,30 @@ def _lemma5_and_theorem2(case: _Case) -> tuple[CheckResult, ...]:
 
         z = spec.eigenvectors
         even_overlap = np.einsum("vj,vj->j", z[mirror, :], z)
-        survivors: list[float] = []
-        flags: list[bool] = []
-        for cls in case.classes:
-            lam = float(spec.eigenvalues[cls].mean())
-            even_dim = round(float((1.0 + even_overlap[cls]).sum()) / 2.0)
-            flags.append(even_dim > 0)
-            survivors.extend([lam] * even_dim)
-        survivors.sort()
         even = even_overlap > 0.0
         lam_e = spec.eigenvalues[even]
-        mismatch = max(abs(quot.n - len(survivors)), abs(quot.n - lam_e.size))
+        flags = np.bincount(case.class_ids[even], minlength=case.class_values.size) > 0
+        mismatch = abs(quot.n - lam_e.size)
         if mismatch:
             match_dev = period_dev = transport_dev = 1.0 + mismatch
         else:
             y = pm.q.T @ z[:, even]
             a = quot.adjacency
             residual = float(np.linalg.norm(a @ y - y * lam_e))
-            gram = float(np.linalg.norm(y.T @ y - np.eye(quot.n)))
-            bound = math.sqrt(1.0 + gram) * residual + gram * (
-                float(np.linalg.norm(a)) + float(np.abs(lam_e).max())
-            )
+            gram = _norm2_bound(y.T @ y - np.eye(quot.n))
+            bound = math.sqrt(1.0 + gram) * residual + gram * (_norm2_bound(a) + float(np.abs(lam_e).max()))
             match_dev = (
                 bound
-                + float(np.abs(np.array(survivors) - lam_e).max())
+                + float(np.abs(case.class_values[case.class_ids[even]] - lam_e).max())
                 + float((1.0 - np.abs(even_overlap)).max())
             )
 
             u_quot = evolve(SpectralDecomposition(lam_e, _fix_signs(y)), math.pi / 2.0).matrix
             period_dev = float(np.abs(u_quot - gamma * np.eye(quot.n)).max())
-            transport_dev = 0.0
-            for ci, cell in enumerate(part.cells):
-                v = cell[0] - 1
-                transport_dev = max(
-                    transport_dev, float(abs(u_quot[ci, ci] - case.u_half[mirror[v], v]))
-                )
+            # The first occurrence of each cell id is the smallest member of that cell.
+            _, first = np.unique(part.cell_index, return_index=True)
+            miss = np.diag(u_quot) - case.u_half[mirror[first], first]
+            transport_dev = float(np.hypot(miss.real, miss.imag).max())
         checks.append(
             _check(
                 "quotient-thinning-match",
@@ -354,7 +352,7 @@ def _lemma5_and_theorem2(case: _Case) -> tuple[CheckResult, ...]:
                 SPECTRUM_TOL,
             )
         )
-        alternating = all(flags[i] != flags[i + 1] for i in range(len(flags) - 1))
+        alternating = bool(np.all(flags[1:] != flags[:-1]))
         checks.append(
             _check(
                 "quotient-thinning-alternation",

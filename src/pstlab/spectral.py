@@ -301,13 +301,9 @@ def find_pst_pairs(spec: SpectralDecomposition, t: float, tol: float = PST_TOL) 
     """
     tol = _check_tol(tol)
     u_mat = evolve(spec, t).matrix
-    pairs = []
-    for u in range(spec.n - 1):
-        for v in range(u + 1, spec.n):
-            amp = u_mat[v, u]
-            if abs(amp) >= 1.0 - tol:
-                pairs.append(PstPair(u + 1, v + 1, complex(amp)))
-    return tuple(pairs)
+    # Entry (u, v) of the transpose is the amplitude from u to v.
+    sources, targets = np.nonzero(np.triu(np.abs(u_mat.T) >= 1.0 - tol, k=1))
+    return tuple(PstPair(int(u) + 1, int(v) + 1, complex(u_mat[v, u])) for u, v in zip(sources, targets))
 
 
 def is_periodic(spec: SpectralDecomposition, t: float, tol: float = PST_TOL) -> complex | None:

@@ -323,6 +323,21 @@ def test_quotient_checks_equitability_once(tmp_path, capsys, monkeypatch):
     assert calls == [8]
 
 
+def test_not_equitable_error_exits_one(capsys, monkeypatch):
+    # NotEquitableError takes the generic package-error exit: code 1, message on stderr
+    import pstlab.cli
+    from pstlab import NotEquitableError
+
+    def refuse(args):
+        raise NotEquitableError("cell 2 spreads b")
+
+    monkeypatch.setattr(pstlab.cli, "cmd_spectrum", refuse)
+    code, out, err = run(capsys, "spectrum", "--in", "unused.json")
+    assert code == 1
+    assert out == ""
+    assert err == "error: cell 2 spreads b\n"
+
+
 def test_verify_error_case_fails(capsys):
     code, out, _ = run(capsys, "verify", "--n", "6", "--k", "3", "--cap", "10")
     assert code == 1

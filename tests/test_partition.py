@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,10 +28,13 @@ from pstlab import (
     save_partition,
     singleton_evolution_check,
     singleton_partition,
+    symmetric_power,
     verify_theorem_equivalences,
     vertex_weight,
     weighted_path,
 )
+
+from pstlab.hardcore import _mirror_permutation
 
 from conftest import graph_from_edges, hamming_partition, mirror_path_partition
 
@@ -264,3 +268,136 @@ def test_report_b_shape_and_values():
         ]
     )
     assert np.abs(report.b - counts).max() <= 1e-12
+
+
+# Per-cell loop oracles: the grouped array code must reproduce them.
+
+
+def _omega_loop(a):
+    return np.sqrt((a * a).sum(axis=0))
+
+
+def _partition_matrix_loop(g, p):
+    w = _omega_loop(g.adjacency)
+    q = np.zeros((g.n, p.m))
+    cell_weights = np.empty(p.m)
+    for ci, cell in enumerate(p.cells):
+        idx = [v - 1 for v in cell]
+        total = math.sqrt(float((w[idx] ** 2).sum()))
+        if total == 0.0:
+            raise DegeneratePartitionError(
+                f"cell {ci + 1} has zero total weight and cannot be normalized"
+            )
+        cell_weights[ci] = total
+        q[idx, ci] = w[idx] / total
+    return q, cell_weights
+
+
+def _check_equitable_loop(g, p, tol=1e-10):
+    a = g.adjacency
+    w = _omega_loop(a)
+    scaled = a * w[None, :]
+    cell_sums = np.empty((g.n, p.m))
+    for cj, cell in enumerate(p.cells):
+        cell_sums[:, cj] = scaled[:, [v - 1 for v in cell]].sum(axis=1)
+    b = np.empty((p.m, p.m))
+    max_spread = 0.0
+    worst = (1, 1, p.cells[0][0])
+    for ci, cell in enumerate(p.cells):
+        idx = [v - 1 for v in cell]
+        wu = w[idx][:, None]
+        rows = cell_sums[idx, :]
+        vals = np.divide(rows, wu, out=np.zeros_like(rows), where=wu > 0.0)
+        b[ci, :] = vals.mean(axis=0)
+        spreads = vals.max(axis=0) - vals.min(axis=0)
+        cj = int(np.argmax(spreads))
+        if spreads[cj] > max_spread:
+            max_spread = float(spreads[cj])
+            offender = int(np.argmax(np.abs(vals[:, cj] - b[ci, cj])))
+            worst = (ci + 1, cj + 1, cell[offender])
+    return max_spread <= tol, b, max_spread, worst
+
+
+def _random_graph(rng, n):
+    """Sparse symmetric weights of both signs, self-loops, and a few isolated vertices."""
+    a = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.4)
+    a = np.triu(a) + np.triu(a, 1).T
+    isolated = rng.random(n) < 0.15
+    a[isolated, :] = 0.0
+    a[:, isolated] = 0.0
+    return WeightedGraph(n, a)
+
+
+def _random_partitions(rng, n):
+    labels = rng.integers(0, max(1, n // 3), size=n)
+    cells = [tuple(int(v) + 1 for v in np.flatnonzero(labels == c)) for c in np.unique(labels)]
+    order = rng.permutation(len(cells))
+    yield Partition(n, tuple(cells[i] for i in order))
+    yield Partition(n, tuple((int(v) + 1,) for v in rng.permutation(n)))
+    yield Partition(n, (tuple(range(1, n + 1)),))
+
+
+def _differential_inputs():
+    rng = np.random.default_rng(20261018)
+    for trial in range(60):
+        n = int(rng.integers(1, 25))
+        g = _random_graph(rng, n)
+        for p in _random_partitions(rng, n):
+            yield f"random-{trial}", g, p
+    for dim in range(3, 9):
+        ham = hamming_partition(dim)
+        shuffled = Partition(ham.n, tuple(ham.cells[i] for i in rng.permutation(ham.m)))
+        yield f"q{dim}-hamming", hypercube(dim), shuffled
+    for n in range(2, 11):
+        for k in range(1, n):
+            graph = symmetric_power(weighted_path(n), k)
+            yield f"mirror-{n}-{k}", graph, orbit_partition(graph, _mirror_permutation(n, k))
+
+
+def _close(x, ref):
+    scale = max(1.0, float(np.abs(ref).max(initial=0.0)))
+    return float(np.abs(np.asarray(x) - ref).max(initial=0.0)) <= 1e-12 * scale
+
+
+def test_check_equitable_matches_per_cell_loop():
+    for name, g, p in _differential_inputs():
+        equitable, b, max_spread, worst = _check_equitable_loop(g, p)
+        report = check_equitable(g, p)
+        assert report.equitable == equitable, name
+        assert (report.worst_cell, report.worst_target_cell, report.worst_vertex) == worst, name
+        assert _close(report.b, b), name
+        assert _close(report.max_spread, max_spread), name
+
+
+def test_normalized_partition_matrix_matches_per_cell_loop():
+    degenerate = 0
+    for name, g, p in _differential_inputs():
+        try:
+            q, cell_weights = _partition_matrix_loop(g, p)
+        except DegeneratePartitionError as expected:
+            degenerate += 1
+            with pytest.raises(DegeneratePartitionError) as err:
+                normalized_partition_matrix(g, p)
+            assert str(err.value) == str(expected), name
+            continue
+        pm = normalized_partition_matrix(g, p)
+        assert _close(pm.q, q), name
+        assert _close(pm.cell_weights, cell_weights), name
+    assert degenerate > 0
+
+
+def _traced_peak_mib(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / 2**20
+
+
+def test_partition_layer_allocates_less_than_one_adjacency():
+    # one 1024 x 1024 float array is 8 MiB; the grouped code stays far below it
+    g, p = hypercube(10), hamming_partition(10)
+    assert _traced_peak_mib(check_equitable, g, p) < 8.0
+    assert _traced_peak_mib(normalized_partition_matrix, g, p) < 8.0

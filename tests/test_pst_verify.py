@@ -354,3 +354,65 @@ def test_conjecture_probe_cycle_notes_components():
     doc = report.to_dict()
     json.dumps(doc)
     assert doc["n"] == 4 and doc["k"] == 2
+
+
+def _eigenvalue_classes_loop(values):
+    """Degenerate classes grouped against their first member: the oracle for the class ids."""
+    groups = [[0]]
+    for j in range(1, values.size):
+        if float(values[j] - values[groups[-1][0]]) <= 1e-6:
+            groups[-1].append(j)
+        else:
+            groups.append([j])
+    return groups
+
+
+def test_class_ids_match_grouping_loop():
+    from pstlab.hardcore import _ascending
+    from pstlab.pst_verify import _eigenvalue_classes
+
+    for n in range(2, 13):
+        single = eigh(weighted_path(n))
+        for k in range(1, n):
+            # the eigenvalues of slater_decomposition(single, k), without its determinants
+            values = np.sort(single.eigenvalues[_ascending(n, k)].sum(axis=1), kind="stable")
+            ids = _eigenvalue_classes(values)
+            groups = _eigenvalue_classes_loop(values)
+            assert [list(np.flatnonzero(ids == c)) for c in range(ids.max() + 1)] == groups, (n, k)
+
+
+def _thinning_value_frobenius(case):
+    """quotient-thinning-match as it was computed with Frobenius norms for E and Q."""
+    from pstlab import normalized_partition_matrix, orbit_partition
+    from pstlab.partition import _quotient_graph
+
+    pm = normalized_partition_matrix(case.graph, orbit_partition(case.graph, case.mirror))
+    quot = _quotient_graph(case.graph, pm).adjacency
+    z, values = case.spec.eigenvectors, case.spec.eigenvalues
+    even_overlap = np.einsum("vj,vj->j", z[case.mirror, :], z)
+    survivors = []
+    for cls in _eigenvalue_classes_loop(values):
+        even_dim = round(float((1.0 + even_overlap[cls]).sum()) / 2.0)
+        survivors.extend([float(values[cls].mean())] * even_dim)
+    even = even_overlap > 0.0
+    lam_e = values[even]
+    y = pm.q.T @ z[:, even]
+    residual = float(np.linalg.norm(quot @ y - y * lam_e))
+    gram = float(np.linalg.norm(y.T @ y - np.eye(quot.shape[0])))
+    scale = float(np.linalg.norm(quot)) + float(np.abs(lam_e).max())
+    bound = math.sqrt(1.0 + gram) * residual + gram * scale
+    return (
+        bound
+        + float(np.abs(np.array(sorted(survivors)) - lam_e).max())
+        + float((1.0 - np.abs(even_overlap)).max())
+    )
+
+
+def test_thinning_bound_never_exceeds_frobenius_form():
+    from pstlab.pst_verify import _build_case, _lemma5_and_theorem2
+
+    for n in range(2, 11):
+        for k in range(1, n):
+            case = _build_case(n, k, None)
+            checks = {c.name: c for c in _lemma5_and_theorem2(case)}
+            assert checks["quotient-thinning-match"].value <= _thinning_value_frobenius(case), (n, k)

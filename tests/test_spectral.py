@@ -344,3 +344,31 @@ def test_pst_implies_symmetric_amplitudes():
     spec = eigh(weighted_path(6))
     u = evolve(spec, math.pi / 2.0).matrix
     assert np.abs(u - u.T).max() <= 1e-12
+
+
+def _pst_pairs_loop(spec, t, tol):
+    """The pair scan written out per pair: the oracle for find_pst_pairs."""
+    u_mat = evolve(spec, t).matrix
+    pairs = []
+    for u in range(spec.n - 1):
+        for v in range(u + 1, spec.n):
+            amp = u_mat[v, u]
+            if abs(amp) >= 1.0 - tol:
+                pairs.append((u + 1, v + 1, complex(amp)))
+    return pairs
+
+
+def test_find_pst_pairs_matches_pair_loop():
+    rng = np.random.default_rng(7)
+    graphs = [WeightedGraph(n, random_symmetric(rng, n)) for n in range(2, 9) for _ in range(6)]
+    graphs += [weighted_path(n) for n in range(2, 13)] + [hypercube(dim) for dim in (3, 5)]
+    times = [q * math.pi / 8.0 for q in range(1, 9)] + [0.37, 1.3]
+    found = 0
+    for g in graphs:
+        spec = eigh(g)
+        for t in times:
+            for tol in (1e-9, 0.09):
+                pairs = [(p.u, p.v, p.phase) for p in find_pst_pairs(spec, t, tol)]
+                assert pairs == _pst_pairs_loop(spec, t, tol), (g.n, t, tol)
+                found += len(pairs)
+    assert found > 100
