@@ -21,6 +21,7 @@ import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -102,6 +103,14 @@ class DeletionMask:
     def kept_labels(self) -> tuple[tuple[int, ...], ...]:
         """1-based site tuples of the kept vertices, in kept order."""
         return tuple(map(tuple, (_digits(self.kept_indices(), self.n, self.k) + 1).tolist()))
+
+    @cached_property
+    def _cells(self) -> np.ndarray:
+        """Ascending-label row of each kept label, in kept order; built once per mask."""
+        ordered = np.sort(_digits(self.kept_indices(), self.n, self.k), axis=1)
+        cells = _label_rows(_ascending(self.n, self.k), ordered)
+        cells.flags.writeable = False
+        return cells
 
 
 def deletion_mask(n: int, k: int, cap: int | None = None) -> DeletionMask:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -38,7 +37,7 @@ from .errors import (
     PreconditionError,
     ResourceCapError,
 )
-from .graph_core import WeightedGraph, _check_vertex, resolve_size_cap
+from .graph_core import WeightedGraph, _check_vertex, _parse_json, resolve_size_cap
 from .spectral import eigh, eigh_matrix, evolve
 
 TOL_EQ = 1e-10
@@ -205,19 +204,29 @@ class EquivalenceReport:
 def vertex_weight(g: WeightedGraph, v: int) -> float:
     """Euclidean norm of the adjacency column of 1-based vertex v."""
     _check_vertex(g.n, v)
-    col = g.adjacency[:, v - 1]
-    return float(math.sqrt(float(col @ col)))
+    return float(_omega(g)[v - 1])
 
 
-def _omega(a: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("ij,ij->j", a, a))
+def _omega(g: WeightedGraph) -> np.ndarray:
+    """Column norms of the adjacency, summed over the stored nonzeros only."""
+    return np.sqrt(np.bincount(g._cols, weights=g._weights * g._weights, minlength=g.n))
+
+
+def _strength(g: WeightedGraph, cells: np.ndarray, m: int, x: np.ndarray) -> np.ndarray:
+    """``S[v, c]``, the sum of ``A[v, u] * x[u]`` over the members ``u`` of cell ``c``.
+
+    Summed over the stored nonzeros only; a product with a one-hot cell
+    matrix would cost n^2 x cells.
+    """
+    flat = g._rows * m + cells[g._cols]
+    return np.bincount(flat, weights=g._weights * x[g._cols], minlength=g.n * m).reshape(g.n, m)
 
 
 def normalized_partition_matrix(g: WeightedGraph, p: Partition) -> PartitionMatrix:
     """Build Q from the vertex weights; rejects cells of total weight zero."""
     if p.n != g.n:
         raise PreconditionError(f"partition is over {p.n} vertices, graph has {g.n}")
-    w = _omega(g.adjacency)
+    w = _omega(g)
     cells = p.cell_index
     cell_weights = np.sqrt(np.bincount(cells, weights=w * w, minlength=p.m))
     empty = np.flatnonzero(cell_weights == 0.0)
@@ -234,16 +243,9 @@ def check_equitable(g: WeightedGraph, p: Partition, tol: float = TOL_EQ) -> Equi
     """Measure cellwise constancy of the weight-scaled connection strengths."""
     if p.n != g.n:
         raise PreconditionError(f"partition is over {p.n} vertices, graph has {g.n}")
-    a = g.adjacency
-    w = _omega(a)
+    w = _omega(g)
     cells = p.cell_index
-    # Strength of every vertex toward every cell, summed over the nonzeros only;
-    # a product with a one-hot cell matrix would cost n^2 x cells.
-    flat = np.flatnonzero(a)
-    rows, cols = np.divmod(flat, g.n)
-    strength = np.bincount(
-        rows * p.m + cells[cols], weights=a.ravel()[flat] * w[cols], minlength=g.n * p.m
-    ).reshape(g.n, p.m)
+    strength = _strength(g, cells, p.m, w)
     # A zero-weight vertex has a zero adjacency column, so its connection
     # strength toward every cell is zero by continuity.
     vals = np.divide(strength, w[:, None], out=np.zeros(strength.shape), where=w[:, None] > 0.0)
@@ -282,8 +284,16 @@ def quotient(g: WeightedGraph, pm: PartitionMatrix, tol: float = TOL_EQ) -> Weig
 
 
 def _quotient_graph(g: WeightedGraph, pm: PartitionMatrix) -> WeightedGraph:
-    """B = Q^T A Q for a partition whose equitability the caller has already checked."""
-    b = pm.q.T @ g.adjacency @ pm.q
+    """B = Q^T A Q for a partition whose equitability the caller has already checked.
+
+    ``A Q`` is taken over the stored nonzeros, one strength per vertex and
+    cell, and only the small ``Q^T (A Q)`` product is dense. One bincount of
+    every edge straight into B would sum far more terms per entry and drift
+    further from the dense product.
+    """
+    cells = pm.partition.cell_index
+    # Q has one nonzero per row, in the column of the vertex's own cell.
+    b = pm.q.T @ _strength(g, cells, pm.m, pm.q[np.arange(g.n), cells])
     # Matrix products are not bit-symmetric; the averaging only moves entries
     # at roundoff scale.
     b = 0.5 * (b + b.T)
@@ -447,10 +457,7 @@ def orbit_partition(g: WeightedGraph, perm: np.ndarray) -> Partition:
 
 def load_partition(text: str) -> Partition:
     """Parse a partition document (see the module docstring for the format)."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    doc = _parse_json(text)
     if not isinstance(doc, dict):
         raise FormatError("partition document must be a JSON object")
     extra = set(doc) - {"n", "cells"}

@@ -28,7 +28,6 @@ from .hardcore import (
     SignedDiagonal,
     _ascending,
     _kept_graph,
-    _label_rows,
     decompose_components,
     deletion_mask,
     symmetric_power,
@@ -153,10 +152,8 @@ def project_identical(state: StateVector, mask: DeletionMask) -> StateVector:
         raise PreconditionError("project_identical needs a kept-basis state")
     if (state.n, state.k) != (mask.n, mask.k):
         raise PreconditionError("state and mask were built for different (n, k)")
-    n, k = mask.n, mask.k
-    cell = _label_rows(_ascending(n, k), np.sort(_digits(mask.kept_indices(), n, k), axis=1))
-    out = np.bincount(cell, weights=state.amplitudes, minlength=math.comb(n, k))
-    out /= math.sqrt(math.factorial(k))
+    out = np.bincount(mask._cells, weights=state.amplitudes, minlength=math.comb(mask.n, mask.k))
+    out /= math.sqrt(math.factorial(mask.k))
     return StateVector(out, "identical", state.n, state.k)
 
 

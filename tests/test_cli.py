@@ -357,3 +357,29 @@ def test_single_range_form(capsys):
     code, out, _ = run(capsys, "verify", "--n", "4", "--k", "2")
     assert code == 0
     assert len(out.strip().splitlines()) == 2
+
+
+@pytest.mark.parametrize(
+    "graph_doc, partition_doc",
+    [
+        # a weight past the float range, written as an integer
+        ('{"n": 2, "edges": [[1, 2, 1' + "0" * 400 + "]]}", None),
+        # an integer token past Python's digit limit for int()
+        ('{"n": 2, "edges": [[1, 2, 1' + "0" * 5000 + "]]}", None),
+        ('{"n": 2, "edges": [[1, 2, 1.0]]}', '{"n": 2, "cells": [[1' + "0" * 5000 + "], [2]]}"),
+    ],
+    ids=["graph-weight-past-float-range", "graph-int-past-digit-limit", "partition-int-past-digit-limit"],
+)
+def test_oversized_integer_tokens_exit_three(tmp_path, capsys, graph_doc, partition_doc):
+    graph = tmp_path / "g.json"
+    graph.write_text(graph_doc)
+    argv = ["spectrum", "--in", str(graph)]
+    if partition_doc is not None:
+        part = tmp_path / "p.json"
+        part.write_text(partition_doc)
+        argv = ["quotient", "--in", str(graph), "--partition", str(part)]
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -249,3 +250,123 @@ def test_reflection_fixes_midpoint_when_odd():
     perm = reflection_permutation(5)
     assert perm[2] == 2
     assert not np.any(reflection_permutation(4) == np.arange(4))
+
+
+# Edge storage: a graph built from its nonzeros must equal the graph built
+# from the dense array, array for array.
+
+_EDGE_ARRAYS = ("_rows", "_cols", "_weights")
+
+
+def assert_same_graph(g, ref):
+    assert g.n == ref.n
+    for name in _EDGE_ARRAYS:
+        got, want = getattr(g, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert g.adjacency.tobytes() == ref.adjacency.tobytes()
+
+
+def _random_slots(rng, n):
+    """Distinct u <= v slots in shuffled order: self-loops, both signs, zero weights, isolated vertices."""
+    u, v = np.triu_indices(n)
+    isolated = rng.random(n) < 0.2
+    pick = (rng.random(u.size) < 0.4) & ~isolated[u] & ~isolated[v]
+    u, v = u[pick], v[pick]
+    w = rng.normal(size=u.size)
+    zero = rng.random(u.size) < 0.15
+    w[zero] = rng.choice([0.0, -0.0], size=int(zero.sum()))
+    order = rng.permutation(u.size)
+    return u[order], v[order], w[order]
+
+
+def _dense_from_slots(n, u, v, w):
+    a = np.zeros((n, n))
+    a[u, v] = w
+    a[v, u] = w
+    a[a == 0.0] = 0.0  # a zero-weight slot is no edge, whatever its sign
+    return a
+
+
+def test_edge_built_graph_equals_dense_built():
+    seen = dict(loops=0, negative=0, zero=0, isolated=0)
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 30))
+        u, v, w = _random_slots(rng, n)
+        ref = WeightedGraph(n, _dense_from_slots(n, u, v, w))
+        assert_same_graph(WeightedGraph._from_slots(n, u, v, w), ref)
+        # the same slots as a JSON document, endpoints in either order
+        swap = rng.random(u.size) < 0.5
+        first, second = np.where(swap, v, u) + 1, np.where(swap, u, v) + 1
+        edges = [[a, b, x] for a, b, x in zip(first.tolist(), second.tolist(), w.tolist())]
+        assert_same_graph(load_graph(json.dumps({"n": n, "edges": edges})), ref)
+        seen["loops"] += int(np.count_nonzero((u == v) & (w != 0.0)))
+        seen["negative"] += int(np.count_nonzero(w < 0.0))
+        seen["zero"] += int(np.count_nonzero(w == 0.0))
+        seen["isolated"] += n - np.unique(np.concatenate([u[w != 0.0], v[w != 0.0]])).size
+    assert min(seen.values()) > 0, seen
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_hypercube_edges_equal_dense_built(dim):
+    assert_same_graph(hypercube(dim), WeightedGraph(2**dim, hypercube_by_kronecker(dim)))
+
+
+def test_round_trip_keeps_edge_arrays():
+    rng = np.random.default_rng(11)
+    u, v, w = _random_slots(rng, 20)
+    graphs = [hypercube(6), WeightedGraph(20, _dense_from_slots(20, u, v, w)), weighted_path(9)]
+    for g in graphs:
+        assert_same_graph(load_graph(save_graph(g)), g)
+        again = pickle.loads(pickle.dumps(g))
+        assert_same_graph(again, g)
+        assert not again._weights.flags.writeable
+
+
+def test_dense_validation_matches_full_symmetry_check():
+    def with_pair(x, y):
+        a = np.array([[0.5, 1.0], [1.0, 0.0]])
+        a[0, 1], a[1, 0] = x, y
+        return a
+
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NonFiniteWeightError):
+            WeightedGraph(2, with_pair(bad, bad))
+        # finiteness is checked before symmetry, as before
+        with pytest.raises(NonFiniteWeightError):
+            WeightedGraph(2, with_pair(bad, 1.0))
+    with pytest.raises(NonFiniteWeightError):
+        WeightedGraph(2, np.diag([1.0, math.nan]))
+    with pytest.raises(AsymmetryError):
+        WeightedGraph(2, with_pair(np.nextafter(1.0, 2.0), 1.0))
+    with pytest.raises(AsymmetryError):
+        WeightedGraph(2, with_pair(0.0, 5e-324))
+    # -0.0 facing 0.0 is symmetric, like np.array_equal(a, a.T) says; neither is an edge
+    g = WeightedGraph(2, with_pair(-0.0, 0.0))
+    assert g._weights.tolist() == [0.5]
+    assert np.signbit(g.adjacency[0, 1])  # the copy is kept as given
+
+
+def test_graph_is_immutable():
+    a = np.array(weighted_path(4).adjacency)
+    from_array = WeightedGraph(4, a)
+    a[0, 1] = 9.0  # the graph holds a copy
+    assert from_array.weight(1, 2) == math.sqrt(3.0)
+    for g in (from_array, hypercube(3), load_graph(save_graph(hypercube(2)))):
+        assert g.adjacency is g.adjacency  # scattered once, then cached
+        for arr in (g.adjacency, g._rows, g._cols, g._weights):
+            with pytest.raises(ValueError):
+                arr[0] = 7
+        for name in ("n", "adjacency", "_rows", "_weights", "_dense", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, None)
+        with pytest.raises(AttributeError):
+            del g.n
+
+
+def test_load_graph_oversized_integer_tokens():
+    with pytest.raises(NonFiniteWeightError, match="overflows"):
+        load_graph('{"n": 2, "edges": [[1, 2, 1' + "0" * 400 + "]]}")
+    # past Python's digit limit for int(), json.loads itself fails
+    with pytest.raises(FormatError):
+        load_graph('{"n": 2, "edges": [[1, 2, 1' + "0" * 5000 + "]]}")

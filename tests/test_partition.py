@@ -17,6 +17,7 @@ from pstlab import (
     check_equitable,
     eigh,
     hypercube,
+    load_graph,
     load_partition,
     max_eigenvalue_preservation,
     normalized_partition_matrix,
@@ -25,6 +26,7 @@ from pstlab import (
     quotient,
     quotient_spectrum_subset,
     reflection_permutation,
+    save_graph,
     save_partition,
     singleton_evolution_check,
     singleton_partition,
@@ -35,6 +37,7 @@ from pstlab import (
 )
 
 from pstlab.hardcore import _mirror_permutation
+from pstlab.partition import _quotient_graph
 
 from conftest import graph_from_edges, hamming_partition, mirror_path_partition
 
@@ -401,3 +404,68 @@ def test_partition_layer_allocates_less_than_one_adjacency():
     g, p = hypercube(10), hamming_partition(10)
     assert _traced_peak_mib(check_equitable, g, p) < 8.0
     assert _traced_peak_mib(normalized_partition_matrix, g, p) < 8.0
+
+
+# The quotient sums A Q over the stored edges; it must stay within roundoff
+# of the dense product Q^T A Q.
+
+
+def _dense_quotient(g, pm):
+    b = pm.q.T @ g.adjacency @ pm.q
+    return 0.5 * (b + b.T)
+
+
+def _assert_quotient_matches_dense(g, p):
+    pm = normalized_partition_matrix(g, p)
+    quot = _quotient_graph(g, pm).adjacency
+    assert np.abs(quot - _dense_quotient(g, pm)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("dim", range(3, 13))
+def test_quotient_matches_dense_product_on_hamming(dim):
+    rng = np.random.default_rng(dim)
+    ham = hamming_partition(dim)
+    shuffled = Partition(ham.n, tuple(ham.cells[i] for i in rng.permutation(ham.m)))
+    _assert_quotient_matches_dense(hypercube(dim), shuffled)
+
+
+def _random_symmetric_graph(rng, n):
+    """Random weights on a random involution's orbits, so the orbit partition is equitable."""
+    perm = np.arange(n)
+    pairs = rng.permutation(n)[: 2 * int(rng.integers(0, n // 2 + 1))].reshape(-1, 2)
+    perm[pairs[:, 0]], perm[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
+    a = np.triu(rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.5))
+    a = a + np.triu(a, 1).T
+    g = WeightedGraph(n, a + a[np.ix_(perm, perm)])
+    cells = orbit_partition(g, perm).cells
+    return g, Partition(n, tuple(cells[i] for i in rng.permutation(len(cells))))
+
+
+def test_quotient_matches_dense_product_on_random_equitable_partitions():
+    rng = np.random.default_rng(20261018)
+    checked = 0
+    for _ in range(60):
+        g, p = _random_symmetric_graph(rng, int(rng.integers(2, 40)))
+        assert check_equitable(g, p).equitable
+        try:
+            _assert_quotient_matches_dense(g, p)
+        except DegeneratePartitionError:
+            continue  # an isolated vertex alone in its cell
+        checked += 1
+    for n in range(2, 11):
+        for k in range(1, n):
+            graph = symmetric_power(weighted_path(n), k)
+            _assert_quotient_matches_dense(graph, orbit_partition(graph, _mirror_permutation(n, k)))
+    assert checked >= 40
+
+
+def test_hypercube_pipeline_never_allocates_an_adjacency():
+    # one 4096 x 4096 float array is 128 MiB; the edge arrays are 24576 long
+    p = hamming_partition(12)
+
+    def pipeline():
+        g = load_graph(save_graph(hypercube(12)))
+        assert check_equitable(g, p).equitable
+        return _quotient_graph(g, normalized_partition_matrix(g, p))
+
+    assert _traced_peak_mib(pipeline) < 32.0

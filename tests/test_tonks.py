@@ -284,3 +284,12 @@ def test_project_identical_matches_cell_loop(n, k):
     projected = project_identical(boson, mask)
     assert projected.basis == "identical"
     assert np.array_equal(projected.amplitudes, expected)
+
+
+def test_cell_map_built_once_per_mask():
+    mask = deletion_mask(6, 3)
+    cells = mask._cells
+    assert mask._cells is cells
+    assert not cells.flags.writeable
+    labels = list(itertools.combinations(range(1, 7), 3))
+    assert cells.tolist() == [labels.index(tuple(sorted(label))) for label in mask.kept_labels()]
