@@ -10,9 +10,9 @@ adjacency and is what turns free-fermion eigenvectors into hard-core-boson
 ones.
 
 In both graphs an edge is one walker hopping to a free site, so both are
-built from one list of hops over their own labels, never from the dense
-n**k power, which ``cartesian_power`` and ``apply_deletion`` keep as the
-paper's reference construction.
+built as edge lists from one list of hops over their own labels, never as a
+dense array and never from the n**k power, which ``cartesian_power`` and
+``apply_deletion`` keep as the paper's reference construction.
 """
 
 from __future__ import annotations
@@ -144,14 +144,27 @@ def _kept_graph(g: WeightedGraph, mask: DeletionMask) -> WeightedGraph:
 
     Each hop keeps its walker's slot, and the self-loops of the k slots are
     accumulated first slot first, as the Kronecker sum adds them, so the
-    result is equal entry for entry without the n**k power.
+    result is equal array for array, without the n**k power or any dense array.
     """
     table = _digits(mask.kept_indices(), mask.n, mask.k)
-    out = np.zeros((table.shape[0], table.shape[0]))
+    loops = np.add.accumulate(np.diagonal(g.adjacency)[table], axis=1)[:, -1]
+    return _hop_graph(g, table, loops, sort=False)
+
+
+def _hop_graph(g: WeightedGraph, table: np.ndarray, loops: np.ndarray, sort: bool) -> WeightedGraph:
+    """Graph on the labels of ``table``: the hops of ``g`` as edges, ``loops`` on the diagonal.
+
+    With ``sort`` a hop reaches the row of its sorted label. Every hop also
+    appears from the other end, so only the one with ``row < col`` goes in.
+    """
+    rows, cols, weights = [np.arange(table.shape[0])], [np.arange(table.shape[0])], [loops]
     for row, moved, weight in _hops(g.adjacency, table):
-        out[row, _label_rows(table, moved)] = weight
-    np.fill_diagonal(out, np.add.accumulate(np.diagonal(g.adjacency)[table], axis=1)[:, -1])
-    return WeightedGraph(table.shape[0], out)
+        col = _label_rows(table, np.sort(moved, axis=1) if sort else moved)
+        upper = row < col
+        rows.append(row[upper])
+        cols.append(col[upper])
+        weights.append(weight[upper])
+    return WeightedGraph._from_slots(table.shape[0], *map(np.concatenate, (rows, cols, weights)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,7 +209,8 @@ def decompose_components(g_hc: WeightedGraph, n: int, k: int) -> ComponentDecomp
             f"graph has {g_hc.n} vertices but the (n={n}, k={k}) deletion keeps {mask.kept_count}"
         )
     labels = mask.kept_labels()
-    component_of = _components(np.abs(g_hc.adjacency) > _EDGE_THRESHOLD)
+    edge = np.abs(g_hc._weights) > _EDGE_THRESHOLD
+    component_of = _components(g_hc.n, g_hc._rows[edge], g_hc._cols[edge])
     sizes = np.bincount(component_of)
     expected_count = math.factorial(k)
     expected_size = math.comb(n, k)
@@ -345,11 +359,8 @@ def symmetric_power(
     if m > limit:
         raise ResourceCapError(f"symmetric power has {m} vertices, cap is {limit}")
     table = _ascending(g.n, k)
-    out = np.zeros((m, m))
-    for row, moved, weight in _hops(g.adjacency, table):
-        out[row, _label_rows(table, np.sort(moved, axis=1))] = weight
-    np.fill_diagonal(out, np.diagonal(g.adjacency)[table].sum(axis=1))
-    return WeightedGraph(m, out)
+    loops = np.diagonal(g.adjacency)[table].sum(axis=1)
+    return _hop_graph(g, table, loops, sort=True)
 
 
 def c_operator(label: OccupationLabel) -> OccupationLabel:

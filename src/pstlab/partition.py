@@ -359,20 +359,24 @@ def quotient_spectrum_subset(g: WeightedGraph, pm: PartitionMatrix, tol: float =
     return True
 
 
-def _components(a: np.ndarray) -> np.ndarray:
-    """Connected component of each vertex over the nonzeros of ``a``, numbered by smallest vertex."""
-    comp, count = np.full(a.shape[0], -1), 0
-    for start in range(a.shape[0]):
-        if comp[start] < 0:
-            comp[start] = count
-            stack = [start]
-            while stack:
-                fresh = np.flatnonzero(a[stack.pop()])
-                fresh = fresh[comp[fresh] < 0]
-                comp[fresh] = count
-                stack.extend(fresh.tolist())
-            count += 1
-    return comp
+def _components(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Connected component of each of ``n`` vertices over the edges ``rows[i] - cols[i]``.
+
+    Components are numbered 0, 1, ... in the order of their smallest vertex.
+    Edges must come in both directions, as in a ``WeightedGraph``. Each round
+    hooks every root onto the smallest root across its edges, then flattens
+    the forest by pointer jumping; at the fixed point every vertex points to
+    the smallest vertex of its component.
+    """
+    root = np.arange(n)
+    while True:
+        hooked = root.copy()
+        np.minimum.at(hooked, root[rows], root[cols])
+        while not np.array_equal(flat := hooked[hooked], hooked):
+            hooked = flat
+        if np.array_equal(hooked, root):
+            return np.unique(root, return_inverse=True)[1]
+        root = hooked
 
 
 def max_eigenvalue_preservation(g: WeightedGraph, pm: PartitionMatrix, tol: float = _SPECTRUM_MATCH_TOL) -> bool:
@@ -381,10 +385,9 @@ def max_eigenvalue_preservation(g: WeightedGraph, pm: PartitionMatrix, tol: floa
     Requires a connected graph with non-negative weights so the largest
     eigenvalue is simple and its eigenvector can be taken strictly positive.
     """
-    a = g.adjacency
-    if np.any(a < 0.0):
+    if np.any(g._weights < 0.0):
         raise PreconditionError("max_eigenvalue_preservation needs non-negative weights")
-    if _components(a).max() > 0:
+    if _components(g.n, g._rows, g._cols).max() > 0:
         raise PreconditionError("max_eigenvalue_preservation needs a connected graph")
     spec_g = eigh(g)
     b = quotient(g, pm)

@@ -38,6 +38,9 @@ from .spectral import SpectralDecomposition, _fix_signs, eigh
 
 _BASIS_TAGS = ("power", "kept", "identical")
 
+# Entries in one block of k x k minors gathered for the batched determinants.
+_DET_BLOCK = 2**18
+
 
 @dataclass(frozen=True)
 class ModeTuple:
@@ -117,14 +120,29 @@ def fermion_state(spec: SpectralDecomposition, modes: ModeTuple) -> StateVector:
     k = modes.k
     if modes.modes[-1] >= n:
         raise PreconditionError(f"mode {modes.modes[-1]} outside 0..{n - 1}")
-    digits = _digits(np.arange(n**k), n, k)
-    distinct = deletion_mask(n, k).keep
-    slater = spec.eigenvectors[:, list(modes.modes)]
+    kept = deletion_mask(n, k).kept_indices()
     dets = np.zeros(n**k)
-    # (labels, k, k): rows are walkers, columns modes; a collision label has
-    # two equal rows, so its determinant is exactly zero and is not taken.
-    dets[distinct] = np.linalg.det(slater[digits[distinct], :])
+    # A collision label has two equal minor rows, so its determinant is exactly zero and is not taken.
+    dets[kept] = _slater_dets(spec.eigenvectors, _digits(kept, n, k), np.array([modes.modes]))[:, 0]
     return StateVector(dets / math.sqrt(math.factorial(k)), "power", n, k)
+
+
+def _slater_dets(z: np.ndarray, sites: np.ndarray, modes: np.ndarray) -> np.ndarray:
+    """``det z[x, L]`` for every row x of ``sites`` and every row L of ``modes``.
+
+    Returns shape (len(sites), len(modes)): rows of the minors are walkers,
+    columns are modes. The minors are gathered a block of labels at a time,
+    each block holding about ``_DET_BLOCK`` entries.
+    """
+    k = sites.shape[1]
+    out = np.empty((sites.shape[0], modes.shape[0]))
+    step = max(1, _DET_BLOCK // (modes.shape[0] * k * k))
+    for start in range(0, sites.shape[0], step):
+        walkers = z[sites[start : start + step]]  # (rows, k, n): sites by modes
+        # minors[r, c, i, j] = z[site i of row r, mode j of column c]
+        minors = walkers[:, :, modes].transpose(0, 2, 1, 3)
+        out[start : start + step] = np.linalg.det(minors)
+    return out
 
 
 def tg_boson_state(fermion: StateVector, signed: SignedDiagonal, mask: DeletionMask) -> StateVector:
@@ -166,9 +184,7 @@ def slater_decomposition(single: SpectralDecomposition, k: int) -> SpectralDecom
     ascending label x is det Z[x, L]; the k-th compound of an orthogonal Z is
     orthogonal, so the columns are orthonormal. Columns are sorted by
     eigenvalue with a stable sort and carry the sign convention of
-    SpectralDecomposition. Determinants are taken a block of rows at a time,
-    so the temporary stays within a small multiple of the C(n, k)-square
-    result.
+    SpectralDecomposition.
     """
     n = single.n
     if not isinstance(k, int) or not 1 <= k <= n:
@@ -177,17 +193,7 @@ def slater_decomposition(single: SpectralDecomposition, k: int) -> SpectralDecom
     subsets = _ascending(n, k)
     values = single.eigenvalues[subsets].sum(axis=1)
     order = np.argsort(values, kind="stable")
-    modes = subsets[order]
-    m = subsets.shape[0]
-    z = single.eigenvectors
-    vecs = np.empty((m, m))
-    # Each block gathers rows * m * k * k entries, about the size of the result.
-    rows = max(1, m // (k * k))
-    for start in range(0, m, rows):
-        walkers = z[subsets[start : start + rows]]  # (rows, k, n): sites by modes
-        # minors[r, c, i, j] = Z[site i of row r, mode j of column c]
-        minors = walkers[:, :, modes].transpose(0, 2, 1, 3)
-        vecs[start : start + rows] = np.linalg.det(minors)
+    vecs = _slater_dets(single.eigenvectors, subsets, subsets[order])
     # Rebinding frees the unsigned matrix before SpectralDecomposition copies.
     vecs = _fix_signs(vecs)
     return SpectralDecomposition(values[order], vecs)
@@ -223,15 +229,37 @@ def parity_sign_rule(modes: ModeTuple, k: int) -> int:
     return -1 if (odd + k // 2) % 2 else 1
 
 
+def _projected_states(spec: SpectralDecomposition, mask: DeletionMask, signed: SignedDiagonal) -> np.ndarray:
+    """Projected Tonks-Girardeau state of every mode tuple, one column each.
+
+    Column c equals ``project_identical(tg_boson_state(fermion_state(spec,
+    all_mode_tuples(n, k)[c]), signed, mask), mask).amplitudes``: one batched
+    determinant pass over all kept labels and mode tuples, one multiplication
+    by the component signs, and one sum over the k! kept labels of each cell.
+    """
+    n, k = mask.n, mask.k
+    modes = _ascending(n, k)
+    scale = math.sqrt(math.factorial(k))
+    # 1/sqrt(k!) normalizes each Slater determinant; another 1/sqrt(k!) scales the projection.
+    dets = _slater_dets(spec.eigenvectors, _digits(mask.kept_indices(), n, k), modes)
+    dets *= (signed.signs / scale)[:, None]
+    # One bincount over (cell, tuple) bins adds the kept labels in kept order, as project_identical does.
+    bins = mask._cells[:, None] * modes.shape[0] + np.arange(modes.shape[0])
+    states = np.bincount(bins.ravel(), weights=dets.ravel(), minlength=modes.shape[0] ** 2)
+    return states.reshape(modes.shape[0], modes.shape[0]) / scale
+
+
 def verify_corollary1(n: int, k: int) -> float:
     """Worst residual of the projected Tonks-Girardeau eigenbasis construction.
 
-    Builds every mode tuple's fermion state on the k-fold power of the
-    n-vertex weighted path, pushes it through deletion, signing and the
-    indistinguishability projection, and measures both the eigen-residual
-    against the ascending-label adjacency and the Gram deviation from
-    orthonormality. Returns the larger of the two maxima. Fermion states stay
-    on the n**k basis; only the deleted graph is built directly, on kept labels.
+    Takes the Slater determinant of every mode tuple on every collision-free
+    label of the k-fold power of the n-vertex weighted path, flips the signs
+    of the components of the deleted graph, sums each indistinguishability
+    cell, and measures both the eigen-residual against the ascending-label
+    adjacency and the Gram deviation from orthonormality. Returns the larger
+    of the two maxima. Nothing is built on the n**k power labels: the
+    determinants, the deleted graph and its components live on the
+    n!/(n-k)! kept labels, and both graphs are edge lists.
     """
     if not isinstance(n, int) or not isinstance(k, int) or not 1 <= k <= n or n < 2:
         raise InvalidSizeError(f"need n >= 2 and 1 <= k <= n, got n={n!r}, k={k!r}")
@@ -239,16 +267,9 @@ def verify_corollary1(n: int, k: int) -> float:
     spec = eigh(path)
     mask = deletion_mask(n, k)
     signed = unit_antisymmetry(decompose_components(_kept_graph(path, mask), n, k))
+    states = _projected_states(spec, mask, signed)
+    energies = spec.eigenvalues[_ascending(n, k)].sum(axis=1)
     identical = symmetric_power(path, k)
-    tuples = all_mode_tuples(n, k)
-    states = np.empty((identical.n, len(tuples)))
-    energies = np.empty(len(tuples))
-    for col, modes in enumerate(tuples):
-        fermion = fermion_state(spec, modes)
-        boson = tg_boson_state(fermion, signed, mask)
-        projected = project_identical(boson, mask)
-        states[:, col] = projected.amplitudes
-        energies[col] = float(spec.eigenvalues[list(modes.modes)].sum())
     residual = float(np.abs(identical.adjacency @ states - states * energies[None, :]).max())
-    gram = float(np.abs(states.T @ states - np.eye(len(tuples))).max())
+    gram = float(np.abs(states.T @ states - np.eye(states.shape[1])).max())
     return max(residual, gram)

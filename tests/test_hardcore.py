@@ -31,7 +31,8 @@ from pstlab import (
     unit_antisymmetry,
     weighted_path,
 )
-from pstlab.hardcore import _ascending, _kept_graph, _label_rows, _mirror_permutation
+from pstlab.hardcore import _EDGE_THRESHOLD, _ascending, _kept_graph, _label_rows, _mirror_permutation
+from pstlab.partition import _components
 
 from conftest import cycle_graph
 
@@ -289,6 +290,14 @@ def seeded_graphs():
 SEEDED = seeded_graphs()
 
 
+def assert_same_graph(built, dense):
+    """Edge arrays and adjacency of ``built`` equal those of the dense-built ``dense``."""
+    assert built.n == dense.n
+    for name in ("_rows", "_cols", "_weights"):
+        assert np.array_equal(getattr(built, name), getattr(dense, name)), name
+    assert np.array_equal(built.adjacency, dense.adjacency)
+
+
 @pytest.mark.parametrize("n", range(2, 11))
 def test_symmetric_power_matches_label_loop_on_paths(n):
     for k in range(1, n + 1):
@@ -304,20 +313,97 @@ def test_symmetric_power_matches_label_loop_off_paths(name, g):
         assert np.array_equal(built, symmetric_power_loop(g, k))
 
 
+@pytest.mark.parametrize(
+    "name,g",
+    [(f"path{n}", weighted_path(n)) for n in range(2, 11)] + SEEDED,
+    ids=[f"path{n}" for n in range(2, 11)] + [name for name, _ in SEEDED],
+)
+def test_symmetric_power_equals_dense_build(name, g):
+    for k in range(1, min(g.n, 4) + 1):
+        dense = symmetric_power_loop(g, k)
+        assert_same_graph(symmetric_power(g, k, allow_non_path=True), WeightedGraph(dense.shape[0], dense))
+
+
 @pytest.mark.parametrize("n", range(2, 8))
 def test_kept_graph_equals_deleted_power_on_paths(n):
     for k in range(1, n + 1):
         if n**k > 2401:
             break
         g, mask = weighted_path(n), deletion_mask(n, k)
-        assert np.array_equal(_kept_graph(g, mask).adjacency, apply_deletion(cartesian_power(g, k), mask).adjacency)
+        assert_same_graph(_kept_graph(g, mask), apply_deletion(cartesian_power(g, k), mask))
 
 
 @pytest.mark.parametrize("name,g", SEEDED, ids=[name for name, _ in SEEDED])
 def test_kept_graph_equals_deleted_power_off_paths(name, g):
     for k in (1, 2, 3):
         mask = deletion_mask(g.n, k)
-        assert np.array_equal(_kept_graph(g, mask).adjacency, apply_deletion(cartesian_power(g, k), mask).adjacency)
+        assert_same_graph(_kept_graph(g, mask), apply_deletion(cartesian_power(g, k), mask))
+
+
+def dense_components(a):
+    """Oracle: component of each vertex by a BFS over the nonzeros of a dense array."""
+    comp, count = np.full(a.shape[0], -1), 0
+    for start in range(a.shape[0]):
+        if comp[start] < 0:
+            comp[start] = count
+            stack = [start]
+            while stack:
+                fresh = np.flatnonzero(a[stack.pop()])
+                fresh = fresh[comp[fresh] < 0]
+                comp[fresh] = count
+                stack.extend(fresh.tolist())
+            count += 1
+    return comp
+
+
+def bridged_paths():
+    """Two weighted paths on alternating vertices, joined by one edge of weight 1e-15."""
+    a = np.zeros((10, 10))
+    for v in range(8):
+        a[v, v + 2] = a[v + 2, v] = 1.0 + v
+    a[3, 4] = a[4, 3] = 1e-15
+    return WeightedGraph(10, a)
+
+
+def edge_components(g):
+    edge = np.abs(g._weights) > _EDGE_THRESHOLD
+    return _components(g.n, g._rows[edge], g._cols[edge])
+
+
+@pytest.mark.parametrize(
+    "name,g", SEEDED + [("bridged", bridged_paths())], ids=[name for name, _ in SEEDED] + ["bridged"]
+)
+def test_edge_components_match_dense_bfs(name, g):
+    # the graph itself and its kept graphs, whose components the deletion splits apart
+    for h in [g] + [_kept_graph(g, deletion_mask(g.n, k)) for k in (2, 3)]:
+        assert np.array_equal(edge_components(h), dense_components(np.abs(h.adjacency) > _EDGE_THRESHOLD))
+
+
+def test_tiny_edge_does_not_join_components():
+    assert np.array_equal(edge_components(bridged_paths()), np.arange(10) % 2)
+
+
+def test_components_on_a_shuffled_path():
+    # labels far from the vertex order: hooking and pointer jumping still reach the smallest vertex
+    order = np.random.default_rng(3).permutation(200)
+    rows = np.concatenate([order[:-1], order[1:], [200]])
+    cols = np.concatenate([order[1:], order[:-1], [200]])
+    assert np.array_equal(_components(202, rows, cols), np.r_[np.zeros(200, dtype=int), 1, 2])
+
+
+def test_tiny_bridge_does_not_join_kept_components():
+    # a 1e-15 edge between two components of the deleted graph stays below the edge threshold
+    g, mask = weighted_path(4), deletion_mask(4, 2)
+    kept = _kept_graph(g, mask)
+    a = kept.adjacency.copy()
+    decomp = decompose_components(kept, 4, 2)
+    u, v = decomp.components[0][0], decomp.components[1][0]
+    a[u, v] = a[v, u] = 1e-15
+    bridged = decompose_components(WeightedGraph(kept.n, a), 4, 2)
+    assert np.array_equal(bridged.component_of, decomp.component_of)
+    a[u, v] = a[v, u] = 1e-13
+    with pytest.raises(InvariantViolationError):
+        decompose_components(WeightedGraph(kept.n, a), 4, 2)
 
 
 @pytest.mark.parametrize("n", range(2, 11))

@@ -32,6 +32,8 @@ from pstlab import (
     verify_corollary1,
     weighted_path,
 )
+from pstlab.hardcore import _kept_graph
+from pstlab.tonks import _projected_states
 
 
 def build_chain(n, k, modes):
@@ -266,6 +268,35 @@ def test_verify_corollary1_memory_skips_the_power_graph():
         tracemalloc.stop()
     assert residual <= 1e-12
     assert peak / 2**20 < 96.0
+
+
+def test_verify_corollary1_memory_stays_on_kept_labels():
+    # the dense 3024 x 3024 kept graph and its thresholded copy peaked near 149 MiB
+    tracemalloc.start()
+    try:
+        residual = verify_corollary1(9, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert residual <= 1e-12
+    assert peak / 2**20 < 24.0
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_projected_states_match_per_tuple_pipeline(n, monkeypatch):
+    # the public per-tuple route is the oracle for the batched determinant pass;
+    # its fermion states span all n**k power labels, past the default size cap at k = n
+    monkeypatch.setenv("PSTLAB_CAP", str(n**n))
+    spec = eigh(weighted_path(n))
+    for k in range(1, n + 1):
+        mask = deletion_mask(n, k)
+        signed = unit_antisymmetry(decompose_components(_kept_graph(weighted_path(n), mask), n, k))
+        batched = _projected_states(spec, mask, signed)
+        tuples = all_mode_tuples(n, k)
+        assert batched.shape == (math.comb(n, k), len(tuples))
+        for col, modes in enumerate(tuples):
+            single = project_identical(tg_boson_state(fermion_state(spec, modes), signed, mask), mask)
+            assert np.abs(batched[:, col] - single.amplitudes).max() <= 1e-14, (n, k, modes.modes)
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (5, 3), (6, 3)])
