@@ -84,7 +84,6 @@ from .pst_verify import (
 )
 from .spectral import (
     PST_TOL,
-    Propagator,
     PstPair,
     RatioConditionResult,
     SpectralDecomposition,

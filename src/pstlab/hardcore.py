@@ -203,12 +203,13 @@ def decompose_components(g_hc: WeightedGraph, n: int, k: int) -> ComponentDecomp
     InvariantViolationError. Components appear canonical first, the rest
     ordered by their smallest kept index.
     """
-    mask = deletion_mask(n, k)
-    if g_hc.n != mask.kept_count:
+    kept_count = math.perm(n, k)
+    if g_hc.n != kept_count:
         raise PreconditionError(
-            f"graph has {g_hc.n} vertices but the (n={n}, k={k}) deletion keeps {mask.kept_count}"
+            f"graph has {g_hc.n} vertices but the (n={n}, k={k}) deletion keeps {kept_count}"
         )
-    labels = mask.kept_labels()
+    # The collision-free labels in lexicographic order are the kept labels in kept order.
+    labels = tuple(itertools.permutations(range(1, n + 1), k))
     edge = np.abs(g_hc._weights) > _EDGE_THRESHOLD
     component_of = _components(g_hc.n, g_hc._rows[edge], g_hc._cols[edge])
     sizes = np.bincount(component_of)
@@ -223,8 +224,8 @@ def decompose_components(g_hc: WeightedGraph, n: int, k: int) -> ComponentDecomp
         raise InvariantViolationError(
             f"expected every component to have {expected_size} vertices, got sizes {sorted(sizes.tolist())}"
         )
-    home = component_of[_label_rows(np.array(labels), np.arange(1, k + 1)[None, :])[0]]
-    # Move the canonical component to position 0, keeping the others in order.
+    # The label (1, ..., k) comes first; move its component to position 0, keeping the others in order.
+    home = component_of[0]
     component_of = np.where(component_of == home, 0, component_of + (component_of < home))
     return ComponentDecomposition(
         n=n,

@@ -423,9 +423,9 @@ def singleton_evolution_check(
     for label, cell in ((u, cu), (v, cv)):
         if len(part.cells[cell]) != 1:
             raise PreconditionError(f"vertex {label} does not sit in a singleton cell")
-    amp_parent = evolve(eigh(g), t).matrix[u - 1, v - 1]
+    amp_parent = evolve(eigh(g), t)[u - 1, v - 1]
     b = quotient(g, pm)
-    amp_quotient = evolve(eigh(b), t).matrix[cu, cv]
+    amp_quotient = evolve(eigh(b), t)[cu, cv]
     return float(abs(amp_quotient - amp_parent))
 
 

@@ -117,8 +117,8 @@ def propagator_factorization_check(g: WeightedGraph, k: int, t: float) -> float:
     returned number measures eigensolver and assembly roundoff only.
     """
     power = cartesian_power(g, k)
-    u_power = evolve(eigh(power), t).matrix
-    u_single = evolve(eigh(g), t).matrix
+    u_power = evolve(eigh(power), t)
+    u_single = evolve(eigh(g), t)
     tensor = u_single
     for _ in range(k - 1):
         tensor = np.kron(tensor, u_single)

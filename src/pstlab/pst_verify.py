@@ -2,11 +2,14 @@
 
 Every check of one (n, k) case reads one shared context: the identical-walker
 graph on ascending labels, its spectral decomposition, the mirror map and
-the propagators at t = pi/2 and t = pi. The decomposition is built from
+the path propagators at t = pi/2 and t = pi. The decomposition is built from
 Slater determinants of the n-vertex path's modes (Corollary 1), and a check
 ties it back to the graph's adjacency. The mirror quotient of the graph is
 certified against the even-parity Slater columns by a residual bound, not
-diagonalized, so the n-vertex path is the only eigensolve of a case.
+diagonalized, so the n-vertex path is the only eigensolve of a case. Walkers
+on a path never cross, so U_k(t)[Y, X] = det U_1(t)[Y, X] (Karlin and
+McGregor 1959; compound matrices in Horn and Johnson, Matrix Analysis,
+0.8.1): every amplitude a check reads is a k x k minor of a path propagator.
 
 Phase bookkeeping: propagators are U(t) = exp(-i t A), and the amplitude
 toward the mirror label at t = pi/2 is exactly
@@ -35,8 +38,9 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import PreconditionError, PstlabError, ResourceCapError
-from .graph_core import WeightedGraph, resolve_size_cap, weighted_path
+from .graph_core import WeightedGraph, reflection_permutation, resolve_size_cap, weighted_path
 from .hardcore import (
+    _ascending,
     _kept_graph,
     _mirror_permutation,
     ascending_labels,
@@ -139,7 +143,7 @@ def _eigenvalue_classes(values: np.ndarray) -> np.ndarray:
 
 
 def _norm2_bound(m: np.ndarray) -> float:
-    """Upper bound on the 2-norm of a symmetric matrix: its largest absolute row sum or its Frobenius norm."""
+    """Upper bound on the 2-norm of a Hermitian matrix: its largest absolute row sum or its Frobenius norm."""
     return min(float(np.abs(m).sum(axis=1).max()), float(np.linalg.norm(m)))
 
 
@@ -147,9 +151,29 @@ def _check(name: str, anchor: str, value: float, tol: float) -> CheckResult:
     return CheckResult(name, anchor, bool(value <= tol), float(value), float(tol))
 
 
-def _unitarity_check(u: np.ndarray, anchor: str) -> CheckResult:
-    dev = float(np.abs(u @ u.conj().T - np.eye(u.shape[0])).max())
-    return _check("unitarity", anchor, dev, UNITARITY_TOL)
+def _minors(u: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``det u[rows[x], cols[x]]`` for every row x of the label tables ``rows`` and ``cols``."""
+    return np.linalg.det(u[rows[:, :, None], cols[:, None, :]])
+
+
+def _hadamard_bound(u: np.ndarray, target: np.ndarray, k: int) -> float:
+    """Bound on |det u[Y, X]| for all k-subsets with Y not the ``target`` image of X.
+
+    Such a minor has a row free of the entries (target[x], x); by Hadamard's
+    inequality it is at most that row's norm times the other k - 1 row norms.
+    """
+    rest = u.copy()
+    rest[target, np.arange(u.shape[0])] = 0.0
+    return float(np.linalg.norm(rest, axis=1).max() * np.linalg.norm(u, axis=1).max() ** (k - 1))
+
+
+def _unitarity_check(u: np.ndarray, k: int, anchor: str) -> CheckResult:
+    """Bound on the entries of C_k(u) C_k(u)^H - I, which is C_k(u u^H) - I by Cauchy-Binet.
+
+    Each eigenvalue of C_k(u u^H) is a product of k eigenvalues within |u u^H - I|_2 of 1.
+    """
+    d = _norm2_bound(u @ u.conj().T - np.eye(u.shape[0]))
+    return _check("unitarity", anchor, math.expm1(k * math.log1p(d)), UNITARITY_TOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,8 +183,9 @@ class _Case:
     ``graph`` is the identical-walker graph on ascending labels, ``spec`` its
     decomposition, ``class_ids`` the degenerate class of each eigenvector
     column and ``class_values`` the mean eigenvalue of each class, ``mirror``
-    the 0-based mirror map, and ``u_half``, ``u_full`` the propagators at
-    t = pi/2 and t = pi.
+    the 0-based mirror map, ``labels`` the 0-based ascending labels,
+    ``path_half``, ``path_full`` the path propagators at t = pi/2 and t = pi,
+    and ``mirror_amps`` the minors det U_1(pi/2)[mirror(X), X].
     """
 
     n: int
@@ -170,8 +195,10 @@ class _Case:
     class_ids: np.ndarray
     class_values: np.ndarray
     mirror: np.ndarray
-    u_half: np.ndarray
-    u_full: np.ndarray
+    labels: np.ndarray
+    path_half: np.ndarray
+    path_full: np.ndarray
+    mirror_amps: np.ndarray
 
 
 def _build_case(n: int, k: int, cap: int | None) -> _Case:
@@ -185,8 +212,11 @@ def _build_case(n: int, k: int, cap: int | None) -> _Case:
         raise ResourceCapError(f"symmetric power has {m} vertices, cap is {limit}")
     path = weighted_path(n)
     graph = symmetric_power(path, k, cap=cap)
-    spec = slater_decomposition(eigh(path), k)
+    single = eigh(path)
+    spec = slater_decomposition(single, k)
     class_ids = _eigenvalue_classes(spec.eigenvalues)
+    mirror, labels = _mirror_permutation(n, k), _ascending(n, k)
+    path_half = evolve(single, math.pi / 2.0)
     return _Case(
         n=n,
         k=k,
@@ -194,9 +224,11 @@ def _build_case(n: int, k: int, cap: int | None) -> _Case:
         spec=spec,
         class_ids=class_ids,
         class_values=np.bincount(class_ids, weights=spec.eigenvalues) / np.bincount(class_ids),
-        mirror=_mirror_permutation(n, k),
-        u_half=evolve(spec, math.pi / 2.0).matrix,
-        u_full=evolve(spec, math.pi).matrix,
+        mirror=mirror,
+        labels=labels,
+        path_half=path_half,
+        path_full=evolve(single, math.pi),
+        mirror_amps=_minors(path_half, labels[mirror], labels),
     )
 
 
@@ -221,12 +253,14 @@ def _corollary1(case: _Case) -> tuple[CheckResult, ...]:
 
 
 def _periodicity(case: _Case) -> tuple[CheckResult, ...]:
-    """Full revival of the hard-core walk at t = pi up to the predicted phase."""
+    """Full revival at t = pi up to the predicted phase: exact diagonal minors, a bound off it."""
     phase = predicted_period_phase(case.n, case.k)
-    dev = float(np.abs(case.u_full - phase * np.eye(case.graph.n)).max())
+    diagonal = _minors(case.path_full, case.labels, case.labels)
+    off_diagonal = _hadamard_bound(case.path_full, np.arange(case.n), case.k)
+    dev = max(float(np.abs(diagonal - phase).max()), off_diagonal)
     return (
         _check("periodicity-at-pi", "global revival of the identical-walker walk", dev, PERIOD_TOL),
-        _unitarity_check(case.u_full, "propagator unitarity at t = pi"),
+        _unitarity_check(case.path_full, case.k, "propagator unitarity at t = pi"),
     )
 
 
@@ -235,20 +269,16 @@ def _theorem1(case: _Case) -> tuple[CheckResult, ...]:
 
     Checks, for every vertex of the identical-walker graph: the amplitude
     toward the mirror label has modulus 1, matches gamma(n, k), and every
-    other amplitude vanishes. A spectral route recomputes the amplitudes
-    from per-class projector weights with alternating signs and must agree
-    with the direct propagator entries.
+    other amplitude vanishes (a Hadamard bound). A spectral route recomputes
+    the amplitudes from per-class projector weights of the Slater basis with
+    alternating signs and must agree with the minors.
     """
-    n, k, mirror = case.n, case.k, case.mirror
-    cols = np.arange(case.graph.n)
-    amps = case.u_half[mirror, cols]
+    n, k, amps = case.n, case.k, case.mirror_amps
     gamma = predicted_transfer_phase(n, k)
 
     modulus_dev = float((1.0 - np.abs(amps)).max())
     phase_dev = float(np.abs(np.conj(gamma) * amps - 1.0).max())
-    residue = case.u_half.copy()
-    residue[mirror, cols] = 0.0
-    off_target = float(np.abs(residue).max())
+    off_target = _hadamard_bound(case.path_half, reflection_permutation(n), k)
 
     z, lam = case.spec.eigenvectors, case.class_values
     global_sign = -1.0 if (k * (n - 1)) % 2 else 1.0
@@ -269,7 +299,7 @@ def _theorem1(case: _Case) -> tuple[CheckResult, ...]:
             sign_law_dev,
             PHASE_TOL,
         ),
-        _unitarity_check(case.u_half, "propagator unitarity at t = pi/2"),
+        _unitarity_check(case.path_half, k, "propagator unitarity at t = pi/2"),
     )
 
 
@@ -338,11 +368,11 @@ def _lemma5_and_theorem2(case: _Case) -> tuple[CheckResult, ...]:
                 + float((1.0 - np.abs(even_overlap)).max())
             )
 
-            u_quot = evolve(SpectralDecomposition(lam_e, _fix_signs(y)), math.pi / 2.0).matrix
+            u_quot = evolve(SpectralDecomposition(lam_e, _fix_signs(y)), math.pi / 2.0)
             period_dev = float(np.abs(u_quot - gamma * np.eye(quot.n)).max())
             # The first occurrence of each cell id is the smallest member of that cell.
             _, first = np.unique(part.cell_index, return_index=True)
-            miss = np.diag(u_quot) - case.u_half[mirror[first], first]
+            miss = np.diag(u_quot) - case.mirror_amps[first]
             transport_dev = float(np.hypot(miss.real, miss.imag).max())
         checks.append(
             _check(
@@ -410,7 +440,7 @@ def run_case(n: int, k: int, cap: int | None = None) -> VerificationReport:
         k=k,
         checks=checks,
         gamma_predicted=predicted_transfer_phase(n, k),
-        gamma_measured=complex(case.u_half[case.mirror[0], 0]),
+        gamma_measured=complex(case.mirror_amps[0]),
         runtime_s=time.perf_counter() - start,
     )
 
@@ -518,7 +548,7 @@ def conjecture_probe(
     best = (0.0, 0.0, 0, 0)
     candidates = sorted(set(grid) | set(single_times))
     for t in candidates:
-        u = np.abs(evolve(spec, t).matrix)
+        u = np.abs(evolve(spec, t))
         np.fill_diagonal(u, 0.0)
         flat = int(np.argmax(u))
         i, j = divmod(flat, identical.n)

@@ -64,25 +64,6 @@ class SpectralDecomposition:
         return self.eigenvalues.size
 
 
-@dataclass(frozen=True, eq=False)
-class Propagator:
-    """Unitary walk matrix U(t) = exp(-i t A) together with the time it belongs to."""
-
-    matrix: np.ndarray
-    time: float
-
-    def __post_init__(self) -> None:
-        u = np.array(self.matrix, dtype=complex)
-        if u.ndim != 2 or u.shape[0] != u.shape[1]:
-            raise PreconditionError("propagator matrix must be square")
-        u.flags.writeable = False
-        object.__setattr__(self, "matrix", u)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-
 class PstPair(NamedTuple):
     u: int
     v: int
@@ -275,8 +256,8 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
-def evolve(spec: SpectralDecomposition, t: float) -> Propagator:
-    """Propagator U(t) assembled from a spectral decomposition."""
+def evolve(spec: SpectralDecomposition, t: float) -> np.ndarray:
+    """Propagator U(t) = exp(-i t A) from a spectral decomposition, as a read-only complex array."""
     t = _check_time(t)
     z = spec.eigenvectors
     angles = t * spec.eigenvalues
@@ -285,7 +266,8 @@ def evolve(spec: SpectralDecomposition, t: float) -> Propagator:
     u = np.empty((spec.n, spec.n), dtype=complex)
     u.real = (z * np.cos(angles)) @ z.T
     u.imag = (z * -np.sin(angles)) @ z.T
-    return Propagator(u, t)
+    u.flags.writeable = False
+    return u
 
 
 def transfer_amplitude(spec: SpectralDecomposition, u: int, v: int, t: float) -> complex:
@@ -305,7 +287,7 @@ def find_pst_pairs(spec: SpectralDecomposition, t: float, tol: float = PST_TOL) 
     (u, v). An empty result means no perfect transfer happens at this time.
     """
     tol = _check_tol(tol)
-    u_mat = evolve(spec, t).matrix
+    u_mat = evolve(spec, t)
     # Entry (u, v) of the transpose is the amplitude from u to v.
     sources, targets = np.nonzero(np.triu(np.abs(u_mat.T) >= 1.0 - tol, k=1))
     return tuple(PstPair(int(u) + 1, int(v) + 1, complex(u_mat[v, u])) for u, v in zip(sources, targets))
@@ -314,7 +296,7 @@ def find_pst_pairs(spec: SpectralDecomposition, t: float, tol: float = PST_TOL) 
 def is_periodic(spec: SpectralDecomposition, t: float, tol: float = PST_TOL) -> complex | None:
     """Global phase gamma with U(t) = gamma * I within tol entrywise, or None."""
     tol = _check_tol(tol)
-    u_mat = evolve(spec, t).matrix
+    u_mat = evolve(spec, t)
     gamma = u_mat[0, 0]
     dev = np.abs(u_mat - gamma * np.eye(spec.n)).max()
     if dev <= tol:

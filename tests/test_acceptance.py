@@ -220,7 +220,7 @@ def test_09_many_walker_transfer(report):
     worst_deficit = 0.0
     for n, k in TRANSFER_GRID:
         sg = symmetric_power(weighted_path(n), k)
-        u = evolve(eigh(sg), math.pi / 2.0).matrix
+        u = evolve(eigh(sg), math.pi / 2.0)
         mirror = _ascending_mirror(n, k)
         amps = u[mirror, np.arange(sg.n)]
         worst_deficit = max(worst_deficit, float((1.0 - np.abs(amps)).max()))
@@ -243,7 +243,7 @@ def test_10_full_revival_at_pi(report):
     worst = 0.0
     for n, k in TRANSFER_GRID:
         sg = symmetric_power(weighted_path(n), k)
-        u = evolve(eigh(sg), math.pi).matrix
+        u = evolve(eigh(sg), math.pi)
         stated = cmath.exp(-1j * math.pi * k * (k - n))
         worst = max(worst, float(np.abs(u - stated * np.eye(sg.n)).max()))
     report(10, worst <= 1e-9, f"worst revival deviation {worst:.2e} over the transfer grid")
@@ -268,7 +268,7 @@ def test_11_mirror_quotient(report):
         if not (covered and alternates and present[-1]):
             problems.append(f"({n},{k}) thinning pattern broken")
         stated = _stated_transfer_phase(n, k)
-        u_q = evolve(eigh(b), math.pi / 2.0).matrix
+        u_q = evolve(eigh(b), math.pi / 2.0)
         dev = float(np.abs(u_q - stated * np.eye(b.n)).max())
         if dev > 1e-9:
             measured = u_q[0, 0] / abs(u_q[0, 0])
@@ -349,8 +349,8 @@ def test_14_propagator_properties(report):
         a = a + a.T
         spec = eigh(WeightedGraph(n, a))
         t = float(rng.uniform(-3.0, 3.0))
-        u = evolve(spec, t).matrix
+        u = evolve(spec, t)
         worst = max(worst, float(np.abs(u @ u.conj().T - np.eye(n)).max()))
-        worst = max(worst, float(np.abs(u @ u - evolve(spec, 2.0 * t).matrix).max()))
-        worst = max(worst, float(np.abs(evolve(spec, 0.0).matrix - np.eye(n)).max()))
+        worst = max(worst, float(np.abs(u @ u - evolve(spec, 2.0 * t)).max()))
+        worst = max(worst, float(np.abs(evolve(spec, 0.0) - np.eye(n)).max()))
     report(14, worst <= 1e-8, f"110 random cases, worst unitarity/group-law residual {worst:.2e}")

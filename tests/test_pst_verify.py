@@ -13,13 +13,15 @@ from pstlab import (
     WeightedGraph,
     conjecture_probe,
     eigh,
+    evolve,
     predicted_period_phase,
     predicted_transfer_phase,
+    reflection_permutation,
     run_case,
     sweep,
     weighted_path,
 )
-from pstlab.pst_verify import _mirror_permutation
+from pstlab.pst_verify import _build_case, _hadamard_bound, _minors, _mirror_permutation, _unitarity_check
 
 from conftest import cycle_graph
 
@@ -104,6 +106,38 @@ def test_run_case_diagonalizes_once(monkeypatch, n, k):
     assert dims == [n]
 
 
+@pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (6, 3), (7, 3), (9, 4)])
+def test_run_case_assembles_no_hard_core_propagator(monkeypatch, n, k):
+    # every amplitude is a k x k minor of the two n x n path propagators;
+    # the only other walk is the mirror quotient's, smaller than C(n, k)
+    import pstlab.pst_verify
+
+    real = pstlab.pst_verify.evolve
+    dims = []
+
+    def counting(spec, t):
+        dims.append(spec.n)
+        return real(spec, t)
+
+    monkeypatch.setattr(pstlab.pst_verify, "evolve", counting)
+    report = run_case(n, k)
+    assert report.ok
+    assert dims[:2] == [n, n]
+    assert max(dims[2:]) < math.comb(n, k)
+
+
+def test_run_case_memory_holds_no_hard_core_propagator():
+    # two complex C(12, 5) x C(12, 5) propagators and their U U^H products took 62 MiB
+    tracemalloc.start()
+    try:
+        report = run_case(12, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak / 2**20 < 38.0
+
+
 def test_run_case_checks_equitability_once(monkeypatch):
     # the Lemma 5 check builds the mirror quotient from the report it already holds
     import pstlab.partition
@@ -127,30 +161,70 @@ def test_run_case_checks_equitability_once(monkeypatch):
 def test_run_case_gamma_is_first_mirror_amplitude(n, k):
     # the label (1, ..., k) transfers to its mirror, the last ascending label;
     # agreement of this U with the dense route is tested in test_tonks
-    from pstlab import evolve, slater_decomposition
+    from pstlab import slater_decomposition
 
     report = run_case(n, k)
-    u = evolve(slater_decomposition(eigh(weighted_path(n)), k), math.pi / 2.0).matrix
+    u = evolve(slater_decomposition(eigh(weighted_path(n)), k), math.pi / 2.0)
     assert report.gamma_predicted == predicted_transfer_phase(n, k)
-    assert report.gamma_measured == complex(u[-1, 0])
+    assert abs(report.gamma_measured - u[-1, 0]) <= 1e-13
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_minors_and_bounds_match_dense_route(n):
+    # the dense route assembles U(t) from the Slater basis; its own rounding
+    # exceeds the exact Hadamard bound by up to 6e-16, hence the 1e-14 slack
+    for k in range(1, n):
+        case = _build_case(n, k, None)
+        cols = np.arange(case.graph.n)
+        u_half, u_full = evolve(case.spec, math.pi / 2.0), evolve(case.spec, math.pi)
+        assert np.abs(case.mirror_amps - u_half[case.mirror, cols]).max() <= 1e-13, (n, k)
+        diagonal = _minors(case.path_full, case.labels, case.labels)
+        assert np.abs(diagonal - np.diag(u_full)).max() <= 1e-13, (n, k)
+
+        off_target = u_half.copy()
+        off_target[case.mirror, cols] = 0.0
+        bound = _hadamard_bound(case.path_half, reflection_permutation(n), k)
+        assert bound >= np.abs(off_target).max() - 1e-14, (n, k)
+        off_diagonal = u_full - np.diag(np.diag(u_full))
+        bound = _hadamard_bound(case.path_full, np.arange(n), k)
+        assert bound >= np.abs(off_diagonal).max() - 1e-14, (n, k)
+        for u, path in ((u_half, case.path_half), (u_full, case.path_full)):
+            dev = np.abs(u @ u.conj().T - np.eye(case.graph.n)).max()
+            assert _unitarity_check(path, k, "").value >= dev - 1e-14, (n, k)
+
+
+def _skewed(g):
+    # the middle weight off by 1e-6 keeps the mirror symmetry
+    a = g.adjacency.copy()
+    mid = g.n // 2
+    a[mid - 1, mid] += 1e-6
+    a[mid, mid - 1] += 1e-6
+    return WeightedGraph(g.n, a)
 
 
 def _skew_checked_graph(monkeypatch):
-    # build the checked graph from a path whose middle weight is off by 1e-6,
-    # which keeps the mirror symmetry, while the decomposition still comes
-    # from the true path
+    # build the checked graph from a skewed path, while the decomposition
+    # still comes from the true path
     import pstlab.pst_verify
 
     real = pstlab.pst_verify.symmetric_power
+    monkeypatch.setattr(pstlab.pst_verify, "symmetric_power", lambda g, k, cap=None: real(_skewed(g), k, cap=cap))
 
-    def skewed(g, k, cap=None):
-        a = g.adjacency.copy()
-        mid = g.n // 2
-        a[mid - 1, mid] += 1e-6
-        a[mid, mid - 1] += 1e-6
-        return real(WeightedGraph(g.n, a), k, cap=cap)
 
-    monkeypatch.setattr(pstlab.pst_verify, "symmetric_power", skewed)
+@pytest.mark.parametrize("n,k", [(4, 2), (6, 3)])
+def test_transfer_bounds_fail_on_a_skewed_path(monkeypatch, n, k):
+    # graph and decomposition both come from the skewed path, so only the
+    # walk itself is off; transfer-phase stays under its tolerance at this size
+    import pstlab.pst_verify
+
+    real = pstlab.pst_verify.weighted_path
+    monkeypatch.setattr(pstlab.pst_verify, "weighted_path", lambda n: _skewed(real(n)))
+    report = run_case(n, k)
+    assert report.error is None
+    checks = {c.name: c for c in report.checks}
+    assert checks["determinant-eigenbasis"].passed
+    for name in ("off-target", "periodicity-at-pi"):
+        assert not checks[name].passed, checks[name]
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (6, 3)])
@@ -218,8 +292,8 @@ def test_quotient_even_sector_matches_dense_route(n):
         oracle = eigh(quot)
         assert np.abs(oracle.eigenvalues - lam_e).max() <= 1e-12
         t = math.pi / 2.0
-        u_oracle = evolve(oracle, t).matrix
-        u_even = evolve(SpectralDecomposition(lam_e, y), t).matrix
+        u_oracle = evolve(oracle, t)
+        u_even = evolve(SpectralDecomposition(lam_e, y), t)
         assert np.abs(u_oracle - u_even).max() <= 1e-12
 
 
@@ -321,15 +395,15 @@ def test_three_way_amplitude_agreement():
     labels = mask.kept_labels()
     src = labels.index((1, 2))
     dst = labels.index((4, 5))
-    amp_distinct = evolve(eigh(g_hc), t).matrix[dst, src]
+    amp_distinct = evolve(eigh(g_hc), t)[dst, src]
 
     sg = symmetric_power(weighted_path(n), k)
-    amp_token = evolve(eigh(sg), t).matrix[-1, 0]
+    amp_token = evolve(eigh(sg), t)[-1, 0]
 
     p = mirror_partition(sg, n, k)
     pm = normalized_partition_matrix(sg, p)
     b = quotient(sg, pm)
-    u_b = evolve(eigh(b), t).matrix
+    u_b = evolve(eigh(b), t)
     c0 = int(p.cell_index[0])
     amp_quotient = u_b[c0, c0]
 
@@ -354,6 +428,13 @@ def test_conjecture_probe_cycle_notes_components():
     doc = report.to_dict()
     json.dumps(doc)
     assert doc["n"] == 4 and doc["k"] == 2
+
+
+def test_conjecture_probe_cap_reaches_the_component_check():
+    # the 9**5 power labels exceed the default cap but not the one given
+    report = conjecture_probe(cycle_graph(9), 5, cap=10**5)
+    assert not any("size cap" in note for note in report.notes)
+    assert any("expected 120 components for k=5, found 24" in note for note in report.notes)
 
 
 def _eigenvalue_classes_loop(values):

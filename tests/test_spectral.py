@@ -219,8 +219,9 @@ def test_sign_convention_deterministic():
 
 def test_evolve_identity_at_zero():
     spec = eigh(weighted_path(5))
-    u = evolve(spec, 0.0).matrix
+    u = evolve(spec, 0.0)
     assert np.abs(u - np.eye(5)).max() <= 1e-15
+    assert u.dtype == complex and not u.flags.writeable
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
@@ -332,23 +333,23 @@ def test_propagator_properties(n, t, seed):
     a = random_symmetric(rng, n)
     spec_vals, _ = eigh_matrix(a)  # solver must not blow up on random input
     spec = eigh(WeightedGraph(n, a))
-    u_t = evolve(spec, t).matrix
+    u_t = evolve(spec, t)
     assert np.abs(u_t @ u_t.conj().T - np.eye(n)).max() <= PROP_TOL
-    u_2t = evolve(spec, 2.0 * t).matrix
+    u_2t = evolve(spec, 2.0 * t)
     assert np.abs(u_t @ u_t - u_2t).max() <= PROP_TOL
-    assert np.abs(evolve(spec, 0.0).matrix - np.eye(n)).max() <= PROP_TOL
+    assert np.abs(evolve(spec, 0.0) - np.eye(n)).max() <= PROP_TOL
     assert spec_vals.size == n
 
 
 def test_pst_implies_symmetric_amplitudes():
     spec = eigh(weighted_path(6))
-    u = evolve(spec, math.pi / 2.0).matrix
+    u = evolve(spec, math.pi / 2.0)
     assert np.abs(u - u.T).max() <= 1e-12
 
 
 def _pst_pairs_loop(spec, t, tol):
     """The pair scan written out per pair: the oracle for find_pst_pairs."""
-    u_mat = evolve(spec, t).matrix
+    u_mat = evolve(spec, t)
     pairs = []
     for u in range(spec.n - 1):
         for v in range(u + 1, spec.n):

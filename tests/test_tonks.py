@@ -32,7 +32,8 @@ from pstlab import (
     verify_corollary1,
     weighted_path,
 )
-from pstlab.hardcore import _kept_graph
+from pstlab.hardcore import _ascending, _kept_graph
+from pstlab.pst_verify import _minors
 from pstlab.tonks import _projected_states
 
 
@@ -201,13 +202,18 @@ def dense_and_slater(n, k):
 def assert_routes_agree(n, k, times):
     dense, slater = dense_and_slater(n, k)
     assert np.abs(slater.eigenvalues - dense.eigenvalues).max() <= 1e-12
+    # walkers on a path never cross, so entry (Y, X) is the minor det U_1(t)[Y, X]
+    labels = _ascending(n, k)
+    rows, cols = np.repeat(labels, labels.shape[0], axis=0), np.tile(labels, (labels.shape[0], 1))
     for t in times:
-        u_dense = evolve(dense, t).matrix
-        u_slater = evolve(slater, t).matrix
+        u_dense = evolve(dense, t)
+        u_slater = evolve(slater, t)
         assert np.abs(u_slater - u_dense).max() <= 1e-12, (n, k, t)
+        compound = _minors(evolve(eigh(weighted_path(n)), t), rows, cols).reshape(u_slater.shape)
+        assert np.abs(compound - u_slater).max() <= 1e-13, (n, k, t)
 
 
-@pytest.mark.parametrize("n", range(2, 10))
+@pytest.mark.parametrize("n", range(2, 11))
 def test_slater_matches_dense_route(n):
     for k in range(1, n):
         assert_routes_agree(n, k, (math.pi / 2.0, math.pi))
