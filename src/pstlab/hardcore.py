@@ -112,6 +112,13 @@ class DeletionMask:
         cells.flags.writeable = False
         return cells
 
+    @cached_property
+    def _cell_order(self) -> np.ndarray:
+        """Kept indices grouped cell by cell, kept order within a cell; built once per mask."""
+        order = np.argsort(self._cells, kind="stable")
+        order.flags.writeable = False
+        return order
+
 
 def deletion_mask(n: int, k: int, cap: int | None = None) -> DeletionMask:
     """Mask keeping exactly the collision-free labels; kept count is n!/(n-k)!."""
@@ -280,9 +287,7 @@ def unit_antisymmetry(decomp: ComponentDecomposition) -> SignedDiagonal:
     deleted adjacency because hops never reorder the walkers.
     """
     firsts = np.array([decomp.labels[int(comp[0])] for comp in decomp.components])
-    # Inversions: slot pairs i < j whose sites are out of order.
-    inversions = np.triu(firsts[:, :, None] > firsts[:, None, :]).sum(axis=(1, 2))
-    per_component = 1 - 2 * (inversions % 2)
+    per_component = _sort_signs(firsts)
     return SignedDiagonal(per_component[decomp.component_of], tuple(per_component.tolist()))
 
 
@@ -322,6 +327,13 @@ def _is_line_path(g: WeightedGraph) -> bool:
         return False
     super_diag = np.diagonal(a, offset=1)
     return bool(np.all(super_diag != 0.0))
+
+
+def _sort_signs(labels: np.ndarray) -> np.ndarray:
+    """Sign (+1 or -1) of the permutation that sorts each row of ``labels`` (distinct entries)."""
+    # Inversions: slot pairs i < j whose sites are out of order.
+    inversions = np.triu(labels[:, :, None] > labels[:, None, :]).sum(axis=(1, 2))
+    return 1 - 2 * (inversions % 2)
 
 
 def _ascending(n: int, k: int) -> np.ndarray:

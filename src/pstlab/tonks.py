@@ -7,9 +7,12 @@ multiplication by the component-sorting signs becomes symmetric under
 walker exchange. Projecting onto the ascending-label graph then yields a
 complete orthonormal eigenbasis of the hard-core adjacency; eigenvalues are
 sums of the chosen single-particle eigenvalues. On an ascending label the
-projected amplitude is the k x k determinant itself, so
-``slater_decomposition`` builds that eigenbasis straight from the n-vertex
-decomposition, without the n**k power.
+projected amplitude is the k x k determinant itself: the eigenbasis is the
+k-th compound C_k(Z) of the n-vertex eigenvectors. ``_compound`` builds
+every entry of it at once by Laplace expansion, so ``slater_decomposition``
+and ``verify_corollary1`` take no determinant per entry and never touch the
+n**k power. ``fermion_state`` keeps one batched determinant per label as the
+per-tuple reference.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ from .hardcore import (
     SignedDiagonal,
     _ascending,
     _kept_graph,
+    _label_rows,
+    _sort_signs,
     decompose_components,
     deletion_mask,
     symmetric_power,
@@ -38,7 +43,8 @@ from .spectral import SpectralDecomposition, _fix_signs, eigh
 
 _BASIS_TAGS = ("power", "kept", "identical")
 
-# Entries in one block of k x k minors gathered for the batched determinants.
+# Entries gathered per block: k x k minors for the batched determinants, or
+# products of one Laplace level of the compound.
 _DET_BLOCK = 2**18
 
 
@@ -132,7 +138,9 @@ def _slater_dets(z: np.ndarray, sites: np.ndarray, modes: np.ndarray) -> np.ndar
 
     Returns shape (len(sites), len(modes)): rows of the minors are walkers,
     columns are modes. The minors are gathered a block of labels at a time,
-    each block holding about ``_DET_BLOCK`` entries.
+    each block holding about ``_DET_BLOCK`` entries, and each takes its own
+    LU factorization. This is the route of ``fermion_state`` and the oracle
+    for ``_compound``, which shares work between the minors.
     """
     k = sites.shape[1]
     out = np.empty((sites.shape[0], modes.shape[0]))
@@ -143,6 +151,42 @@ def _slater_dets(z: np.ndarray, sites: np.ndarray, modes: np.ndarray) -> np.ndar
         minors = walkers[:, :, modes].transpose(0, 2, 1, 3)
         out[start : start + step] = np.linalg.det(minors)
     return out
+
+
+def _compound(z: np.ndarray, k: int) -> np.ndarray:
+    """The k-th compound C_k(z): entry [X, L] is ``det z[X, L]``.
+
+    Rows X and columns L run over the ascending k-subsets of range(n) in
+    ``_ascending(n, k)`` order. Level j expands along the first row,
+
+        C_j[X, L] = sum_c (-1)**c z[x_1, l_c] C_{j-1}[X - x_1, L - l_c],
+
+    and keeps only the rows a later level reads: the j-subsets of
+    range(k - j, n), whose tails X - x_1 lie in range(k - j + 1, n). Each
+    level fills a block of rows at a time, gathering about ``_DET_BLOCK``
+    entries from each of z and the previous level.
+    """
+    n = z.shape[0]
+    prev = z[k - 1 :]
+    for j in range(2, k + 1):
+        rows, cols = _ascending(n - k + j, j) + (k - j), _ascending(n, j)
+        tails = _label_rows(_ascending(n - k + j - 1, j - 1) + (k - j + 1), rows[:, 1:])
+        minors = [_label_rows(_ascending(n, j - 1), np.delete(cols, c, axis=1)) for c in range(j)]
+        level = np.empty((rows.shape[0], cols.shape[0]), dtype=z.dtype)
+        step = max(1, _DET_BLOCK // (cols.shape[0] * j))
+        for start in range(0, rows.shape[0], step):
+            lead, rest = z[rows[start : start + step, 0]], prev[tails[start : start + step]]
+            acc = level[start : start + step]
+            np.multiply(lead[:, cols[:, 0]], rest[:, minors[0]], out=acc)
+            for c in range(1, j):
+                term = lead[:, cols[:, c]]
+                term *= rest[:, minors[c]]
+                if c % 2:
+                    acc -= term
+                else:
+                    acc += term
+        prev = level
+    return prev
 
 
 def tg_boson_state(fermion: StateVector, signed: SignedDiagonal, mask: DeletionMask) -> StateVector:
@@ -165,13 +209,17 @@ def tg_boson_state(fermion: StateVector, signed: SignedDiagonal, mask: DeletionM
 
 
 def project_identical(state: StateVector, mask: DeletionMask) -> StateVector:
-    """Apply the indistinguishability isometry: cell sums scaled by 1/sqrt(k!)."""
+    """Apply the indistinguishability isometry: cell sums scaled by 1/sqrt(k!).
+
+    Each cell's k! amplitudes are summed pairwise, so the rounding grows
+    with log(k!) rather than k!.
+    """
     if state.basis != "kept":
         raise PreconditionError("project_identical needs a kept-basis state")
     if (state.n, state.k) != (mask.n, mask.k):
         raise PreconditionError("state and mask were built for different (n, k)")
-    out = np.bincount(mask._cells, weights=state.amplitudes, minlength=math.comb(mask.n, mask.k))
-    out /= math.sqrt(math.factorial(mask.k))
+    grouped = state.amplitudes[mask._cell_order].reshape(math.comb(mask.n, mask.k), -1)
+    out = grouped.sum(axis=1) / math.sqrt(math.factorial(mask.k))
     return StateVector(out, "identical", state.n, state.k)
 
 
@@ -181,8 +229,8 @@ def slater_decomposition(single: SpectralDecomposition, k: int) -> SpectralDecom
     ``single`` decomposes an n-vertex path-family graph. By the
     Tonks-Girardeau construction (Corollary 1), the ascending mode tuple L
     gives the eigenvalue sum(lambda[L]) and the eigenvector whose entry on the
-    ascending label x is det Z[x, L]; the k-th compound of an orthogonal Z is
-    orthogonal, so the columns are orthonormal. Columns are sorted by
+    ascending label x is det Z[x, L]: the eigenvector matrix is the k-th
+    compound C_k(Z), which is orthogonal because Z is. Columns are sorted by
     eigenvalue with a stable sort and carry the sign convention of
     SpectralDecomposition.
     """
@@ -193,7 +241,7 @@ def slater_decomposition(single: SpectralDecomposition, k: int) -> SpectralDecom
     subsets = _ascending(n, k)
     values = single.eigenvalues[subsets].sum(axis=1)
     order = np.argsort(values, kind="stable")
-    vecs = _slater_dets(single.eigenvectors, subsets, subsets[order])
+    vecs = _compound(single.eigenvectors, k)[:, order]
     # Rebinding frees the unsigned matrix before SpectralDecomposition copies.
     vecs = _fix_signs(vecs)
     return SpectralDecomposition(values[order], vecs)
@@ -233,20 +281,18 @@ def _projected_states(spec: SpectralDecomposition, mask: DeletionMask, signed: S
     """Projected Tonks-Girardeau state of every mode tuple, one column each.
 
     Column c equals ``project_identical(tg_boson_state(fermion_state(spec,
-    all_mode_tuples(n, k)[c]), signed, mask), mask).amplitudes``: one batched
-    determinant pass over all kept labels and mode tuples, one multiplication
-    by the component signs, and one sum over the k! kept labels of each cell.
+    all_mode_tuples(n, k)[c]), signed, mask), mask).amplitudes``. A kept
+    label x in the cell of the ascending label X has det Z[x, L] =
+    sgn(x) det Z[X, L], with sgn(x) the sign of the sort of x, so the cell
+    sums to C_k(Z)[X, L] times the exact integer sum of signs[x] * sgn(x)
+    over the cell. Two factors 1/sqrt(k!), one normalizing the Slater
+    determinant and one scaling the projection, give 1/k!. The sum is k! in
+    every cell exactly when the component signs match the sort parity.
     """
     n, k = mask.n, mask.k
-    modes = _ascending(n, k)
-    scale = math.sqrt(math.factorial(k))
-    # 1/sqrt(k!) normalizes each Slater determinant; another 1/sqrt(k!) scales the projection.
-    dets = _slater_dets(spec.eigenvectors, _digits(mask.kept_indices(), n, k), modes)
-    dets *= (signed.signs / scale)[:, None]
-    # One bincount over (cell, tuple) bins adds the kept labels in kept order, as project_identical does.
-    bins = mask._cells[:, None] * modes.shape[0] + np.arange(modes.shape[0])
-    states = np.bincount(bins.ravel(), weights=dets.ravel(), minlength=modes.shape[0] ** 2)
-    return states.reshape(modes.shape[0], modes.shape[0]) / scale
+    parity = _sort_signs(_digits(mask.kept_indices(), n, k))
+    agree = np.bincount(mask._cells, weights=parity * signed.signs, minlength=math.comb(n, k))
+    return _compound(spec.eigenvectors, k) * (agree / math.factorial(k))[:, None]
 
 
 def verify_corollary1(n: int, k: int) -> float:
@@ -257,9 +303,12 @@ def verify_corollary1(n: int, k: int) -> float:
     of the components of the deleted graph, sums each indistinguishability
     cell, and measures both the eigen-residual against the ascending-label
     adjacency and the Gram deviation from orthonormality. Returns the larger
-    of the two maxima. Nothing is built on the n**k power labels: the
-    determinants, the deleted graph and its components live on the
-    n!/(n-k)! kept labels, and both graphs are edge lists.
+    of the two maxima. The determinants are read off the compound C_k(Z)
+    (see ``_projected_states``); a component sign that disagrees with the
+    sort parity shrinks a cell's sum below k! and fails the Gram check.
+    Nothing is built on the n**k power labels: the deleted graph and its
+    components live on the n!/(n-k)! kept labels, and both graphs are edge
+    lists.
     """
     if not isinstance(n, int) or not isinstance(k, int) or not 1 <= k <= n or n < 2:
         raise InvalidSizeError(f"need n >= 2 and 1 <= k <= n, got n={n!r}, k={k!r}")

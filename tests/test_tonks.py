@@ -14,6 +14,7 @@ from pstlab import (
     ModeTuple,
     OccupationLabel,
     PreconditionError,
+    SignedDiagonal,
     all_mode_tuples,
     apply_deletion,
     cartesian_power,
@@ -32,9 +33,10 @@ from pstlab import (
     verify_corollary1,
     weighted_path,
 )
+from pstlab import tonks
 from pstlab.hardcore import _ascending, _kept_graph
 from pstlab.pst_verify import _minors
-from pstlab.tonks import _projected_states
+from pstlab.tonks import _compound, _projected_states, _slater_dets
 
 
 def build_chain(n, k, modes):
@@ -330,3 +332,94 @@ def test_cell_map_built_once_per_mask():
     assert not cells.flags.writeable
     labels = list(itertools.combinations(range(1, 7), 3))
     assert cells.tolist() == [labels.index(tuple(sorted(label))) for label in mask.kept_labels()]
+
+
+def test_cell_order_built_once_per_mask():
+    mask = deletion_mask(6, 3)
+    order = mask._cell_order
+    assert mask._cell_order is order
+    assert not order.flags.writeable
+    # cell by cell, k! members each, kept order inside a cell
+    cells = mask._cells[order]
+    assert np.array_equal(cells, np.repeat(np.arange(math.comb(6, 3)), 6))
+    assert all(np.all(np.diff(order[cells == c]) > 0) for c in range(math.comb(6, 3)))
+
+
+@pytest.mark.parametrize("n,k", [(6, 6), (7, 6), (7, 7)])
+def test_projected_amplitudes_match_sorted_label_determinant(n, k, monkeypatch):
+    # k! kept terms per cell: a sequential cell sum drifted 5.7e-14 from det Z[X, L] at (7, 7)
+    monkeypatch.setenv("PSTLAB_CAP", str(n**n))
+    spec = eigh(weighted_path(n))
+    mask = deletion_mask(n, k)
+    signed = unit_antisymmetry(decompose_components(_kept_graph(weighted_path(n), mask), n, k))
+    labels = _ascending(n, k)
+    batched = _projected_states(spec, mask, signed)
+    for col, modes in enumerate(all_mode_tuples(n, k)):
+        exact = np.linalg.det(spec.eigenvectors[labels][:, :, list(modes.modes)])
+        single = project_identical(tg_boson_state(fermion_state(spec, modes), signed, mask), mask)
+        assert np.abs(single.amplitudes - exact).max() <= 1e-15, (n, k, modes.modes)
+        assert np.abs(batched[:, col] - exact).max() <= 1e-15, (n, k, modes.modes)
+
+
+def _random_orthogonal(n, seed):
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_compound_matches_per_entry_determinants(n):
+    matrices = [eigh(weighted_path(n)).eigenvectors] if n >= 2 else []
+    if n <= 8:
+        matrices += [_random_orthogonal(n, seed) for seed in range(3)]
+    for z in matrices:
+        for k in range(1, n + 1):
+            labels = _ascending(n, k)
+            compound = _compound(z, k)
+            assert compound.shape == (labels.shape[0], labels.shape[0])
+            assert np.abs(compound - _slater_dets(z, labels, labels)).max() <= 1e-14, (n, k)
+
+
+def _tampered_signs(tamper):
+    def build(decomp):
+        signed = unit_antisymmetry(decomp)
+        signs = signed.signs.copy()
+        tamper(signs, decomp)
+        return SignedDiagonal(signs, signed.component_signs)
+
+    return build
+
+
+def _flip_one(signs, decomp):
+    signs[len(signs) // 2] *= -1.0
+
+
+def _shuffle_one_cell(signs, decomp):
+    # the members of one cell take each other's signs, rolled by one
+    mask = deletion_mask(decomp.n, decomp.k)
+    members = np.flatnonzero(mask._cells == mask._cells[len(signs) // 2])
+    signs[members] = np.roll(signs[members], 1)
+
+
+@pytest.mark.parametrize("tamper", [_flip_one, _shuffle_one_cell])
+@pytest.mark.parametrize("n,k", [(5, 2), (6, 3)])
+def test_verify_corollary1_fails_on_wrong_component_sign(n, k, tamper, monkeypatch):
+    assert verify_corollary1(n, k) <= 1e-12
+    monkeypatch.setattr(tonks, "unit_antisymmetry", _tampered_signs(tamper))
+    assert verify_corollary1(n, k) > 1e-8
+
+
+def test_eigenbasis_routes_take_no_per_entry_determinant(monkeypatch):
+    calls = []
+    det = np.linalg.det
+
+    def counting_det(a):
+        calls.append(np.shape(a))
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", counting_det)
+    slater_decomposition(eigh(weighted_path(9)), 4)
+    assert verify_corollary1(7, 3) <= 1e-12
+    assert calls == []
+    # the per-tuple reference route still goes through the patched determinant
+    fermion_state(eigh(weighted_path(4)), ModeTuple((0, 1)))
+    assert calls
