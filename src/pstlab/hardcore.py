@@ -11,8 +11,9 @@ ones.
 
 In both graphs an edge is one walker hopping to a free site, so both are
 built as edge lists from one list of hops over their own labels, never as a
-dense array and never from the n**k power, which ``cartesian_power`` and
-``apply_deletion`` keep as the paper's reference construction.
+dense array and never from the n**k power, which ``cartesian_power``,
+``apply_deletion`` and the ``DeletionMask`` keep as the paper's reference
+construction. The deleted graph lives on ``_kept_table``, its n!/(n-k)! labels.
 """
 
 from __future__ import annotations
@@ -146,14 +147,26 @@ def apply_deletion(g_power: WeightedGraph, mask: DeletionMask) -> WeightedGraph:
     return WeightedGraph(idx.size, sub)
 
 
-def _kept_graph(g: WeightedGraph, mask: DeletionMask) -> WeightedGraph:
-    """``apply_deletion(cartesian_power(g, k), mask)``, built on the kept labels alone.
+def _kept_table(n: int, k: int, cap: int | None = None) -> np.ndarray:
+    """Kept labels of ``deletion_mask(n, k)`` as 0-based sites: the k-permutations of range(n), lexicographic.
+
+    The size cap bounds their n!/(n-k)! count; needs 1 <= k <= n.
+    """
+    size = math.perm(n, k)
+    limit = resolve_size_cap(cap)
+    if size > limit:
+        raise ResourceCapError(f"deleted power has {size} kept labels, cap is {limit}")
+    sites = itertools.chain.from_iterable(itertools.permutations(range(n), k))
+    return np.fromiter(sites, np.int64, size * k).reshape(size, k)
+
+
+def _kept_graph(g: WeightedGraph, table: np.ndarray) -> WeightedGraph:
+    """``apply_deletion(cartesian_power(g, k), deletion_mask(g.n, k))`` on ``table = _kept_table(g.n, k)``.
 
     Each hop keeps its walker's slot, and the self-loops of the k slots are
     accumulated first slot first, as the Kronecker sum adds them, so the
     result is equal array for array, without the n**k power or any dense array.
     """
-    table = _digits(mask.kept_indices(), mask.n, mask.k)
     loops = np.add.accumulate(np.diagonal(g.adjacency)[table], axis=1)[:, -1]
     return _hop_graph(g, table, loops, sort=False)
 
@@ -296,7 +309,7 @@ def commutator_check_antisymmetry(g_hc: WeightedGraph, signed: SignedDiagonal) -
     if signed.signs.size != g_hc.n:
         raise PreconditionError("sign vector length does not match the graph")
     s = signed.signs
-    return float(np.abs(g_hc.adjacency * (s[None, :] - s[:, None])).max())
+    return float(np.abs(g_hc._weights * (s[g_hc._cols] - s[g_hc._rows])).max(initial=0.0))
 
 
 def indistinguishability_partition(mask: DeletionMask | None, n: int, k: int) -> Partition:
@@ -319,14 +332,8 @@ def indistinguishability_partition(mask: DeletionMask | None, n: int, k: int) ->
 
 
 def _is_line_path(g: WeightedGraph) -> bool:
-    """True when the graph is a loop-free path laid out along vertex order."""
-    if g.n < 2:
-        return False
-    a = g.adjacency
-    if np.count_nonzero(a) != 2 * (g.n - 1):
-        return False
-    super_diag = np.diagonal(a, offset=1)
-    return bool(np.all(super_diag != 0.0))
+    """True for a loop-free path along vertex order: 2(n - 1) stored nonzeros, all with |row - col| = 1."""
+    return g.n >= 2 and g._weights.size == 2 * (g.n - 1) and bool(np.all(np.abs(g._rows - g._cols) == 1))
 
 
 def _sort_signs(labels: np.ndarray) -> np.ndarray:

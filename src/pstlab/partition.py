@@ -429,33 +429,38 @@ def singleton_evolution_check(
     return float(abs(amp_quotient - amp_parent))
 
 
+def _automorphism_deviation(g: WeightedGraph, perm: np.ndarray) -> float:
+    """``max |A[perm][:, perm] - A|`` for a 0-based permutation, from the stored edges.
+
+    The conjugate holds edge (r, c) at (perm^-1[r], perm^-1[c]). A signed
+    bincount over the slot codes of both edge lists adds at most one entry
+    of each side per slot, so it rounds as the dense subtraction does.
+    """
+    inverse = np.argsort(perm)
+    codes = np.concatenate([inverse[g._rows] * g.n + inverse[g._cols], g._rows * g.n + g._cols])
+    slot = np.unique(codes, return_inverse=True)[1]
+    diff = np.bincount(slot, weights=np.concatenate([g._weights, -g._weights]))
+    return float(np.abs(diff).max(initial=0.0))
+
+
 def orbit_partition(g: WeightedGraph, perm: np.ndarray) -> Partition:
     """Cells are the cycles of a verified adjacency automorphism.
 
-    ``perm`` is a 0-based index map (vertex i goes to perm[i]). Cells are
-    ordered by their smallest member, members ascending.
+    ``perm`` is a 0-based index map (vertex i goes to perm[i]). The
+    automorphism is checked on the stored edges, and the cycles are the
+    components of the edges (i, perm[i]); no dense adjacency is read. Cells
+    are ordered by their smallest member, members ascending.
     """
     perm = np.asarray(perm, dtype=np.int64)
     if perm.shape != (g.n,) or not np.array_equal(np.sort(perm), np.arange(g.n)):
         raise PreconditionError("perm is not a permutation of 0..n-1")
-    conj = g.adjacency[np.ix_(perm, perm)]
-    dev = float(np.abs(conj - g.adjacency).max())
+    dev = _automorphism_deviation(g, perm)
     if dev > _AUTOMORPHISM_TOL:
         raise PreconditionError(f"permutation is not an automorphism, deviation {dev:.3e}")
-    seen = np.zeros(g.n, dtype=bool)
-    cells = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        cycle = []
-        cur = start
-        while not seen[cur]:
-            seen[cur] = True
-            cycle.append(cur + 1)
-            cur = int(perm[cur])
-        cells.append(tuple(sorted(cycle)))
-    cells.sort(key=lambda cell: cell[0])
-    return Partition(g.n, tuple(cells))
+    cycle = _components(g.n, np.concatenate([np.arange(g.n), perm]), np.concatenate([perm, np.arange(g.n)]))
+    order = np.argsort(cycle, kind="stable")
+    cells = np.split(order + 1, np.flatnonzero(np.diff(cycle[order])) + 1)
+    return Partition(g.n, tuple(tuple(cell.tolist()) for cell in cells))
 
 
 def load_partition(text: str) -> Partition:

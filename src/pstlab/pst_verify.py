@@ -42,15 +42,15 @@ from .graph_core import WeightedGraph, reflection_permutation, resolve_size_cap,
 from .hardcore import (
     _ascending,
     _kept_graph,
+    _kept_table,
     _mirror_permutation,
     ascending_labels,
     decompose_components,
-    deletion_mask,
     symmetric_power,
 )
 from .partition import _quotient_graph, check_equitable, normalized_partition_matrix, orbit_partition
 from .spectral import PST_TOL, SpectralDecomposition, _fix_signs, eigh, evolve, find_pst_pairs
-from .tonks import slater_decomposition
+from .tonks import _eigenbasis_deviation, _minors, slater_decomposition
 
 MODULUS_TOL = 1e-9
 PHASE_TOL = 1e-8
@@ -151,11 +151,6 @@ def _check(name: str, anchor: str, value: float, tol: float) -> CheckResult:
     return CheckResult(name, anchor, bool(value <= tol), float(value), float(tol))
 
 
-def _minors(u: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """``det u[rows[x], cols[x]]`` for every row x of the label tables ``rows`` and ``cols``."""
-    return np.linalg.det(u[rows[:, :, None], cols[:, None, :]])
-
-
 def _hadamard_bound(u: np.ndarray, target: np.ndarray, k: int) -> float:
     """Bound on |det u[Y, X]| for all k-subsets with Y not the ``target`` image of X.
 
@@ -239,14 +234,11 @@ def _corollary1(case: _Case) -> tuple[CheckResult, ...]:
     against the adjacency it stands for: the eigen-residual A Z - Z Lambda
     and the deviation of Z^T Z from the identity.
     """
-    z, values = case.spec.eigenvectors, case.spec.eigenvalues
-    residual = float(np.abs(case.graph.adjacency @ z - z * values).max())
-    gram = float(np.abs(z.T @ z - np.eye(case.graph.n)).max())
     return (
         _check(
             "determinant-eigenbasis",
             "Corollary 1: Slater determinants diagonalize the identical-walker graph",
-            max(residual, gram),
+            _eigenbasis_deviation(case.graph, case.spec.eigenvectors, case.spec.eigenvalues),
             EIGENBASIS_TOL,
         ),
     )
@@ -535,14 +527,15 @@ def conjecture_probe(
     if not single_times:
         notes.append("no single-walker transfer found on the probe grid")
 
+    # Validates k before the kept labels are listed.
+    identical = symmetric_power(g, k, allow_non_path=True, cap=cap)
     try:
-        decompose_components(_kept_graph(g, deletion_mask(g.n, k, cap=cap)), g.n, k)
+        decompose_components(_kept_graph(g, _kept_table(g.n, k, cap)), g.n, k)
     except ResourceCapError:
-        notes.append("power graph exceeds the size cap; component structure unchecked")
+        notes.append("deleted power graph exceeds the size cap; component structure unchecked")
     except PstlabError as exc:
         notes.append(str(exc))
 
-    identical = symmetric_power(g, k, allow_non_path=True, cap=cap)
     spec = eigh(identical)
     labels = ascending_labels(g.n, k)
     best = (0.0, 0.0, 0, 0)

@@ -10,9 +10,9 @@ sums of the chosen single-particle eigenvalues. On an ascending label the
 projected amplitude is the k x k determinant itself: the eigenbasis is the
 k-th compound C_k(Z) of the n-vertex eigenvectors. ``_compound`` builds
 every entry of it at once by Laplace expansion, so ``slater_decomposition``
-and ``verify_corollary1`` take no determinant per entry and never touch the
-n**k power. ``fermion_state`` keeps one batched determinant per label as the
-per-tuple reference.
+and ``verify_corollary1`` take no determinant per entry; the latter lists
+only the kept labels, never the n**k power. ``fermion_state`` keeps one
+determinant per kept label, through ``_minors``, as the per-tuple reference.
 """
 
 from __future__ import annotations
@@ -25,12 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSizeError, PreconditionError
-from .graph_core import weighted_path
+from .graph_core import WeightedGraph, weighted_path
 from .hardcore import (
     DeletionMask,
     SignedDiagonal,
     _ascending,
     _kept_graph,
+    _kept_table,
     _label_rows,
     _sort_signs,
     decompose_components,
@@ -43,8 +44,7 @@ from .spectral import SpectralDecomposition, _fix_signs, eigh
 
 _BASIS_TAGS = ("power", "kept", "identical")
 
-# Entries gathered per block: k x k minors for the batched determinants, or
-# products of one Laplace level of the compound.
+# Entries gathered per block of rows by each Laplace level of ``_compound``.
 _DET_BLOCK = 2**18
 
 
@@ -129,28 +129,16 @@ def fermion_state(spec: SpectralDecomposition, modes: ModeTuple) -> StateVector:
     kept = deletion_mask(n, k).kept_indices()
     dets = np.zeros(n**k)
     # A collision label has two equal minor rows, so its determinant is exactly zero and is not taken.
-    dets[kept] = _slater_dets(spec.eigenvectors, _digits(kept, n, k), np.array([modes.modes]))[:, 0]
+    dets[kept] = _minors(spec.eigenvectors, _digits(kept, n, k), np.broadcast_to(modes.modes, (kept.size, k)))
     return StateVector(dets / math.sqrt(math.factorial(k)), "power", n, k)
 
 
-def _slater_dets(z: np.ndarray, sites: np.ndarray, modes: np.ndarray) -> np.ndarray:
-    """``det z[x, L]`` for every row x of ``sites`` and every row L of ``modes``.
+def _minors(u: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``det u[rows[x], cols[x]]`` for every row x of the label tables ``rows`` and ``cols``.
 
-    Returns shape (len(sites), len(modes)): rows of the minors are walkers,
-    columns are modes. The minors are gathered a block of labels at a time,
-    each block holding about ``_DET_BLOCK`` entries, and each takes its own
-    LU factorization. This is the route of ``fermion_state`` and the oracle
-    for ``_compound``, which shares work between the minors.
+    The package's only determinant call, one LU factorization per minor.
     """
-    k = sites.shape[1]
-    out = np.empty((sites.shape[0], modes.shape[0]))
-    step = max(1, _DET_BLOCK // (modes.shape[0] * k * k))
-    for start in range(0, sites.shape[0], step):
-        walkers = z[sites[start : start + step]]  # (rows, k, n): sites by modes
-        # minors[r, c, i, j] = z[site i of row r, mode j of column c]
-        minors = walkers[:, :, modes].transpose(0, 2, 1, 3)
-        out[start : start + step] = np.linalg.det(minors)
-    return out
+    return np.linalg.det(u[rows[:, :, None], cols[:, None, :]])
 
 
 def _compound(z: np.ndarray, k: int) -> np.ndarray:
@@ -277,11 +265,13 @@ def parity_sign_rule(modes: ModeTuple, k: int) -> int:
     return -1 if (odd + k // 2) % 2 else 1
 
 
-def _projected_states(spec: SpectralDecomposition, mask: DeletionMask, signed: SignedDiagonal) -> np.ndarray:
+def _projected_states(spec: SpectralDecomposition, table: np.ndarray, signed: SignedDiagonal) -> np.ndarray:
     """Projected Tonks-Girardeau state of every mode tuple, one column each.
 
-    Column c equals ``project_identical(tg_boson_state(fermion_state(spec,
-    all_mode_tuples(n, k)[c]), signed, mask), mask).amplitudes``. A kept
+    ``signed`` has one sign per row of ``table = _kept_table(n, k)``. With
+    ``mask = deletion_mask(n, k)``, column c equals ``project_identical(
+    tg_boson_state(fermion_state(spec, all_mode_tuples(n, k)[c]), signed,
+    mask), mask).amplitudes``. A kept
     label x in the cell of the ascending label X has det Z[x, L] =
     sgn(x) det Z[X, L], with sgn(x) the sign of the sort of x, so the cell
     sums to C_k(Z)[X, L] times the exact integer sum of signs[x] * sgn(x)
@@ -289,10 +279,17 @@ def _projected_states(spec: SpectralDecomposition, mask: DeletionMask, signed: S
     determinant and one scaling the projection, give 1/k!. The sum is k! in
     every cell exactly when the component signs match the sort parity.
     """
-    n, k = mask.n, mask.k
-    parity = _sort_signs(_digits(mask.kept_indices(), n, k))
-    agree = np.bincount(mask._cells, weights=parity * signed.signs, minlength=math.comb(n, k))
+    n, k = spec.n, table.shape[1]
+    cells = _label_rows(_ascending(n, k), np.sort(table, axis=1))
+    agree = np.bincount(cells, weights=_sort_signs(table) * signed.signs, minlength=math.comb(n, k))
     return _compound(spec.eigenvectors, k) * (agree / math.factorial(k))[:, None]
+
+
+def _eigenbasis_deviation(g: WeightedGraph, z: np.ndarray, values: np.ndarray) -> float:
+    """``max(|A Z - Z Lambda|, |Z^T Z - I|)``: how far ``z`` is from an orthonormal eigenbasis of ``g``."""
+    residual = float(np.abs(g.adjacency @ z - z * values).max())
+    gram = float(np.abs(z.T @ z - np.eye(z.shape[1])).max())
+    return max(residual, gram)
 
 
 def verify_corollary1(n: int, k: int) -> float:
@@ -306,19 +303,16 @@ def verify_corollary1(n: int, k: int) -> float:
     of the two maxima. The determinants are read off the compound C_k(Z)
     (see ``_projected_states``); a component sign that disagrees with the
     sort parity shrinks a cell's sum below k! and fails the Gram check.
-    Nothing is built on the n**k power labels: the deleted graph and its
-    components live on the n!/(n-k)! kept labels, and both graphs are edge
-    lists.
+    Nothing is built on the n**k power labels: the deleted graph, its
+    components and the cell sums live on the n!/(n-k)! kept labels, whose
+    count the size cap bounds, and both graphs are edge lists.
     """
     if not isinstance(n, int) or not isinstance(k, int) or not 1 <= k <= n or n < 2:
         raise InvalidSizeError(f"need n >= 2 and 1 <= k <= n, got n={n!r}, k={k!r}")
+    table = _kept_table(n, k)
     path = weighted_path(n)
     spec = eigh(path)
-    mask = deletion_mask(n, k)
-    signed = unit_antisymmetry(decompose_components(_kept_graph(path, mask), n, k))
-    states = _projected_states(spec, mask, signed)
+    signed = unit_antisymmetry(decompose_components(_kept_graph(path, table), n, k))
+    states = _projected_states(spec, table, signed)
     energies = spec.eigenvalues[_ascending(n, k)].sum(axis=1)
-    identical = symmetric_power(path, k)
-    residual = float(np.abs(identical.adjacency @ states - states * energies[None, :]).max())
-    gram = float(np.abs(states.T @ states - np.eye(states.shape[1])).max())
-    return max(residual, gram)
+    return _eigenbasis_deviation(symmetric_power(path, k), states, energies)

@@ -12,6 +12,8 @@ from pstlab import (
     OccupationLabel,
     Partition,
     PreconditionError,
+    ResourceCapError,
+    SignedDiagonal,
     WeightedGraph,
     apply_deletion,
     ascending_labels,
@@ -31,8 +33,17 @@ from pstlab import (
     unit_antisymmetry,
     weighted_path,
 )
-from pstlab.hardcore import _EDGE_THRESHOLD, _ascending, _kept_graph, _label_rows, _mirror_permutation
+from pstlab.hardcore import (
+    _EDGE_THRESHOLD,
+    _ascending,
+    _is_line_path,
+    _kept_graph,
+    _kept_table,
+    _label_rows,
+    _mirror_permutation,
+)
 from pstlab.partition import _components
+from pstlab.products import _digits
 
 from conftest import cycle_graph
 
@@ -329,15 +340,84 @@ def test_kept_graph_equals_deleted_power_on_paths(n):
     for k in range(1, n + 1):
         if n**k > 2401:
             break
-        g, mask = weighted_path(n), deletion_mask(n, k)
-        assert_same_graph(_kept_graph(g, mask), apply_deletion(cartesian_power(g, k), mask))
+        g = weighted_path(n)
+        assert_same_graph(_kept_graph(g, _kept_table(n, k)), apply_deletion(cartesian_power(g, k), deletion_mask(n, k)))
 
 
 @pytest.mark.parametrize("name,g", SEEDED, ids=[name for name, _ in SEEDED])
 def test_kept_graph_equals_deleted_power_off_paths(name, g):
     for k in (1, 2, 3):
-        mask = deletion_mask(g.n, k)
-        assert_same_graph(_kept_graph(g, mask), apply_deletion(cartesian_power(g, k), mask))
+        expected = apply_deletion(cartesian_power(g, k), deletion_mask(g.n, k))
+        assert_same_graph(_kept_graph(g, _kept_table(g.n, k)), expected)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_kept_table_is_the_mask_decoded(n):
+    for k in range(1, n + 2):
+        if n**k > 2401:
+            break
+        table = _kept_table(n, k)
+        assert table.shape == (math.perm(n, k), k) and table.dtype == np.int64
+        assert np.array_equal(table, _digits(deletion_mask(n, k).kept_indices(), n, k))
+
+
+def test_kept_table_caps_the_kept_count_not_the_power():
+    # 12**4 = 20736 power labels exceed the default cap, the 11880 kept labels do not
+    assert _kept_table(12, 4).shape == (11880, 4)
+    with pytest.raises(ResourceCapError, match="30240 kept labels, cap is 16384"):
+        _kept_table(10, 5)
+    with pytest.raises(ResourceCapError, match="60 kept labels, cap is 59"):
+        _kept_table(5, 3, cap=59)
+    assert _kept_table(5, 3, cap=60).shape == (60, 3)
+
+
+def line_path_dense(g):
+    """Oracle: the path test as it read the dense adjacency."""
+    if g.n < 2:
+        return False
+    a = g.adjacency
+    return np.count_nonzero(a) == 2 * (g.n - 1) and bool(np.all(np.diagonal(a, offset=1) != 0.0))
+
+
+def path_variants():
+    """Paths along vertex order and near misses: a loop, a missing edge, a chord, a shuffle, signed zeros."""
+    graphs = [WeightedGraph(1, np.zeros((1, 1))), WeightedGraph(1, np.ones((1, 1))), cycle_graph(4)]
+    for n in range(2, 7):
+        a = weighted_path(n).adjacency.copy()
+        graphs.append(WeightedGraph(n, a))
+        loop = a.copy()
+        loop[n // 2, n // 2] = 0.5
+        graphs.append(WeightedGraph(n, loop))
+        cut = a.copy()
+        cut[0, 1] = cut[1, 0] = -0.0
+        graphs.append(WeightedGraph(n, cut))
+        chord = a.copy()
+        chord[0, n - 1] = chord[n - 1, 0] = 1.0
+        graphs.append(WeightedGraph(n, chord))
+        perm = np.roll(np.arange(n), 1)
+        graphs.append(WeightedGraph(n, a[np.ix_(perm, perm)]))
+    return graphs + [g for _, g in SEEDED]
+
+
+def test_line_path_reads_the_edges_like_the_dense_test():
+    graphs = path_variants()
+    assert [_is_line_path(g) for g in graphs] == [line_path_dense(g) for g in graphs]
+    # the five weighted paths, and at n = 2 the chord and the shuffle, which are paths again
+    assert sum(_is_line_path(g) for g in graphs) == 7
+
+
+@pytest.mark.parametrize("name,g", SEEDED + [("path6", weighted_path(6))], ids=[name for name, _ in SEEDED] + ["path6"])
+def test_commutator_reads_the_edges_like_the_dense_product(name, g):
+    # seeded signs that break the commutation as well as the component signs that keep it
+    rng = np.random.default_rng(11)
+    for k in (1, 2, 3):
+        kept = _kept_graph(g, _kept_table(g.n, k))
+        signs = rng.choice([-1.0, 1.0], kept.n)
+        s = SignedDiagonal(signs, ())
+        dense = float(np.abs(kept.adjacency * (signs[None, :] - signs[:, None])).max())
+        assert commutator_check_antisymmetry(kept, s) == dense
+    kept = _kept_graph(g, _kept_table(g.n, 1))
+    assert commutator_check_antisymmetry(kept, SignedDiagonal(np.ones(kept.n), (1,))) == 0.0
 
 
 def dense_components(a):
@@ -375,7 +455,7 @@ def edge_components(g):
 )
 def test_edge_components_match_dense_bfs(name, g):
     # the graph itself and its kept graphs, whose components the deletion splits apart
-    for h in [g] + [_kept_graph(g, deletion_mask(g.n, k)) for k in (2, 3)]:
+    for h in [g] + [_kept_graph(g, _kept_table(g.n, k)) for k in (2, 3)]:
         assert np.array_equal(edge_components(h), dense_components(np.abs(h.adjacency) > _EDGE_THRESHOLD))
 
 
@@ -393,8 +473,7 @@ def test_components_on_a_shuffled_path():
 
 def test_tiny_bridge_does_not_join_kept_components():
     # a 1e-15 edge between two components of the deleted graph stays below the edge threshold
-    g, mask = weighted_path(4), deletion_mask(4, 2)
-    kept = _kept_graph(g, mask)
+    kept = _kept_graph(weighted_path(4), _kept_table(4, 2))
     a = kept.adjacency.copy()
     decomp = decompose_components(kept, 4, 2)
     u, v = decomp.components[0][0], decomp.components[1][0]

@@ -37,7 +37,7 @@ from pstlab import (
 )
 
 from pstlab.hardcore import _mirror_permutation
-from pstlab.partition import _quotient_graph
+from pstlab.partition import _automorphism_deviation, _quotient_graph
 
 from conftest import graph_from_edges, hamming_partition, mirror_path_partition
 
@@ -469,3 +469,88 @@ def test_hypercube_pipeline_never_allocates_an_adjacency():
         return _quotient_graph(g, normalized_partition_matrix(g, p))
 
     assert _traced_peak_mib(pipeline) < 32.0
+
+
+# orbit_partition reads the stored edges; the dense conjugation and the
+# cycle walk it replaced are the oracle.
+
+
+def _orbit_partition_dense(g, perm):
+    """(deviation, partition or None, error message or None) by dense conjugation and a cycle walk."""
+    conj = g.adjacency[np.ix_(perm, perm)]
+    dev = float(np.abs(conj - g.adjacency).max())
+    if dev > 1e-12:
+        return dev, None, f"permutation is not an automorphism, deviation {dev:.3e}"
+    seen = np.zeros(g.n, dtype=bool)
+    cells = []
+    for start in range(g.n):
+        cycle = []
+        cur = start
+        while not seen[cur]:
+            seen[cur] = True
+            cycle.append(cur + 1)
+            cur = int(perm[cur])
+        if cycle:
+            cells.append(tuple(sorted(cycle)))
+    return dev, Partition(g.n, tuple(sorted(cells))), None
+
+
+def _assert_orbits_match_dense(g, perm):
+    dev, expected, message = _orbit_partition_dense(g, perm)
+    assert _automorphism_deviation(g, perm) == dev
+    if message is None:
+        assert orbit_partition(g, perm) == expected
+    else:
+        with pytest.raises(PreconditionError) as err:
+            orbit_partition(g, perm)
+        assert str(err.value) == message
+    return message is None
+
+
+def _invariant_graph(rng, perm):
+    """Random weights constant on each orbit of ``perm`` acting on vertex pairs: ``perm`` is an automorphism."""
+    n = perm.size
+    a = np.zeros((n, n))
+    seen = np.zeros((n, n), dtype=bool)
+    for i, j in zip(*np.triu_indices(n)):
+        w = rng.normal() if rng.random() < 0.4 else 0.0
+        while not seen[i, j]:
+            seen[i, j] = seen[j, i] = True
+            a[i, j] = a[j, i] = w
+            i, j = perm[i], perm[j]
+    return WeightedGraph(n, a)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_orbit_partition_matches_dense_on_mirror_maps(n):
+    for k in range(1, n + 1):
+        assert _assert_orbits_match_dense(symmetric_power(weighted_path(n), k), _mirror_permutation(n, k))
+
+
+def test_orbit_partition_matches_dense_on_random_permutations():
+    rng = np.random.default_rng(20261018)
+    accepted = refused = 0
+    for _ in range(40):
+        n = int(rng.integers(1, 30))
+        perm = rng.permutation(n)
+        accepted += _assert_orbits_match_dense(_invariant_graph(rng, perm), perm)
+        refused += not _assert_orbits_match_dense(_random_graph(rng, n), perm)
+    assert accepted == 40 and refused >= 30
+
+
+def test_orbit_partition_accepts_a_tiny_one_sided_edge():
+    # the reflection carries the 1e-15 edge (1, 3) to (2, 4), which the graph does not hold
+    a = weighted_path(4).adjacency.copy()
+    a[0, 2] = a[2, 0] = 1e-15
+    g = WeightedGraph(4, a)
+    assert _automorphism_deviation(g, reflection_permutation(4)) == 1e-15
+    assert _assert_orbits_match_dense(g, reflection_permutation(4))
+    assert orbit_partition(g, reflection_permutation(4)).cells == ((1, 4), (2, 3))
+
+
+def test_orbit_partition_never_scatters_the_adjacency():
+    # the dense 1716 x 1716 adjacency alone is 22.5 MiB
+    g = symmetric_power(weighted_path(13), 6)
+    perm = _mirror_permutation(13, 6)
+    assert _traced_peak_mib(orbit_partition, g, perm) < 4.0
+    assert g._dense is None

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from pstlab import (
+    InvalidSizeError,
     PreconditionError,
     ResourceCapError,
     WeightedGraph,
@@ -21,7 +22,8 @@ from pstlab import (
     sweep,
     weighted_path,
 )
-from pstlab.pst_verify import _build_case, _hadamard_bound, _minors, _mirror_permutation, _unitarity_check
+from pstlab.pst_verify import _build_case, _hadamard_bound, _mirror_permutation, _unitarity_check
+from pstlab.tonks import _minors
 
 from conftest import cycle_graph
 
@@ -435,6 +437,19 @@ def test_conjecture_probe_cap_reaches_the_component_check():
     report = conjecture_probe(cycle_graph(9), 5, cap=10**5)
     assert not any("size cap" in note for note in report.notes)
     assert any("expected 120 components for k=5, found 24" in note for note in report.notes)
+
+
+def test_conjecture_probe_caps_the_kept_labels_not_the_power():
+    # 12**4 = 20736 power labels exceed the default cap; the 11880 kept labels do not
+    report = conjecture_probe(cycle_graph(12), 4)
+    assert not any("size cap" in note for note in report.notes)
+    assert any("components for k=4" in note for note in report.notes)
+
+
+@pytest.mark.parametrize("k", [-1, 0, 5])
+def test_conjecture_probe_refuses_walker_counts_outside_the_graph(k):
+    with pytest.raises(InvalidSizeError):
+        conjecture_probe(weighted_path(4), k)
 
 
 def _eigenvalue_classes_loop(values):

@@ -14,6 +14,7 @@ from pstlab import (
     ModeTuple,
     OccupationLabel,
     PreconditionError,
+    ResourceCapError,
     SignedDiagonal,
     all_mode_tuples,
     apply_deletion,
@@ -34,9 +35,8 @@ from pstlab import (
     weighted_path,
 )
 from pstlab import tonks
-from pstlab.hardcore import _ascending, _kept_graph
-from pstlab.pst_verify import _minors
-from pstlab.tonks import _compound, _projected_states, _slater_dets
+from pstlab.hardcore import _ascending, _kept_graph, _kept_table
+from pstlab.tonks import _compound, _minors, _projected_states
 
 
 def build_chain(n, k, modes):
@@ -290,6 +290,29 @@ def test_verify_corollary1_memory_stays_on_kept_labels():
     assert peak / 2**20 < 24.0
 
 
+def test_verify_corollary1_caps_the_kept_labels_not_the_power():
+    # 12**4 = 20736 power labels exceed the default cap; the 11880 kept labels do not
+    assert verify_corollary1(12, 4) <= 1e-12
+    with pytest.raises(ResourceCapError, match="30240 kept labels"):
+        verify_corollary1(10, 5)
+
+
+def test_kept_label_routes_build_no_mask(monkeypatch):
+    from pstlab import conjecture_probe, hardcore, pst_verify, run_case
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("deletion_mask called")
+
+    # pst_verify binds no deletion_mask; the patch would catch one bound later
+    for module in (hardcore, tonks, pst_verify):
+        monkeypatch.setattr(module, "deletion_mask", refuse, raising=False)
+    assert verify_corollary1(7, 3) <= 1e-12
+    assert run_case(7, 3).ok
+    assert conjecture_probe(weighted_path(5), 2).achieves_transfer
+    with pytest.raises(AssertionError):
+        fermion_state(eigh(weighted_path(4)), ModeTuple((0, 1)))
+
+
 @pytest.mark.parametrize("n", range(2, 8))
 def test_projected_states_match_per_tuple_pipeline(n, monkeypatch):
     # the public per-tuple route is the oracle for the batched determinant pass;
@@ -297,9 +320,9 @@ def test_projected_states_match_per_tuple_pipeline(n, monkeypatch):
     monkeypatch.setenv("PSTLAB_CAP", str(n**n))
     spec = eigh(weighted_path(n))
     for k in range(1, n + 1):
-        mask = deletion_mask(n, k)
-        signed = unit_antisymmetry(decompose_components(_kept_graph(weighted_path(n), mask), n, k))
-        batched = _projected_states(spec, mask, signed)
+        mask, table = deletion_mask(n, k), _kept_table(n, k)
+        signed = unit_antisymmetry(decompose_components(_kept_graph(weighted_path(n), table), n, k))
+        batched = _projected_states(spec, table, signed)
         tuples = all_mode_tuples(n, k)
         assert batched.shape == (math.comb(n, k), len(tuples))
         for col, modes in enumerate(tuples):
@@ -350,10 +373,10 @@ def test_projected_amplitudes_match_sorted_label_determinant(n, k, monkeypatch):
     # k! kept terms per cell: a sequential cell sum drifted 5.7e-14 from det Z[X, L] at (7, 7)
     monkeypatch.setenv("PSTLAB_CAP", str(n**n))
     spec = eigh(weighted_path(n))
-    mask = deletion_mask(n, k)
-    signed = unit_antisymmetry(decompose_components(_kept_graph(weighted_path(n), mask), n, k))
+    mask, table = deletion_mask(n, k), _kept_table(n, k)
+    signed = unit_antisymmetry(decompose_components(_kept_graph(weighted_path(n), table), n, k))
     labels = _ascending(n, k)
-    batched = _projected_states(spec, mask, signed)
+    batched = _projected_states(spec, table, signed)
     for col, modes in enumerate(all_mode_tuples(n, k)):
         exact = np.linalg.det(spec.eigenvectors[labels][:, :, list(modes.modes)])
         single = project_identical(tg_boson_state(fermion_state(spec, modes), signed, mask), mask)
@@ -366,6 +389,19 @@ def _random_orthogonal(n, seed):
     return q * np.sign(np.diag(r))
 
 
+def compound_by_minors(z, k):
+    """Oracle: each entry det z[X, L] as its own minor, a block of columns at a time."""
+    labels = _ascending(z.shape[0], k)
+    m = labels.shape[0]
+    out = np.empty((m, m))
+    step = max(1, 2**16 // (m * k * k))
+    for start in range(0, m, step):
+        cols = labels[start : start + step]
+        rows = np.repeat(labels, cols.shape[0], axis=0)
+        out[:, start : start + step] = _minors(z, rows, np.tile(cols, (m, 1))).reshape(m, cols.shape[0])
+    return out
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_compound_matches_per_entry_determinants(n):
     matrices = [eigh(weighted_path(n)).eigenvectors] if n >= 2 else []
@@ -376,7 +412,7 @@ def test_compound_matches_per_entry_determinants(n):
             labels = _ascending(n, k)
             compound = _compound(z, k)
             assert compound.shape == (labels.shape[0], labels.shape[0])
-            assert np.abs(compound - _slater_dets(z, labels, labels)).max() <= 1e-14, (n, k)
+            assert np.abs(compound - compound_by_minors(z, k)).max() <= 1e-14, (n, k)
 
 
 def _tampered_signs(tamper):
