@@ -263,19 +263,49 @@ def component_isomorphism_check(decomp: ComponentDecomposition, g_hc: WeightedGr
     The isomorphism sends a vertex to the kept vertex whose label is its
     sorted label; for path-family inputs this is exact, so the return value
     measures roundoff only. A sorted label outside the canonical component
-    (a path not laid out along vertex order) raises PreconditionError.
+    (a path not laid out along vertex order) raises PreconditionError, and so
+    does a component that label sorting does not map one to one onto it.
+    Only the stored edges are read: every component's edges, moved to the
+    canonical positions of their sorted labels, are matched against the
+    canonical component's edges, an edge missing on one side counting as 0.
     """
-    a = g_hc.adjacency
     labels = np.array(decomp.labels)
     canonical = decomp.components[0]
+    size = canonical.size
     # Position of each vertex's sorted label inside the canonical component.
     target = _label_rows(labels[canonical], np.sort(labels, axis=1))
-    canon_sub = a[np.ix_(canonical, canonical)]
-    worst = 0.0
-    for comp in decomp.components:
-        sub = a[np.ix_(comp, comp)]
-        worst = max(worst, float(np.abs(sub - canon_sub[np.ix_(target[comp], target[comp])]).max()))
-    return worst
+    comp_of = np.full(g_hc.n, -1)
+    for c, comp in enumerate(decomp.components):
+        if (np.bincount(target[comp], minlength=size) != 1).any():
+            raise PreconditionError(f"component {c} is not a relabeling of the canonical component")
+        comp_of[comp] = c
+    # Keys (component, row, col) of the edges inside one component, rows and
+    # columns moved to the positions of their sorted labels. The check above
+    # leaves only ascending labels in the canonical component, where target is
+    # the identity, so its keys are the canonical edges; each component is
+    # matched against a copy of them.
+    owner = comp_of[g_hc._rows]
+    inner = (owner == comp_of[g_hc._cols]) & (owner >= 0)
+    rows, cols, weights, owner = g_hc._rows[inner], g_hc._cols[inner], g_hc._weights[inner], owner[inner]
+    moved = (owner * size + target[rows]) * size + target[cols]
+    home = owner == 0
+    count = len(decomp.components)
+    expected = (np.arange(count)[:, None] * size**2 + moved[home]).ravel()
+    expected_weights = np.tile(weights[home], count)
+    deviations = (
+        weights - _values_at(expected, expected_weights, moved),
+        _values_at(moved, weights, expected) - expected_weights,
+    )
+    return max(float(np.abs(d).max(initial=0.0)) for d in deviations)
+
+
+def _values_at(keys: np.ndarray, values: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """``values`` of the distinct ``keys`` at each of ``wanted``, 0.0 where a key is absent."""
+    if not keys.size:
+        return np.zeros(wanted.size)
+    order = np.argsort(keys)
+    at = order[np.minimum(np.searchsorted(keys, wanted, sorter=order), keys.size - 1)]
+    return np.where(keys[at] == wanted, values[at], 0.0)
 
 
 @dataclass(frozen=True, eq=False)

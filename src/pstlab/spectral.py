@@ -2,10 +2,17 @@
 
 The eigensolver is the package's own: Householder reduction to tridiagonal
 form, then implicit-shift QL on the tridiagonal, with the eigenvectors
-accumulated through both stages. It is written with elementwise numpy
-products and reductions only, never a BLAS call, so its output bytes do not
-depend on the BLAS library or its thread count; eigenvector signs follow one
-fixed convention (see SpectralDecomposition). Propagators are assembled from
+accumulated through both stages. The QL recurrence records its plane
+rotations and applies them to the eigenvector rows in wavefronts: the
+rotation on rows (i, i + 1) of the s-th sweep runs in wave 2 s + (n - 1 - i),
+so rotations that share a row keep their order, and each wave updates its
+disjoint row pairs at once with the same elementwise formula as one rotation
+at a time. The bytes are those of the rotation-by-rotation loop; flushing the
+record every few thousand rotations bounds its memory and changes no byte.
+It is written with elementwise numpy products and reductions only, never a
+BLAS call, so its output bytes do not depend on the BLAS library or its
+thread count; eigenvector signs follow one fixed convention (see
+SpectralDecomposition). Propagators are assembled from
 the decomposition as U(t) = Z exp(-i t Lambda) Z^T, so unitarity holds to
 the accuracy of the decomposition itself and no matrix exponential routine
 is involved.
@@ -29,6 +36,10 @@ PST_TOL = 1e-9
 # the machine epsilon that scales the deflation threshold.
 _QL_ITERATION_CAP = 30
 _EPS = float(np.finfo(float).eps)
+
+# Plane rotations recorded before _ql_implicit applies them to the eigenvector
+# rows: bounds the record's memory, and the flush point changes no byte.
+_ROTATION_BLOCK = 4096
 
 _SNAP_DENOMINATOR = 10**6
 
@@ -133,11 +144,18 @@ def _ql_implicit(d: list[float], e: list[float], zt: np.ndarray, tol: float) -> 
     its rows (``tqli`` in Numerical Recipes, with Wilkinson's shift). Each
     eigenvalue gets at most ``_QL_ITERATION_CAP`` QL steps before
     ConvergenceError.
+
+    The scalar recurrence on ``(d, e)`` does not touch ``zt``: it records each
+    sweep's top row and its ``(c, s)`` values, and ``_rotate_rows`` applies
+    them in waves. It flushes once ``_ROTATION_BLOCK`` rotations are recorded,
+    always between two sweeps, and at the end; every row still sees its
+    rotations in recorded order, so the flushes do not change any byte.
     """
     n = len(d)
     e.append(0.0)
-    flip = np.array([[-1.0], [1.0]])
-    swapped = np.empty((2, zt.shape[1]))
+    sweeps: list[tuple[int, int]] = []  # (top row, rotation count) of each recorded sweep
+    cs: list[float] = []
+    ss: list[float] = []
     for lo in range(n):
         steps = 0
         while True:
@@ -158,6 +176,7 @@ def _ql_implicit(d: list[float], e: list[float], zt: np.ndarray, tol: float) -> 
             s = c = 1.0
             p = 0.0
             split = False
+            recorded = len(cs)
             for i in range(m - 1, lo - 1, -1):
                 f = s * e[i]
                 b = c * e[i]
@@ -177,17 +196,55 @@ def _ql_implicit(d: list[float], e: list[float], zt: np.ndarray, tol: float) -> 
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b
-                # Rows (i, i + 1) become (c z_i - s z_i+1, c z_i+1 + s z_i).
-                pair = zt[i : i + 2]
-                np.multiply(pair[::-1], flip, out=swapped)
-                swapped *= s
-                pair *= c
-                pair += swapped
+                cs.append(c)
+                ss.append(s)
+            sweeps.append((m - 1, len(cs) - recorded))
+            if len(cs) >= _ROTATION_BLOCK:
+                _rotate_rows(zt, sweeps, cs, ss)
+                sweeps, cs, ss = [], [], []
             if split:
                 continue
             d[lo] -= p
             e[lo] = g
             e[m] = 0.0
+    _rotate_rows(zt, sweeps, cs, ss)
+
+
+def _rotate_rows(zt: np.ndarray, sweeps: list[tuple[int, int]], cs: list[float], ss: list[float]) -> None:
+    """Apply recorded QL sweeps to the rows of ``zt``, one wave of row pairs at a time.
+
+    Sweep ``k`` of ``sweeps`` is ``(top, count)``: its rotations act on rows
+    ``(i, i + 1)`` for ``i = top, top - 1, ...``, and their ``(c, s)`` values
+    follow each other in ``cs`` and ``ss``. The rotation on rows ``(i, i + 1)``
+    of sweep ``k`` runs in wave ``2 k + (n - 1 - i)`` (the wavefront order of
+    Van Zee, van de Geijn and Quintana-Orti, ACM TOMS 40(3):18, 2014). Two
+    rotations that share a row fall in different waves, in recorded order, and
+    two rotations of one wave are at least two rows apart, so every row gets
+    the same updates in the same order as rotation by rotation. Each update is
+    ``(c z_i + z_i+1 (-s), c z_i+1 + z_i s)``, equal in IEEE arithmetic to
+    ``c z_i + (-z_i+1) s``, so the rows end with the same bytes. A wave is one
+    gather of its row pairs, two products, one sum and one scatter.
+    """
+    if not cs:
+        return
+    tops, counts = np.array(sweeps, dtype=np.intp).T
+    ends = np.cumsum(counts)
+    rows = np.repeat(tops + ends - counts, counts) - np.arange(ends[-1])
+    # The wave number less its constant n - 1, which changes no order.
+    wave = np.repeat(2 * np.arange(counts.size), counts) - rows
+    order = np.argsort(wave, kind="stable")
+    pairs = rows[order, None] + np.array([0, 1])
+    c = np.array(cs)[order, None, None]
+    s = np.array(ss)[order]
+    signed_s = np.stack([-s, s], axis=1)[:, :, None]
+    cuts = (np.flatnonzero(np.diff(wave[order])) + 1).tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, len(cs)]):
+        pair = pairs[lo:hi]
+        z = zt[pair]
+        turned = z[:, ::-1] * signed_s[lo:hi]
+        z *= c[lo:hi]
+        z += turned
+        zt[pair] = z
 
 
 def eigh_matrix(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -197,7 +254,11 @@ def eigh_matrix(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigenvector columns, without any sign normalization. The input must be
     symmetric; that is not checked. It is first scaled by a power of two,
     which is exact, so that no sum of squares can overflow. A tridiagonal
-    input skips the Householder stage entirely.
+    input skips the Householder stage entirely. The QL plane rotations reach
+    the eigenvectors in wavefront batches of disjoint row pairs, flushed
+    every ``_ROTATION_BLOCK`` rotations (see ``_ql_implicit``); each row gets
+    the same updates in the same order as rotation by rotation, so the bytes
+    are those of the one-at-a-time loop.
 
     Only elementwise products and numpy reductions are used, never a BLAS
     call: repeated calls return identical bytes, and the bytes depend on the

@@ -2,11 +2,13 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pstlab import (
+    ComponentDecomposition,
     InvalidSizeError,
     InvariantViolationError,
     OccupationLabel,
@@ -28,6 +30,7 @@ from pstlab import (
     indistinguishability_partition,
     mirror_partition,
     normalized_partition_matrix,
+    simple_path,
     quotient,
     symmetric_power,
     unit_antisymmetry,
@@ -544,6 +547,96 @@ def test_isomorphism_check_rejects_path_out_of_vertex_order():
     decomp = decompose_components(kept, 3, 2)
     with pytest.raises(PreconditionError):
         component_isomorphism_check(decomp, kept)
+
+
+def dense_isomorphism_check(decomp, g_hc):
+    """Oracle for component_isomorphism_check: slices of the dense adjacency, component by component."""
+    a = g_hc.adjacency
+    labels = np.array(decomp.labels)
+    canonical = decomp.components[0]
+    target = _label_rows(labels[canonical], np.sort(labels, axis=1))
+    canon_sub = a[np.ix_(canonical, canonical)]
+    worst = 0.0
+    for comp in decomp.components:
+        sub = a[np.ix_(comp, comp)]
+        worst = max(worst, float(np.abs(sub - canon_sub[np.ix_(target[comp], target[comp])]).max()))
+    return worst
+
+
+def path_family_graphs(n):
+    """Weighted and simple paths, and a weighted path with seeded self-loops.
+
+    Each kept label sums the loops of its sites in slot order, so the looped
+    path's components differ from the canonical one by roundoff.
+    """
+    looped = weighted_path(n).adjacency + np.diag(np.random.default_rng(n).normal(size=n))
+    return [weighted_path(n), simple_path(n), WeightedGraph(n, looped)]
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_isomorphism_check_on_edges_matches_dense(n):
+    # every k whose kept graph the dense oracle can hold (3024 labels at (9, 4), a 73 MB array)
+    for g in path_family_graphs(n):
+        for k in range(1, n + 1):
+            if math.perm(n, k) > 3024:
+                continue
+            kept = _kept_graph(g, _kept_table(n, k))
+            decomp = decompose_components(kept, n, k)
+            value = component_isomorphism_check(decomp, kept)
+            assert value.hex() == dense_isomorphism_check(decomp, kept).hex()
+
+
+def test_isomorphism_check_on_edges_matches_dense_off_isomorphism():
+    # a changed weight, an edge missing outside the canonical component and one missing inside it
+    kept = _kept_graph(weighted_path(6), _kept_table(6, 3))
+    decomp = decompose_components(kept, 6, 3)
+    u, v = np.flatnonzero(decomp.component_of == 2)[:2]
+    c = decomp.components[0]
+    for i, j, w in ((u, v, 0.5), (u, v, 0.0), (c[0], c[1], 0.0)):
+        a = kept.adjacency.copy()
+        if a[i, j] == 0.0:
+            j = np.flatnonzero(a[i])[-1]
+        a[i, j] = a[j, i] = w
+        tampered = WeightedGraph(kept.n, a)
+        value = component_isomorphism_check(decomp, tampered)
+        assert value > 0.0
+        assert value.hex() == dense_isomorphism_check(decomp, tampered).hex()
+
+
+def test_isomorphism_check_error_matches_dense():
+    a = np.zeros((3, 3))
+    a[0, 2] = a[2, 0] = 1.0
+    a[1, 2] = a[2, 1] = 2.0
+    kept = _kept_graph(WeightedGraph(3, a), _kept_table(3, 2))
+    decomp = decompose_components(kept, 3, 2)
+    with pytest.raises(PreconditionError) as edges:
+        component_isomorphism_check(decomp, kept)
+    with pytest.raises(PreconditionError) as dense:
+        dense_isomorphism_check(decomp, kept)
+    assert str(edges.value) == str(dense.value)
+
+
+def test_isomorphism_check_rejects_component_that_is_no_relabeling():
+    kept = _kept_graph(weighted_path(3), _kept_table(3, 2))
+    decomp = decompose_components(kept, 3, 2)
+    # (2, 1) and (3, 1) sort to two of the three canonical labels; (1, 3) is left out
+    bad = ComponentDecomposition(3, 2, decomp.component_of, (decomp.components[0], np.array([2, 4])), decomp.labels, 0)
+    with pytest.raises(PreconditionError, match="not a relabeling"):
+        component_isomorphism_check(bad, kept)
+
+
+def test_isomorphism_check_memory_reads_edges_only():
+    # the dense form scattered a 3024 x 3024 adjacency and peaked at about 70 MiB
+    kept = _kept_graph(weighted_path(9), _kept_table(9, 4))
+    decomp = decompose_components(kept, 9, 4)
+    tracemalloc.start()
+    try:
+        assert component_isomorphism_check(decomp, kept) == 0.0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    assert kept._dense is None
 
 
 @pytest.mark.parametrize("n,k", [(3, 2), (4, 3), (5, 2), (5, 3)])

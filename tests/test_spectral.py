@@ -5,6 +5,7 @@ itself never calls it for decompositions.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +188,153 @@ def test_eigh_matrix_iteration_budget(monkeypatch):
         eigh_matrix(random_symmetric(np.random.default_rng(2), 5))
     vals, vecs = eigh_matrix(np.diag([2.0, 1.0]))  # nothing to iterate on
     assert np.array_equal(vals, [1.0, 2.0])
+
+
+def ql_rotation_by_rotation(d, e, zt, tol, counts=None):
+    """Oracle for spectral._ql_implicit: each plane rotation applied to zt as it is made.
+
+    The same recurrence, shift, deflation test, ``r == 0`` split and
+    iteration cap; ``counts["rotations"]``, when given, counts the rotations.
+    """
+    n = len(d)
+    e.append(0.0)
+    flip = np.array([[-1.0], [1.0]])
+    swapped = np.empty((2, zt.shape[1]))
+    cap = pstlab.spectral._QL_ITERATION_CAP
+    for lo in range(n):
+        steps = 0
+        while True:
+            m = lo
+            while m < n - 1 and abs(e[m]) > tol:
+                m += 1
+            if m == lo:
+                break
+            if steps == cap:
+                raise ConvergenceError(
+                    f"implicit QL left subdiagonal {abs(e[lo]):.3e} at index {lo} after {cap} steps"
+                )
+            steps += 1
+            g = (d[lo + 1] - d[lo]) / (2.0 * e[lo])
+            r = math.hypot(g, 1.0)
+            g = d[m] - d[lo] + e[lo] / (g + math.copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            split = False
+            for i in range(m - 1, lo - 1, -1):
+                f = s * e[i]
+                b = c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    split = True
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+                # Rows (i, i + 1) become (c z_i - s z_i+1, c z_i+1 + s z_i).
+                pair = zt[i : i + 2]
+                np.multiply(pair[::-1], flip, out=swapped)
+                swapped *= s
+                pair *= c
+                pair += swapped
+                if counts is not None:
+                    counts["rotations"] += 1
+            if split:
+                continue
+            d[lo] -= p
+            e[lo] = g
+            e[m] = 0.0
+
+
+def oracle_eigh_matrix(a, counts=None):
+    """eigh_matrix with the rotation-by-rotation QL in place of the wave-batched one."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            pstlab.spectral, "_ql_implicit", lambda d, e, zt, tol: ql_rotation_by_rotation(d, e, zt, tol, counts)
+        )
+        return eigh_matrix(a)
+
+
+def assert_matches_oracle(a, counts=None):
+    vals, vecs = eigh_matrix(a)
+    oracle_vals, oracle_vecs = oracle_eigh_matrix(a, counts)
+    assert np.array_equal(vals, oracle_vals) and np.array_equal(vecs, oracle_vecs)
+    assert vals.tobytes() == oracle_vals.tobytes() and vecs.tobytes() == oracle_vecs.tobytes()
+
+
+def probe_style_graph(kind, size, k, seed):
+    """Hard-core graph of a ring C_size or a cube Q_size with seeded weights in [0.5, 1.5]."""
+    rng = np.random.default_rng(seed)
+    if kind == "ring":
+        n, pairs = size, [(v, (v + 1) % size) for v in range(size)]
+    else:
+        n, pairs = 2**size, [(v, v ^ (1 << b)) for v in range(2**size) for b in range(size) if v < v ^ (1 << b)]
+    a = np.zeros((n, n))
+    for u, v in pairs:
+        a[u, v] = a[v, u] = rng.uniform(0.5, 1.5)
+    return symmetric_power(WeightedGraph(n, a), k, allow_non_path=True).adjacency
+
+
+@pytest.mark.parametrize("m", range(1, 131))
+def test_wave_rotations_match_oracle_random(m):
+    assert_matches_oracle(random_symmetric(np.random.default_rng(1000 + m), m))
+
+
+@pytest.mark.parametrize("kind,size,k", [("ring", 12, 2), ("ring", 10, 3), ("cube", 4, 2)])
+def test_wave_rotations_match_oracle_probe_graphs(kind, size, k):
+    assert_matches_oracle(probe_style_graph(kind, size, k, seed=21))
+
+
+def test_wave_rotations_match_oracle_structured():
+    # the exact zero eigenspace of the cube's hard-core power, weighted paths, the zero matrix
+    assert_matches_oracle(symmetric_power(hypercube(4), 2, allow_non_path=True).adjacency)
+    for n in range(2, 21):
+        assert_matches_oracle(weighted_path(n).adjacency)
+    assert_matches_oracle(np.zeros((5, 5)))
+    rng = np.random.default_rng(11)
+    clustered = np.repeat([-1.0, 0.0, 2.0], 8) + 1e-10 * rng.random(24)
+    assert_matches_oracle(with_spectrum(rng, clustered))
+    assert_matches_oracle(with_spectrum(rng, np.repeat([-2.0, 1.0, 3.0], 10)))
+
+
+def test_wave_rotations_span_several_flush_blocks(monkeypatch):
+    a = random_symmetric(np.random.default_rng(5), 90)
+    counts = {"rotations": 0}
+    assert_matches_oracle(a, counts)
+    assert counts["rotations"] > 2 * pstlab.spectral._ROTATION_BLOCK
+    # a flush after every sweep, and one after a handful of rotations, leave the bytes alone
+    for block in (1, 7):
+        monkeypatch.setattr(pstlab.spectral, "_ROTATION_BLOCK", block)
+        assert_matches_oracle(a)
+
+
+@pytest.mark.parametrize("cap", [0, 1])
+def test_iteration_budget_message_matches_oracle(monkeypatch, cap):
+    monkeypatch.setattr(pstlab.spectral, "_QL_ITERATION_CAP", cap)
+    a = random_symmetric(np.random.default_rng(2), 5)
+    with pytest.raises(ConvergenceError) as batched:
+        eigh_matrix(a)
+    with pytest.raises(ConvergenceError) as oracle:
+        oracle_eigh_matrix(a)
+    assert str(batched.value) == str(oracle.value)
+
+
+def test_eigh_matrix_memory_is_bounded():
+    # the recorded rotations are flushed in blocks; holding all ~44k of them peaks near 8 MiB
+    a = random_symmetric(np.random.default_rng(200), 200)
+    tracemalloc.start()
+    try:
+        eigh_matrix(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 @pytest.mark.parametrize("n", range(2, 21))
