@@ -68,9 +68,7 @@ from .partition import (
 from .products import (
     OccupationLabel,
     cartesian_power,
-    cartesian_product,
     label_of_index,
-    propagator_factorization_check,
 )
 from .pst_verify import (
     CheckResult,
@@ -85,26 +83,17 @@ from .pst_verify import (
 from .spectral import (
     PST_TOL,
     PstPair,
-    RatioConditionResult,
     SpectralDecomposition,
     eigh,
     eigh_matrix,
     evolve,
     find_pst_pairs,
     is_periodic,
-    ratio_condition,
     transfer_amplitude,
 )
 from .tonks import (
-    ModeTuple,
-    StateVector,
-    all_mode_tuples,
-    fermion_state,
     hc_spectrum,
-    parity_sign_rule,
-    project_identical,
     slater_decomposition,
-    tg_boson_state,
     verify_corollary1,
 )
 

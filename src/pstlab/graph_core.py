@@ -22,11 +22,11 @@ edge, comes back as ``0.0``.
 Storage: every graph holds its nonzero entries, both triangles and the
 diagonal, as three read-only arrays in row-major order. ``WeightedGraph(n,
 adjacency)`` copies the given array once, keeps that copy as the dense
-``adjacency`` and reads the nonzeros out of it in one scan. ``hypercube`` and
-``load_graph`` build from edges alone; their dense ``adjacency`` is scattered
-from the nonzeros on first access and cached. ``save_graph`` and the
-partition layer read only the nonzeros, so building, saving, loading and
-quotienting a hypercube never allocates an ``n x n`` array.
+``adjacency`` and reads the nonzeros out of it in one scan. The path
+builders, ``hypercube`` and ``load_graph`` build from edges alone; their dense
+``adjacency`` is scattered from the nonzeros on first access and cached.
+``save_graph`` and the partition layer read only the nonzeros, so building,
+saving, loading and quotienting a hypercube never allocates an ``n x n`` array.
 """
 
 from __future__ import annotations
@@ -177,23 +177,16 @@ def weighted_path(n: int) -> WeightedGraph:
     """
     if not isinstance(n, int) or n < 2:
         raise InvalidSizeError(f"weighted_path needs n >= 2, got {n!r}")
-    a = np.zeros((n, n))
-    for v in range(1, n):
-        w = math.sqrt(v * (n - v))
-        a[v - 1, v] = w
-        a[v, v - 1] = w
-    return WeightedGraph(n, a)
+    v = np.arange(1, n)
+    return WeightedGraph._from_slots(n, v - 1, v, np.sqrt(v * (n - v)))
 
 
 def simple_path(n: int) -> WeightedGraph:
     """Unweighted path on ``n`` vertices (all edge weights 1)."""
     if not isinstance(n, int) or n < 2:
         raise InvalidSizeError(f"simple_path needs n >= 2, got {n!r}")
-    a = np.zeros((n, n))
-    for v in range(n - 1):
-        a[v, v + 1] = 1.0
-        a[v + 1, v] = 1.0
-    return WeightedGraph(n, a)
+    v = np.arange(1, n)
+    return WeightedGraph._from_slots(n, v - 1, v, np.ones(n - 1))
 
 
 def hypercube(dim: int, cap: int | None = None) -> WeightedGraph:

@@ -22,7 +22,6 @@ import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -105,21 +104,6 @@ class DeletionMask:
         """1-based site tuples of the kept vertices, in kept order."""
         return tuple(map(tuple, (_digits(self.kept_indices(), self.n, self.k) + 1).tolist()))
 
-    @cached_property
-    def _cells(self) -> np.ndarray:
-        """Ascending-label row of each kept label, in kept order; built once per mask."""
-        ordered = np.sort(_digits(self.kept_indices(), self.n, self.k), axis=1)
-        cells = _label_rows(_ascending(self.n, self.k), ordered)
-        cells.flags.writeable = False
-        return cells
-
-    @cached_property
-    def _cell_order(self) -> np.ndarray:
-        """Kept indices grouped cell by cell, kept order within a cell; built once per mask."""
-        order = np.argsort(self._cells, kind="stable")
-        order.flags.writeable = False
-        return order
-
 
 def deletion_mask(n: int, k: int, cap: int | None = None) -> DeletionMask:
     """Mask keeping exactly the collision-free labels; kept count is n!/(n-k)!."""
@@ -194,8 +178,8 @@ class ComponentDecomposition:
     ``components`` holds 0-based kept-vertex indices in ascending order;
     ``component_of`` maps each kept vertex to its component position;
     ``labels`` carries the 1-based site tuple of every kept vertex. The
-    canonical component is the one containing the strictly ascending label
-    (1, 2, ..., k), and ``canonical`` is its position (always 0 here).
+    first component is the canonical one, containing the strictly ascending
+    label (1, 2, ..., k).
     """
 
     n: int
@@ -203,7 +187,6 @@ class ComponentDecomposition:
     component_of: np.ndarray
     components: tuple[np.ndarray, ...]
     labels: tuple[tuple[int, ...], ...]
-    canonical: int
 
     def __post_init__(self) -> None:
         comp_of = np.array(self.component_of, dtype=np.int64)
@@ -253,7 +236,6 @@ def decompose_components(g_hc: WeightedGraph, n: int, k: int) -> ComponentDecomp
         component_of=component_of,
         components=tuple(np.flatnonzero(component_of == c) for c in range(expected_count)),
         labels=labels,
-        canonical=0,
     )
 
 
@@ -424,45 +406,20 @@ def c_operator(label: OccupationLabel) -> OccupationLabel:
     return OccupationLabel(mirrored, label.n)
 
 
-def _mirror_permutation(n: int, k: int, labels: tuple[tuple[int, ...], ...] | None = None) -> np.ndarray:
-    """0-based index map of the mirror map on a label list.
-
-    ``labels`` defaults to the ascending labels of (n, k). Raises InvalidSizeError
-    unless they are non-empty tuples of one length with sites in 1..n, and
-    PreconditionError when the image of a label is not in the list.
-    """
-    if labels is None:
-        table = _ascending(n, k) + 1
-    else:
-        try:
-            table = np.array(labels, dtype=np.int64)
-            valid = table.ndim == 2 and table.shape[1] > 0 and table.min() >= 1 and table.max() <= n
-        except ValueError:
-            valid = False
-        if not valid:
-            raise InvalidSizeError(f"labels must be non-empty tuples of one length, sites in 1..{n}")
+def _mirror_permutation(n: int, k: int) -> np.ndarray:
+    """0-based index map of the mirror map on the ascending labels of (n, k)."""
+    table = _ascending(n, k) + 1
     return _label_rows(table, n + 1 - table[:, ::-1])
 
 
-def mirror_partition(
-    g: WeightedGraph,
-    n: int,
-    k: int,
-    labels: tuple[tuple[int, ...], ...] | None = None,
-) -> Partition:
-    """Orbit partition of the mirror map on a hard-core graph.
+def mirror_partition(g: WeightedGraph, n: int, k: int) -> Partition:
+    """Orbit partition of the mirror map on the symmetric power ``g`` on ascending labels.
 
-    By default ``g`` is the symmetric power on ascending labels, so the
-    label list is implied. Passing ``labels`` explicitly supports the
-    distinguishable case one component at a time. Cells have size 1 or 2
-    because the mirror is an involution; the map must permute the label set
-    and be an automorphism of ``g``.
+    Cells have size 1 or 2 because the mirror is an involution; the map must
+    be an automorphism of ``g``.
     """
-    if labels is None:
-        if g.n != math.comb(n, k):
-            raise PreconditionError(
-                f"graph has {g.n} vertices, expected C({n},{k}) = {math.comb(n, k)} ascending labels"
-            )
-    elif len(labels) != g.n:
-        raise PreconditionError("label list length does not match the graph")
-    return orbit_partition(g, _mirror_permutation(n, k, labels))
+    if g.n != math.comb(n, k):
+        raise PreconditionError(
+            f"graph has {g.n} vertices, expected C({n},{k}) = {math.comb(n, k)} ascending labels"
+        )
+    return orbit_partition(g, _mirror_permutation(n, k))

@@ -48,6 +48,8 @@ _AUTOMORPHISM_TOL = 1e-12
 
 _SPECTRUM_MATCH_TOL = 1e-8
 
+_PROJECTOR_TOL = 1e-9
+
 # Uncovered vertices named in a coverage error; the rest are only counted.
 _MISSING_SHOWN = 5
 
@@ -154,9 +156,9 @@ class EquitabilityReport:
 
     ``b[i, j]`` is the mean of b_ij(u) over u in C_i; ``max_spread`` is the
     largest max-minus-min of those values inside one (i, j) pair, and the
-    partition is equitable exactly when it stays at or below the tolerance
-    the check ran with. ``worst_cell``, ``worst_target_cell`` (1-based cell
-    positions) and ``worst_vertex`` (1-based vertex) locate the offender.
+    partition is equitable exactly when it stays at or below ``TOL_EQ``.
+    ``worst_cell``, ``worst_target_cell`` (1-based cell positions) and
+    ``worst_vertex`` (1-based vertex) locate the offender.
     """
 
     equitable: bool
@@ -239,8 +241,8 @@ def normalized_partition_matrix(g: WeightedGraph, p: Partition) -> PartitionMatr
     return PartitionMatrix(p, q, w, cell_weights)
 
 
-def check_equitable(g: WeightedGraph, p: Partition, tol: float = TOL_EQ) -> EquitabilityReport:
-    """Measure cellwise constancy of the weight-scaled connection strengths."""
+def check_equitable(g: WeightedGraph, p: Partition) -> EquitabilityReport:
+    """Measure cellwise constancy of the weight-scaled connection strengths; equitable within ``TOL_EQ``."""
     if p.n != g.n:
         raise PreconditionError(f"partition is over {p.n} vertices, graph has {g.n}")
     w = _omega(g)
@@ -262,7 +264,7 @@ def check_equitable(g: WeightedGraph, p: Partition, tol: float = TOL_EQ) -> Equi
     offender = int(np.argmax(np.abs(vals[members, cj] - b[ci, cj])))
     max_spread = float(spreads[ci, cj])
     return EquitabilityReport(
-        equitable=max_spread <= tol,
+        equitable=max_spread <= TOL_EQ,
         b=b,
         max_spread=max_spread,
         worst_cell=ci + 1,
@@ -271,9 +273,9 @@ def check_equitable(g: WeightedGraph, p: Partition, tol: float = TOL_EQ) -> Equi
     )
 
 
-def quotient(g: WeightedGraph, pm: PartitionMatrix, tol: float = TOL_EQ) -> WeightedGraph:
+def quotient(g: WeightedGraph, pm: PartitionMatrix) -> WeightedGraph:
     """Quotient graph B = Q^T A Q; refuses partitions that are not equitable."""
-    report = check_equitable(g, pm.partition, tol)
+    report = check_equitable(g, pm.partition)
     if not report.equitable:
         raise NotEquitableError(
             f"partition is not equitable: cell {report.worst_cell} vertex "
@@ -300,12 +302,12 @@ def _quotient_graph(g: WeightedGraph, pm: PartitionMatrix) -> WeightedGraph:
     return WeightedGraph(pm.m, b)
 
 
-def verify_theorem_equivalences(g: WeightedGraph, p: Partition, tol: float = TOL_EQ) -> EquivalenceReport:
-    """Evaluate the four equitability characterizations independently."""
+def verify_theorem_equivalences(g: WeightedGraph, p: Partition) -> EquivalenceReport:
+    """Evaluate the four equitability characterizations independently, each within ``TOL_EQ``."""
     pm = normalized_partition_matrix(g, p)
     a = g.adjacency
     q = pm.q
-    report = check_equitable(g, p, tol)
+    report = check_equitable(g, p)
     aq = a @ q
     projector = q @ q.T
     invariance_residual = float(np.abs(aq - projector @ aq).max())
@@ -314,9 +316,9 @@ def verify_theorem_equivalences(g: WeightedGraph, p: Partition, tol: float = TOL
     intertwiner_residual = float(np.abs(aq - q @ b).max())
     return EquivalenceReport(
         equitable=report.equitable,
-        column_space_invariant=invariance_residual <= tol,
-        projector_commutes=commutator_residual <= tol,
-        intertwiner_exists=intertwiner_residual <= tol,
+        column_space_invariant=invariance_residual <= TOL_EQ,
+        projector_commutes=commutator_residual <= TOL_EQ,
+        intertwiner_exists=intertwiner_residual <= TOL_EQ,
         spread=report.max_spread,
         invariance_residual=invariance_residual,
         commutator_residual=commutator_residual,
@@ -324,21 +326,25 @@ def verify_theorem_equivalences(g: WeightedGraph, p: Partition, tol: float = TOL
     )
 
 
-def qqt_eigenvalue_check(pm: PartitionMatrix, tol: float = 1e-9) -> bool:
-    """True when QQ^T has eigenvalues only in {0, 1}, with 1 appearing m times."""
+def qqt_eigenvalue_check(pm: PartitionMatrix) -> bool:
+    """True when QQ^T has eigenvalues only in {0, 1}, with 1 appearing m times.
+
+    An eigenvalue within ``_PROJECTOR_TOL`` of 0 or 1 counts as that value.
+    """
     vals, _ = eigh_matrix(pm.q @ pm.q.T)
-    near_one = np.abs(vals - 1.0) <= tol
-    near_zero = np.abs(vals) <= tol
+    near_one = np.abs(vals - 1.0) <= _PROJECTOR_TOL
+    near_zero = np.abs(vals) <= _PROJECTOR_TOL
     if not bool(np.all(near_one | near_zero)):
         return False
     return int(near_one.sum()) == pm.m
 
 
-def quotient_spectrum_subset(g: WeightedGraph, pm: PartitionMatrix, tol: float = _SPECTRUM_MATCH_TOL) -> bool:
+def quotient_spectrum_subset(g: WeightedGraph, pm: PartitionMatrix) -> bool:
     """True when the quotient spectrum embeds into the parent spectrum as a multiset.
 
     Matching is greedy over sorted values: each quotient eigenvalue claims
-    the nearest still-unclaimed parent eigenvalue and must land within tol.
+    the nearest still-unclaimed parent eigenvalue and must land within
+    ``_SPECTRUM_MATCH_TOL``.
     """
     b = quotient(g, pm)
     quotient_vals = sorted(float(x) for x in eigh(b).eigenvalues)
@@ -353,7 +359,7 @@ def quotient_spectrum_subset(g: WeightedGraph, pm: PartitionMatrix, tol: float =
         if not candidates:
             return False
         best = min(candidates, key=lambda i: abs(parent_vals[i] - qv))
-        if abs(parent_vals[best] - qv) > tol:
+        if abs(parent_vals[best] - qv) > _SPECTRUM_MATCH_TOL:
             return False
         parent_vals.pop(best)
     return True
@@ -379,7 +385,7 @@ def _components(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         root = hooked
 
 
-def max_eigenvalue_preservation(g: WeightedGraph, pm: PartitionMatrix, tol: float = _SPECTRUM_MATCH_TOL) -> bool:
+def max_eigenvalue_preservation(g: WeightedGraph, pm: PartitionMatrix) -> bool:
     """Largest eigenvalue survives into the quotient with a positive lifted eigenvector.
 
     Requires a connected graph with non-negative weights so the largest
@@ -394,11 +400,11 @@ def max_eigenvalue_preservation(g: WeightedGraph, pm: PartitionMatrix, tol: floa
     spec_b = eigh(b)
     top_g = float(spec_g.eigenvalues[-1])
     top_b = float(spec_b.eigenvalues[-1])
-    if abs(top_g - top_b) > tol:
+    if abs(top_g - top_b) > _SPECTRUM_MATCH_TOL:
         return False
-    if spec_g.n > 1 and top_g - float(spec_g.eigenvalues[-2]) <= tol:
+    if spec_g.n > 1 and top_g - float(spec_g.eigenvalues[-2]) <= _SPECTRUM_MATCH_TOL:
         return False
-    if spec_b.n > 1 and top_b - float(spec_b.eigenvalues[-2]) <= tol:
+    if spec_b.n > 1 and top_b - float(spec_b.eigenvalues[-2]) <= _SPECTRUM_MATCH_TOL:
         return False
     beta = spec_b.eigenvectors[:, -1]
     lifted = pm.q @ beta

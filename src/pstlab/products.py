@@ -1,4 +1,4 @@
-"""Cartesian products and powers, plus the occupation-label algebra.
+"""Cartesian powers and the occupation-label algebra.
 
 A vertex of a k-fold Cartesian power is a k-tuple of single-particle sites.
 Tuples map to flat indices in row-major mixed radix, first entry most
@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import InvalidSizeError, ResourceCapError
 from .graph_core import WeightedGraph, resolve_size_cap
-from .spectral import eigh, evolve
 
 
 @dataclass(frozen=True)
@@ -79,20 +78,6 @@ def label_of_index(i: int, n: int, k: int) -> OccupationLabel:
     return OccupationLabel(tuple(_digits(np.array([i], dtype=object), n, k)[0] + 1), n)
 
 
-def cartesian_product(g: WeightedGraph, h: WeightedGraph, cap: int | None = None) -> WeightedGraph:
-    """Cartesian product via the Kronecker sum A_G (+) A_H.
-
-    Vertex (u, v) of the product sits at flat index (u - 1) * h.n + (v - 1),
-    matching the mixed-radix label order.
-    """
-    size = g.n * h.n
-    limit = resolve_size_cap(cap)
-    if size > limit:
-        raise ResourceCapError(f"product would have {size} vertices, cap is {limit}")
-    a = np.kron(g.adjacency, np.eye(h.n)) + np.kron(np.eye(g.n), h.adjacency)
-    return WeightedGraph(size, a)
-
-
 def cartesian_power(g: WeightedGraph, k: int, cap: int | None = None) -> WeightedGraph:
     """k-fold Cartesian power of a graph, labels ordered mixed-radix row-major."""
     if not isinstance(k, int) or k < 1:
@@ -108,18 +93,3 @@ def cartesian_power(g: WeightedGraph, k: int, cap: int | None = None) -> Weighte
         m = g.n**step
         a = np.kron(a, np.eye(g.n)) + np.kron(np.eye(m), g.adjacency)
     return WeightedGraph(size, a)
-
-
-def propagator_factorization_check(g: WeightedGraph, k: int, t: float) -> float:
-    """Max entrywise deviation between U_{G^k}(t) and the k-fold tensor power of U_G(t).
-
-    Zero in exact arithmetic because the Kronecker-sum terms commute; the
-    returned number measures eigensolver and assembly roundoff only.
-    """
-    power = cartesian_power(g, k)
-    u_power = evolve(eigh(power), t)
-    u_single = evolve(eigh(g), t)
-    tensor = u_single
-    for _ in range(k - 1):
-        tensor = np.kron(tensor, u_single)
-    return float(np.abs(u_power - tensor).max())

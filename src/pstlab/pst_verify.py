@@ -200,7 +200,7 @@ def _build_case(n: int, k: int, cap: int | None) -> _Case:
     # At k = n the graph is one zero-weight vertex and the mirror quotient is undefined.
     if not 1 <= k < n:
         raise PreconditionError(f"verify needs 1 <= k < n, got n={n}, k={k}")
-    # Refuse before weighted_path(n) allocates its dense n x n adjacency.
+    # Refuse before weighted_path(n) lists its n - 1 edges, since C(n, k) >= n here.
     m = math.comb(n, k)
     limit = resolve_size_cap(cap)
     if m > limit:
@@ -504,26 +504,23 @@ def _probe_grid() -> list[float]:
 
 
 def conjecture_probe(
-    g: WeightedGraph,
-    k: int,
-    pst_time: float | None = None,
-    tol: float = PST_TOL,
-    cap: int | None = None,
+    g: WeightedGraph, k: int, pst_time: float | None = None, cap: int | None = None
 ) -> ProbeReport:
-    """Scan a dyadic time grid for k-walker transfer on an arbitrary graph.
+    """Scan a dyadic time grid, and ``pst_time`` when given, for k-walker transfer on any graph.
 
     Meant for inputs outside the path family: builds the ascending-label
     hard-core graph regardless of component structure, records whether the
     deleted power still splits into k! components, and reports the best
-    off-diagonal modulus over the grid plus any single-walker transfer
-    times (and ``pst_time`` when given). Exploratory output only.
+    off-diagonal modulus over the scanned times plus the scanned times at
+    which a single walker transfers perfectly (within ``PST_TOL``).
+    Exploratory output only.
     """
     notes: list[str] = []
     spec_single = eigh(g)
-    grid = _probe_grid()
-    single_times = [t for t in grid if find_pst_pairs(spec_single, t, tol)]
+    candidates = _probe_grid()
     if pst_time is not None:
-        single_times.append(float(pst_time))
+        candidates = sorted(set(candidates) | {float(pst_time)})
+    single_times = [t for t in candidates if find_pst_pairs(spec_single, t)]
     if not single_times:
         notes.append("no single-walker transfer found on the probe grid")
 
@@ -539,7 +536,6 @@ def conjecture_probe(
     spec = eigh(identical)
     labels = ascending_labels(g.n, k)
     best = (0.0, 0.0, 0, 0)
-    candidates = sorted(set(grid) | set(single_times))
     for t in candidates:
         u = np.abs(evolve(spec, t))
         np.fill_diagonal(u, 0.0)
@@ -556,6 +552,6 @@ def conjecture_probe(
         best_time=best[1],
         best_source=labels[best[3]],
         best_target=labels[best[2]],
-        achieves_transfer=best[0] >= 1.0 - tol,
+        achieves_transfer=best[0] >= 1.0 - PST_TOL,
         notes=tuple(notes),
     )

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -40,12 +39,6 @@ _EPS = float(np.finfo(float).eps)
 # Plane rotations recorded before _ql_implicit applies them to the eigenvector
 # rows: bounds the record's memory, and the flush point changes no byte.
 _ROTATION_BLOCK = 4096
-
-_SNAP_DENOMINATOR = 10**6
-
-# A convergent p/q only counts as an explanation of a ratio when its error is
-# far below the ~1/q**2 floor that every irrational attains; see ratio_condition.
-_RAZOR = 1e-3
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,24 +72,6 @@ class PstPair(NamedTuple):
     u: int
     v: int
     phase: complex
-
-
-@dataclass(frozen=True)
-class RatioConditionResult:
-    """Outcome of the eigenvalue-difference rationality test.
-
-    ``heuristic`` marks a positive answer that leaned on snap errors within a
-    decade of the tolerance, where the finite-denominator search starts to
-    lose its resolving power.
-    """
-
-    holds: bool
-    heuristic: bool
-    max_snap_error: float
-    denominator_lcm: int
-
-    def __bool__(self) -> bool:
-        return self.holds
 
 
 def _tridiagonalize(t: np.ndarray) -> np.ndarray:
@@ -363,72 +338,3 @@ def is_periodic(spec: SpectralDecomposition, t: float, tol: float = PST_TOL) -> 
     if dev <= tol:
         return complex(gamma)
     return None
-
-
-def _snap(ratio: float, tol: float) -> tuple[Fraction | None, float]:
-    """Smallest-denominator continued-fraction convergent of ratio within tol.
-
-    Walks the convergents in order of increasing denominator and returns the
-    first one
-    whose error is below tol, so a simple fraction always wins over a sharper
-    but contrived one. Returns (None, best_error) when no convergent with
-    denominator <= 10**6 lands within tol.
-    """
-    exact = Fraction(ratio)
-    h_prev, h_curr = 0, 1  # convergent numerator seeds p_{-2}, p_{-1}
-    k_prev, k_curr = 1, 0  # denominator seeds q_{-2}, q_{-1}
-    rest = exact
-    best_err = math.inf
-    while True:
-        a = math.floor(rest)
-        h_prev, h_curr = h_curr, a * h_curr + h_prev
-        k_prev, k_curr = k_curr, a * k_curr + k_prev
-        if k_curr > _SNAP_DENOMINATOR:
-            return None, best_err
-        err = float(abs(exact - Fraction(h_curr, k_curr)))
-        best_err = min(best_err, err)
-        if err < tol:
-            return Fraction(h_curr, k_curr), err
-        frac_part = rest - a
-        if frac_part == 0:
-            return None, best_err
-        rest = 1 / frac_part
-
-
-def ratio_condition(eigenvalues: np.ndarray, tol: float = PST_TOL) -> RatioConditionResult:
-    """Decide whether all pairwise eigenvalue differences are rationally related.
-
-    Differences are compared through their ratios to the largest difference.
-    Each ratio is snapped to a continued-fraction convergent with denominator
-    at most 10**6; the condition holds when every snap error is below tol,
-    the convergent beats the generic-approximation floor (error times q**2
-    must be small, since any irrational admits error ~ 1/q**2), and the
-    snapped denominators share an lcm within the same bound. Positive answers
-    whose worst snap error sits within a decade of tol are flagged heuristic.
-    """
-    tol = _check_tol(tol)
-    vals = np.sort(np.asarray(eigenvalues, dtype=float))
-    if vals.size < 2:
-        raise PreconditionError("ratio_condition needs at least two eigenvalues")
-    reps = [float(vals[0])]
-    for x in vals[1:]:
-        if float(x) - reps[-1] > tol:
-            reps.append(float(x))
-    if len(reps) < 2:
-        raise PreconditionError("ratio_condition needs at least two distinct eigenvalues")
-    diffs = [reps[j] - reps[i] for i in range(len(reps)) for j in range(i + 1, len(reps))]
-    d_ref = max(diffs)
-    max_err = 0.0
-    lcm = 1
-    holds = True
-    for d in diffs:
-        frac, err = _snap(d / d_ref, tol)
-        max_err = max(max_err, err)
-        if frac is None or err * frac.denominator**2 > _RAZOR:
-            holds = False
-            continue
-        lcm = math.lcm(lcm, frac.denominator)
-    if lcm > _SNAP_DENOMINATOR:
-        holds = False
-    heuristic = holds and max_err >= tol / 10.0
-    return RatioConditionResult(holds, heuristic, float(max_err), int(lcm))

@@ -11,8 +11,8 @@ projected amplitude is the k x k determinant itself: the eigenbasis is the
 k-th compound C_k(Z) of the n-vertex eigenvectors. ``_compound`` builds
 every entry of it at once by Laplace expansion, so ``slater_decomposition``
 and ``verify_corollary1`` take no determinant per entry; the latter lists
-only the kept labels, never the n**k power. ``fermion_state`` keeps one
-determinant per kept label, through ``_minors``, as the per-tuple reference.
+only the kept labels, never the n**k power. ``_minors`` takes one
+determinant per minor, for the few minors a verify case reads.
 """
 
 from __future__ import annotations
@@ -20,14 +20,12 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSizeError, PreconditionError
+from .errors import InvalidSizeError
 from .graph_core import WeightedGraph, weighted_path
 from .hardcore import (
-    DeletionMask,
     SignedDiagonal,
     _ascending,
     _kept_graph,
@@ -35,102 +33,13 @@ from .hardcore import (
     _label_rows,
     _sort_signs,
     decompose_components,
-    deletion_mask,
     symmetric_power,
     unit_antisymmetry,
 )
-from .products import _digits
 from .spectral import SpectralDecomposition, _fix_signs, eigh
-
-_BASIS_TAGS = ("power", "kept", "identical")
 
 # Entries gathered per block of rows by each Laplace level of ``_compound``.
 _DET_BLOCK = 2**18
-
-
-@dataclass(frozen=True)
-class ModeTuple:
-    """Strictly ascending single-particle mode indices, 0-based from the bottom."""
-
-    modes: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        modes = tuple(int(x) for x in self.modes)
-        if len(modes) < 1:
-            raise InvalidSizeError("mode tuple needs at least one mode")
-        if modes[0] < 0 or any(a >= b for a, b in zip(modes, modes[1:])):
-            raise PreconditionError(f"modes must be strictly ascending and non-negative, got {modes}")
-        object.__setattr__(self, "modes", modes)
-
-    @property
-    def k(self) -> int:
-        return len(self.modes)
-
-    @property
-    def a(self) -> int:
-        """Mode-index sum; ranks the tuple within the eigenvalue ladder."""
-        return sum(self.modes)
-
-
-def all_mode_tuples(n: int, k: int) -> tuple[ModeTuple, ...]:
-    """Every ascending choice of k modes out of n, lexicographic order."""
-    if not isinstance(n, int) or not isinstance(k, int) or not 1 <= k <= n:
-        raise InvalidSizeError(f"need 1 <= k <= n, got k={k!r}, n={n!r}")
-    return tuple(ModeTuple(c) for c in itertools.combinations(range(n), k))
-
-
-@dataclass(frozen=True, eq=False)
-class StateVector:
-    """Amplitudes over one of the three walker bases.
-
-    ``basis`` is "power" (all n**k labels), "kept" (collision-free labels in
-    kept order) or "identical" (ascending labels in lexicographic order).
-    """
-
-    amplitudes: np.ndarray
-    basis: str
-    n: int
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.basis not in _BASIS_TAGS:
-            raise PreconditionError(f"unknown basis tag {self.basis!r}")
-        amps = np.array(self.amplitudes, dtype=float)
-        expected = {
-            "power": self.n**self.k,
-            "kept": math.factorial(self.k) * math.comb(self.n, self.k),
-            "identical": math.comb(self.n, self.k),
-        }[self.basis]
-        if amps.shape != (expected,):
-            raise PreconditionError(
-                f"basis {self.basis!r} for (n={self.n}, k={self.k}) needs {expected} amplitudes"
-            )
-        if not np.all(np.isfinite(amps)):
-            raise PreconditionError("amplitudes must be finite")
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-def fermion_state(spec: SpectralDecomposition, modes: ModeTuple) -> StateVector:
-    """Normalized Slater determinant of the chosen modes over the power basis.
-
-    Amplitude on label (x_1, ..., x_k) is det(Z[x_i, l_j]) / sqrt(k!), which
-    is antisymmetric under walker exchange and exactly 0.0 whenever two
-    walkers share a site.
-    """
-    n = spec.n
-    k = modes.k
-    if modes.modes[-1] >= n:
-        raise PreconditionError(f"mode {modes.modes[-1]} outside 0..{n - 1}")
-    kept = deletion_mask(n, k).kept_indices()
-    dets = np.zeros(n**k)
-    # A collision label has two equal minor rows, so its determinant is exactly zero and is not taken.
-    dets[kept] = _minors(spec.eigenvectors, _digits(kept, n, k), np.broadcast_to(modes.modes, (kept.size, k)))
-    return StateVector(dets / math.sqrt(math.factorial(k)), "power", n, k)
 
 
 def _minors(u: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -177,40 +86,6 @@ def _compound(z: np.ndarray, k: int) -> np.ndarray:
     return prev
 
 
-def tg_boson_state(fermion: StateVector, signed: SignedDiagonal, mask: DeletionMask) -> StateVector:
-    """Restrict a fermion state to kept labels and flip the component signs.
-
-    The result is symmetric under walker exchange: exchanging two walkers
-    lands in another component whose sign flip cancels the determinant's.
-    """
-    if (fermion.n, fermion.k) != (mask.n, mask.k):
-        raise PreconditionError("fermion state and mask were built for different (n, k)")
-    if fermion.basis == "power":
-        restricted = fermion.amplitudes[mask.keep]
-    elif fermion.basis == "kept":
-        restricted = fermion.amplitudes
-    else:
-        raise PreconditionError("tg_boson_state needs a power- or kept-basis state")
-    if signed.signs.size != restricted.size:
-        raise PreconditionError("sign vector does not match the kept basis")
-    return StateVector(restricted * signed.signs, "kept", fermion.n, fermion.k)
-
-
-def project_identical(state: StateVector, mask: DeletionMask) -> StateVector:
-    """Apply the indistinguishability isometry: cell sums scaled by 1/sqrt(k!).
-
-    Each cell's k! amplitudes are summed pairwise, so the rounding grows
-    with log(k!) rather than k!.
-    """
-    if state.basis != "kept":
-        raise PreconditionError("project_identical needs a kept-basis state")
-    if (state.n, state.k) != (mask.n, mask.k):
-        raise PreconditionError("state and mask were built for different (n, k)")
-    grouped = state.amplitudes[mask._cell_order].reshape(math.comb(mask.n, mask.k), -1)
-    out = grouped.sum(axis=1) / math.sqrt(math.factorial(mask.k))
-    return StateVector(out, "identical", state.n, state.k)
-
-
 def slater_decomposition(single: SpectralDecomposition, k: int) -> SpectralDecomposition:
     """Identical-walker eigenbasis on ascending labels from the single-walker one.
 
@@ -253,27 +128,15 @@ def hc_spectrum(n: int, k: int) -> tuple[tuple[float, int], ...]:
     return tuple(ladder)
 
 
-def parity_sign_rule(modes: ModeTuple, k: int) -> int:
-    """Sign (-1)**(odd-mode count + floor(k/2)) attached to a mode tuple.
-
-    Equals +1 on the bottom tuple (0, 1, ..., k-1) and flips whenever the
-    index sum changes parity, so it alternates along the eigenvalue ladder.
-    """
-    if modes.k != k:
-        raise PreconditionError(f"mode tuple has k={modes.k}, expected {k}")
-    odd = sum(1 for m in modes.modes if m % 2)
-    return -1 if (odd + k // 2) % 2 else 1
-
-
 def _projected_states(spec: SpectralDecomposition, table: np.ndarray, signed: SignedDiagonal) -> np.ndarray:
     """Projected Tonks-Girardeau state of every mode tuple, one column each.
 
-    ``signed`` has one sign per row of ``table = _kept_table(n, k)``. With
-    ``mask = deletion_mask(n, k)``, column c equals ``project_identical(
-    tg_boson_state(fermion_state(spec, all_mode_tuples(n, k)[c]), signed,
-    mask), mask).amplitudes``. A kept
-    label x in the cell of the ascending label X has det Z[x, L] =
-    sgn(x) det Z[X, L], with sgn(x) the sign of the sort of x, so the cell
+    ``signed`` has one sign per row of ``table = _kept_table(n, k)``. Column
+    c belongs to the c-th ascending mode tuple L: its Slater determinant
+    det Z[x, L] / sqrt(k!) on every kept label x, times signs[x], summed over
+    each cell of kept labels that sort to one ascending label and scaled by
+    1/sqrt(k!). A kept label x in the cell of the ascending label X has
+    det Z[x, L] = sgn(x) det Z[X, L], with sgn(x) the sign of the sort of x, so the cell
     sums to C_k(Z)[X, L] times the exact integer sum of signs[x] * sgn(x)
     over the cell. Two factors 1/sqrt(k!), one normalizing the Slater
     determinant and one scaling the projection, give 1/k!. The sum is k! in

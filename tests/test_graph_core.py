@@ -307,6 +307,17 @@ def test_edge_built_graph_equals_dense_built():
     assert min(seen.values()) > 0, seen
 
 
+def test_path_builders_equal_the_dense_loop():
+    # both paths come from their n - 1 edges; the dense loop they replaced is the oracle
+    for n in range(2, 201):
+        weighted, simple = np.zeros((n, n)), np.zeros((n, n))
+        for v in range(1, n):
+            weighted[v - 1, v] = weighted[v, v - 1] = math.sqrt(v * (n - v))
+            simple[v - 1, v] = simple[v, v - 1] = 1.0
+        assert_same_graph(weighted_path(n), WeightedGraph(n, weighted))
+        assert_same_graph(simple_path(n), WeightedGraph(n, simple))
+
+
 @pytest.mark.parametrize("dim", range(1, 9))
 def test_hypercube_edges_equal_dense_built(dim):
     assert_same_graph(hypercube(dim), WeightedGraph(2**dim, hypercube_by_kronecker(dim)))

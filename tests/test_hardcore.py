@@ -30,6 +30,7 @@ from pstlab import (
     indistinguishability_partition,
     mirror_partition,
     normalized_partition_matrix,
+    orbit_partition,
     simple_path,
     quotient,
     symmetric_power,
@@ -91,8 +92,7 @@ def test_component_counts_and_sizes(n, k):
     size = math.comb(n, k)
     assert all(len(c) == size for c in comps)
     ascending = tuple(range(1, k + 1))
-    assert ascending in [decomp.labels[i] for i in comps[decomp.canonical]]
-    assert decomp.canonical == 0
+    assert ascending in [decomp.labels[i] for i in comps[0]]
 
 
 def test_component_ordering_stable():
@@ -251,13 +251,6 @@ def test_ascending_labels_lexicographic():
         assert len(labels) == math.comb(n, k)
         assert list(labels) == sorted(labels)
         assert all(list(lab) == sorted(set(lab)) for lab in labels)
-
-
-def test_mirror_partition_rejects_labels_outside_image():
-    # the mirror of (1, 2) on 4 sites is (3, 4), which this list lacks
-    sg = symmetric_power(weighted_path(3), 2)
-    with pytest.raises(PreconditionError):
-        mirror_partition(sg, 4, 2, labels=((1, 2), (1, 3), (2, 3)))
 
 
 def symmetric_power_loop(g, k):
@@ -496,8 +489,10 @@ def test_mirror_permutation_matches_c_operator_lookup(n):
 
 @pytest.mark.parametrize("n,k", COMPONENT_GRID)
 def test_mirror_permutation_on_explicit_kept_labels(n, k):
+    # on the kept labels the mirror map is an automorphism of the deleted power, with orbits of size 1 or 2
     labels = deletion_mask(n, k).kept_labels()
-    assert np.array_equal(_mirror_permutation(n, k, labels), mirror_lookup(n, labels))
+    part = orbit_partition(_kept_graph(weighted_path(n), _kept_table(n, k)), mirror_lookup(n, labels))
+    assert {len(cell) for cell in part.cells} <= {1, 2}
 
 
 def test_label_rows_exact_past_int64_codes():
@@ -517,24 +512,6 @@ def test_label_rows_exact_past_int64_codes():
 def test_label_rows_returns_first_of_repeated_rows():
     table = np.array([[1, 2], [3, 4], [1, 2], [0, 5]])
     assert _label_rows(table, table).tolist() == [0, 1, 0, 3]
-
-
-@pytest.mark.parametrize(
-    "labels,error",
-    [
-        (((0, 2), (1, 3), (2, 3)), InvalidSizeError),
-        (((), (1, 3), (2, 3)), InvalidSizeError),
-        (((1, 2), (1, 3)), PreconditionError),
-        (((1, 2), (1, 3), (2, 3)), None),
-    ],
-)
-def test_mirror_partition_explicit_label_errors(labels, error):
-    sg = symmetric_power(weighted_path(3), 2)
-    if error is None:
-        assert mirror_partition(sg, 3, 2, labels=labels) == Partition(3, ((1, 3), (2,)))
-    else:
-        with pytest.raises(error):
-            mirror_partition(sg, 3, 2, labels=labels)
 
 
 def test_isomorphism_check_rejects_path_out_of_vertex_order():
@@ -620,7 +597,7 @@ def test_isomorphism_check_rejects_component_that_is_no_relabeling():
     kept = _kept_graph(weighted_path(3), _kept_table(3, 2))
     decomp = decompose_components(kept, 3, 2)
     # (2, 1) and (3, 1) sort to two of the three canonical labels; (1, 3) is left out
-    bad = ComponentDecomposition(3, 2, decomp.component_of, (decomp.components[0], np.array([2, 4])), decomp.labels, 0)
+    bad = ComponentDecomposition(3, 2, decomp.component_of, (decomp.components[0], np.array([2, 4])), decomp.labels)
     with pytest.raises(PreconditionError, match="not a relabeling"):
         component_isomorphism_check(bad, kept)
 

@@ -1,5 +1,6 @@
-"""Cartesian product and label arithmetic tests."""
+"""Cartesian power and label arithmetic tests."""
 
+import functools
 import itertools
 import math
 
@@ -12,14 +13,18 @@ from pstlab import (
     OccupationLabel,
     ResourceCapError,
     cartesian_power,
-    cartesian_product,
     eigh,
+    evolve,
     hypercube,
     label_of_index,
-    propagator_factorization_check,
     simple_path,
     weighted_path,
 )
+
+
+def kron_sum(a, b):
+    """Oracle: the Kronecker sum a (+) b, the adjacency of the Cartesian product."""
+    return np.kron(a, np.eye(len(b))) + np.kron(np.eye(len(a)), b)
 
 
 def test_label_index_examples():
@@ -70,7 +75,7 @@ def test_label_validation():
 
 def test_product_neighbor_weights():
     g = weighted_path(4)
-    gg = cartesian_product(g, g)
+    gg = cartesian_power(g, 2)
     assert gg.n == 16
     # vertex (1,2) has index 1; neighbours (1,1),(1,3),(2,2)
     i = OccupationLabel((1, 2), 4).index
@@ -87,12 +92,10 @@ def test_product_neighbor_weights():
 
 
 def test_product_spectrum_is_pairwise_sums():
-    g = weighted_path(3)
-    h = weighted_path(4)
-    vals = eigh(cartesian_product(g, h)).eigenvalues
+    g = simple_path(4)
+    vals = eigh(cartesian_power(g, 2)).eigenvalues
     a = eigh(g).eigenvalues
-    b = eigh(h).eigenvalues
-    expected = np.sort(np.add.outer(a, b).ravel())
+    expected = np.sort(np.add.outer(a, a).ravel())
     assert np.abs(vals - expected).max() <= 1e-8
 
 
@@ -108,31 +111,32 @@ def test_power_one_is_copy():
 
 
 def test_power_matches_iterated_product():
-    g = weighted_path(3)
-    via_product = cartesian_product(cartesian_product(g, g), g)
-    assert np.array_equal(cartesian_power(g, 3).adjacency, via_product.adjacency)
+    a = weighted_path(3).adjacency
+    assert np.array_equal(cartesian_power(weighted_path(3), 3).adjacency, kron_sum(kron_sum(a, a), a))
 
 
 def test_summands_commute():
-    g = weighted_path(3)
-    h = weighted_path(4)
-    left = np.kron(g.adjacency, np.eye(h.n))
-    right = np.kron(np.eye(g.n), h.adjacency)
+    g = weighted_path(4)
+    left = np.kron(g.adjacency, np.eye(g.n))
+    right = np.kron(np.eye(g.n), g.adjacency)
     assert np.abs(left @ right - right @ left).max() <= 1e-12
-    assert np.abs(left + right - cartesian_product(g, h).adjacency).max() == 0.0
+    assert np.abs(left + right - cartesian_power(g, 2).adjacency).max() == 0.0
 
 
 @pytest.mark.parametrize("n,k,t", [(3, 2, 0.7), (4, 2, math.pi / 2.0), (3, 3, 1.3)])
 def test_propagator_factorization(n, k, t):
-    assert propagator_factorization_check(weighted_path(n), k, t) <= 1e-10
+    # the Kronecker-sum terms commute, so U_{G^k}(t) is the k-fold tensor power of U_G(t)
+    g = weighted_path(n)
+    tensor = functools.reduce(np.kron, [evolve(eigh(g), t)] * k)
+    assert np.abs(evolve(eigh(cartesian_power(g, k)), t) - tensor).max() <= 1e-10
 
 
 def test_power_cap():
     with pytest.raises(ResourceCapError):
         cartesian_power(weighted_path(10), 5)
     with pytest.raises(ResourceCapError):
-        cartesian_product(weighted_path(5), weighted_path(5), cap=24)
-    assert cartesian_product(weighted_path(5), weighted_path(5), cap=25).n == 25
+        cartesian_power(weighted_path(5), 2, cap=24)
+    assert cartesian_power(weighted_path(5), 2, cap=25).n == 25
 
 
 def test_power_k_validation():

@@ -15,6 +15,7 @@ from pstlab import (
     conjecture_probe,
     eigh,
     evolve,
+    find_pst_pairs,
     predicted_period_phase,
     predicted_transfer_phase,
     reflection_permutation,
@@ -341,6 +342,18 @@ def test_report_error_capture():
     assert "error" in report.to_dict()
 
 
+def test_run_case_refuses_a_long_path_before_building_it():
+    # building the million-vertex path first took 139 MiB before symmetric_power refused it
+    tracemalloc.start()
+    try:
+        report = run_case(10**6, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.error == "ResourceCapError: symmetric power has 1000000 vertices, cap is 16384"
+    assert peak / 2**20 < 1.0
+
+
 def test_thinned_spectrum_5_2():
     # the mirror quotient of the 2-walker graph on 5 sites keeps exactly the
     # even-parity rungs of the ladder, here with their multiplicities
@@ -421,6 +434,24 @@ def test_conjecture_probe_weighted_path():
     assert math.isclose(report.best_time, math.pi / 2.0, abs_tol=1e-12)
     assert math.pi / 2.0 in report.single_pst_times
     assert report.times_scanned >= 64
+
+
+def test_conjecture_probe_lists_an_extra_time_only_where_a_walker_transfers():
+    # the 6-cycle has no single-walker transfer, on the grid or at t = 1
+    ring = cycle_graph(6)
+    assert find_pst_pairs(eigh(ring), 1.0) == ()
+    grid_only = conjecture_probe(ring, 2)
+    report = conjecture_probe(ring, 2, pst_time=1.0)
+    assert report.single_pst_times == grid_only.single_pst_times == ()
+    assert "no single-walker transfer found on the probe grid" in report.notes
+    assert report.times_scanned == grid_only.times_scanned + 1
+    # the weighted path transfers at 3 pi / 2, off the grid, and at pi / 2, on it, which is scanned once
+    path_grid = conjecture_probe(weighted_path(5), 2)
+    off_grid = conjecture_probe(weighted_path(5), 2, pst_time=1.5 * math.pi)
+    assert off_grid.single_pst_times == path_grid.single_pst_times + (1.5 * math.pi,)
+    on_grid = conjecture_probe(weighted_path(5), 2, pst_time=math.pi / 2.0)
+    assert on_grid.single_pst_times == path_grid.single_pst_times
+    assert on_grid.times_scanned == path_grid.times_scanned
 
 
 def test_conjecture_probe_cycle_notes_components():

@@ -1,4 +1,4 @@
-"""Eigensolver accuracy, propagator algebra and the rationality test.
+"""Eigensolver accuracy and propagator algebra.
 
 numpy.linalg serves as the independent oracle for eigenvalues; the package
 itself never calls it for decompositions.
@@ -23,7 +23,6 @@ from pstlab import (
     find_pst_pairs,
     hypercube,
     is_periodic,
-    ratio_condition,
     simple_path,
     symmetric_power,
     transfer_amplitude,
@@ -436,38 +435,6 @@ def test_tolerance_validation():
             find_pst_pairs(spec, 1.0, tol=bad)
         with pytest.raises(PreconditionError):
             is_periodic(spec, 1.0, tol=bad)
-
-
-def test_ratio_condition_integer_ladder():
-    result = ratio_condition(np.array([-3.0, -1.0, 1.0, 3.0]))
-    assert result.holds and not result.heuristic
-    result = ratio_condition(eigh(weighted_path(7)).eigenvalues)
-    assert result.holds
-
-
-def test_ratio_condition_irrational():
-    assert not ratio_condition(np.array([0.0, 1.0, math.sqrt(2.0)]))
-    assert not ratio_condition(np.array([0.0, 1.0, math.sqrt(3.0)]), tol=1e-6)
-
-
-def test_ratio_condition_two_values_trivial():
-    assert ratio_condition(np.array([0.0, math.pi])).holds
-
-
-def test_ratio_condition_heuristic_flag():
-    # A perturbation inside [tol/10, tol) still passes but gets flagged.
-    vals = np.array([0.0, 1.0, 2.0 + 5e-10])
-    result = ratio_condition(vals, tol=1e-9)
-    assert result.holds and result.heuristic
-    clean = ratio_condition(np.array([0.0, 1.0, 2.0]), tol=1e-9)
-    assert clean.holds and not clean.heuristic
-
-
-def test_ratio_condition_needs_two_distinct():
-    with pytest.raises(PreconditionError):
-        ratio_condition(np.array([1.0]))
-    with pytest.raises(PreconditionError):
-        ratio_condition(np.array([1.0, 1.0 + 1e-12]))
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,140 +11,87 @@ from hypothesis import given, settings, strategies as st
 
 from pstlab import (
     InvalidSizeError,
-    ModeTuple,
-    OccupationLabel,
-    PreconditionError,
     ResourceCapError,
     SignedDiagonal,
-    all_mode_tuples,
-    apply_deletion,
-    cartesian_power,
     decompose_components,
-    deletion_mask,
     eigh,
     evolve,
-    fermion_state,
     hc_spectrum,
-    parity_sign_rule,
-    project_identical,
     slater_decomposition,
     symmetric_power,
-    tg_boson_state,
     unit_antisymmetry,
     verify_corollary1,
     weighted_path,
 )
 from pstlab import tonks
-from pstlab.hardcore import _ascending, _kept_graph, _kept_table
+from pstlab.hardcore import _ascending, _kept_graph, _kept_table, _mirror_permutation
 from pstlab.tonks import _compound, _minors, _projected_states
 
 
-def build_chain(n, k, modes):
-    spec = eigh(weighted_path(n))
-    mask = deletion_mask(n, k)
-    g_hc = apply_deletion(cartesian_power(weighted_path(n), k), mask)
-    signed = unit_antisymmetry(decompose_components(g_hc, n, k))
-    fermion = fermion_state(spec, ModeTuple(modes))
-    boson = tg_boson_state(fermion, signed, mask)
-    return spec, mask, g_hc, fermion, boson
+def kept_bosons(spec, table, signed):
+    """Oracle: det Z[x, L] times signs[x], kept label x of ``table`` by ascending mode tuple L.
+
+    Column L is sqrt(k!) times the Tonks-Girardeau state of the modes L on the kept labels.
+    """
+    modes = _ascending(spec.n, table.shape[1])
+    rows, cols = np.repeat(table, len(modes), axis=0), np.tile(modes, (len(table), 1))
+    return _minors(spec.eigenvectors, rows, cols).reshape(len(table), len(modes)) * signed.signs[:, None]
 
 
-def test_mode_tuple_validation():
-    with pytest.raises(PreconditionError):
-        ModeTuple((1, 1))
-    with pytest.raises(PreconditionError):
-        ModeTuple((2, 1))
-    with pytest.raises(PreconditionError):
-        ModeTuple((-1, 0))
-    with pytest.raises(InvalidSizeError):
-        ModeTuple(())
-    m = ModeTuple((0, 2, 3))
-    assert m.k == 3 and m.a == 5
+def cell_sums(bosons, table):
+    """Oracle: each ascending cell's k! rows of ``bosons`` summed pairwise, over k!.
+
+    One row per mode tuple and cell after the reshape, so numpy sums its k!
+    terms pairwise; a sequential sum misses det Z[X, L] by more than 1e-15 at (7, 7).
+    """
+    k_fact = math.factorial(table.shape[1])
+    cells = np.unique(np.sort(table, axis=1), axis=0, return_inverse=True)[1].ravel()
+    grouped = bosons[np.argsort(cells, kind="stable")].T.reshape(-1, k_fact)
+    return grouped.sum(axis=1).reshape(bosons.shape[1], -1).T / k_fact
 
 
-def test_all_mode_tuples():
-    tuples = all_mode_tuples(4, 2)
-    assert len(tuples) == 6
-    assert tuples[0].modes == (0, 1)
-    assert tuples[-1].modes == (2, 3)
+def deleted_chain(n, k):
+    """Eigenbasis of the n-vertex path, kept table, deleted graph and its component signs."""
+    path, table = weighted_path(n), _kept_table(n, k)
+    g_hc = _kept_graph(path, table)
+    return eigh(path), table, g_hc, unit_antisymmetry(decompose_components(g_hc, n, k))
 
 
 def test_fermion_state_basics():
-    spec, mask, _, fermion, _ = build_chain(4, 2, (0, 1))
-    assert fermion.basis == "power"
-    assert fermion.norm == pytest.approx(1.0, abs=1e-12)
-    amps = fermion.amplitudes
-    for i, j in itertools.product(range(4), repeat=2):
-        a_ij = amps[OccupationLabel((i + 1, j + 1), 4).index]
-        a_ji = amps[OccupationLabel((j + 1, i + 1), 4).index]
-        assert a_ij == pytest.approx(-a_ji, abs=1e-14)
-        if i == j:
-            assert abs(a_ij) <= 1e-14
-
-
-def test_fermion_state_collisions_are_exact_zeros():
-    # reference route: one determinant per power label, collisions included
-    n, k = 6, 3
-    spec = eigh(weighted_path(n))
-    mask = deletion_mask(n, k)
-    digits = np.array(list(itertools.product(range(n), repeat=k)))  # row-major power labels
-    for modes in all_mode_tuples(n, k)[::3]:
-        amps = fermion_state(spec, modes).amplitudes
-        slater = spec.eigenvectors[:, list(modes.modes)]
-        oracle = np.linalg.det(slater[digits, :]) / math.sqrt(math.factorial(k))
-        assert amps[mask.keep].tobytes() == oracle[mask.keep].tobytes()
-        collisions = amps[~mask.keep]
-        assert np.all(collisions == 0.0) and not np.signbit(collisions).any()
-
-
-def test_fermion_mode_out_of_range():
-    spec = eigh(weighted_path(3))
-    with pytest.raises(PreconditionError):
-        fermion_state(spec, ModeTuple((0, 3)))
+    # a Slater determinant is antisymmetric under walker exchange and vanishes where two walkers meet
+    z = eigh(weighted_path(4)).eigenvectors
+    labels = np.array(list(itertools.product(range(4), repeat=2)))
+    modes = np.broadcast_to([0, 1], labels.shape)
+    amps = _minors(z, labels, modes)
+    assert np.abs(amps + _minors(z, labels[:, ::-1], modes)).max() <= 1e-14
+    assert np.abs(amps[labels[:, 0] == labels[:, 1]]).max() <= 1e-14
+    assert np.linalg.norm(amps) / math.sqrt(2.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_tg_boson_is_symmetric():
-    _, mask, _, _, boson = build_chain(4, 2, (0, 2))
-    labels = mask.kept_labels()
-    amp = dict(zip(labels, boson.amplitudes))
-    for lab in labels:
-        swapped = (lab[1], lab[0])
-        assert amp[lab] == pytest.approx(amp[swapped], abs=1e-13)
-    assert boson.norm == pytest.approx(1.0, abs=1e-12)
+    spec, table, _, signed = deleted_chain(4, 2)
+    boson = kept_bosons(spec, table, signed)[:, 1] / math.sqrt(2.0)  # modes (0, 2)
+    amp = dict(zip(map(tuple, table.tolist()), boson))
+    for lab in amp:
+        assert amp[lab] == pytest.approx(amp[lab[::-1]], abs=1e-13)
+    assert np.linalg.norm(boson) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_tg_boson_is_eigenvector():
-    for modes in all_mode_tuples(4, 2):
-        _, mask, g_hc, _, boson = build_chain(4, 2, modes.modes)
-        lam = sum(-3.0 + 2.0 * m for m in modes.modes)
-        residual = np.abs(g_hc.adjacency @ boson.amplitudes - lam * boson.amplitudes).max()
-        assert residual <= 1e-10
+    spec, table, g_hc, signed = deleted_chain(4, 2)
+    bosons = kept_bosons(spec, table, signed)
+    lams = (-3.0 + 2.0 * _ascending(4, 2)).sum(axis=1)
+    assert np.abs(g_hc.adjacency @ bosons - bosons * lams).max() <= 1e-10
 
 
 def test_projected_states_orthonormal_eigenbasis():
     n, k = 5, 2
-    spec = eigh(weighted_path(n))
-    mask = deletion_mask(n, k)
-    g_hc = apply_deletion(cartesian_power(weighted_path(n), k), mask)
-    signed = unit_antisymmetry(decompose_components(g_hc, n, k))
-    sg = symmetric_power(weighted_path(n), k)
-    columns = []
-    lams = []
-    for modes in all_mode_tuples(n, k):
-        boson = tg_boson_state(fermion_state(spec, modes), signed, mask)
-        ident = project_identical(boson, mask)
-        columns.append(ident.amplitudes)
-        lams.append(sum(-(n - 1.0) + 2.0 * m for m in modes.modes))
-    z = np.column_stack(columns)
+    spec, table, _, signed = deleted_chain(n, k)
+    z = cell_sums(kept_bosons(spec, table, signed), table)
+    lams = (-(n - 1.0) + 2.0 * _ascending(n, k)).sum(axis=1)
     assert np.abs(z.T @ z - np.eye(len(lams))).max() <= 1e-10
-    residual = np.abs(sg.adjacency @ z - z * np.array(lams)[None, :]).max()
+    residual = np.abs(symmetric_power(weighted_path(n), k).adjacency @ z - z * lams).max()
     assert residual <= 1e-10
-
-
-def test_project_identical_requires_kept_basis():
-    spec, mask, _, fermion, _ = build_chain(4, 2, (0, 1))
-    with pytest.raises(PreconditionError):
-        project_identical(fermion, mask)
 
 
 def test_hc_spectrum_4_2():
@@ -173,18 +120,26 @@ def test_hc_spectrum_matches_eigensolver():
 
 
 def test_parity_sign_rule_values():
-    assert parity_sign_rule(ModeTuple((0, 1)), 2) == 1
-    assert parity_sign_rule(ModeTuple((0, 2)), 2) == -1
-    assert parity_sign_rule(ModeTuple((1, 2)), 2) == 1
-    assert parity_sign_rule(ModeTuple((0, 1, 2)), 3) == 1
+    # C_k(J Z) = C_k(J) C_k(Z): column L has parity (-1)**(k (k - 1) / 2)
+    # times the single-walker parities of the modes in L
+    for n, k in [(4, 2), (5, 3), (6, 3), (7, 4)]:
+        z = eigh(weighted_path(n)).eigenvectors
+        single = np.einsum("vj,vj->j", z[::-1], z)
+        compound = _compound(z, k)
+        parity = np.einsum("vj,vj->j", compound[_mirror_permutation(n, k)], compound)
+        expected = (-1.0) ** (k * (k - 1) // 2) * np.prod(np.sign(single)[_ascending(n, k)], axis=1)
+        assert np.abs(parity - expected).max() <= 1e-12, (n, k)
 
 
 def test_parity_sign_alternates_with_energy():
-    n, k = 6, 3
-    base = min(m.a for m in all_mode_tuples(n, k))
-    for modes in all_mode_tuples(n, k):
-        expected = (-1) ** (modes.a - base) * parity_sign_rule(all_mode_tuples(n, k)[0], k)
-        assert parity_sign_rule(modes, k) == expected
+    # Slater column L has mirror parity (-1)**(k (n - 1)) at the bottom tuple,
+    # flipping with each step of sum(L)
+    for n, k in [(4, 2), (5, 2), (6, 3), (7, 3), (7, 4)]:
+        z = _compound(eigh(weighted_path(n)).eigenvectors, k)
+        parity = np.einsum("vj,vj->j", z[_mirror_permutation(n, k)], z)
+        steps = _ascending(n, k).sum(axis=1) - k * (k - 1) // 2
+        expected = (-1.0) ** (k * (n - 1) + steps)
+        assert np.abs(parity - expected).max() <= 1e-12, (n, k)
 
 
 def test_verify_corollary1_grid():
@@ -310,78 +265,42 @@ def test_kept_label_routes_build_no_mask(monkeypatch):
     assert run_case(7, 3).ok
     assert conjecture_probe(weighted_path(5), 2).achieves_transfer
     with pytest.raises(AssertionError):
-        fermion_state(eigh(weighted_path(4)), ModeTuple((0, 1)))
+        hardcore.deletion_mask(4, 2)
 
 
 @pytest.mark.parametrize("n", range(2, 8))
-def test_projected_states_match_per_tuple_pipeline(n, monkeypatch):
-    # the public per-tuple route is the oracle for the batched determinant pass;
-    # its fermion states span all n**k power labels, past the default size cap at k = n
-    monkeypatch.setenv("PSTLAB_CAP", str(n**n))
-    spec = eigh(weighted_path(n))
+def test_projected_states_match_per_tuple_pipeline(n):
+    # one determinant per kept label and mode tuple, cell sums pairwise, is the oracle for the compound
     for k in range(1, n + 1):
-        mask, table = deletion_mask(n, k), _kept_table(n, k)
-        signed = unit_antisymmetry(decompose_components(_kept_graph(weighted_path(n), table), n, k))
+        spec, table, _, signed = deleted_chain(n, k)
         batched = _projected_states(spec, table, signed)
-        tuples = all_mode_tuples(n, k)
-        assert batched.shape == (math.comb(n, k), len(tuples))
-        for col, modes in enumerate(tuples):
-            single = project_identical(tg_boson_state(fermion_state(spec, modes), signed, mask), mask)
-            assert np.abs(batched[:, col] - single.amplitudes).max() <= 1e-14, (n, k, modes.modes)
+        oracle = cell_sums(kept_bosons(spec, table, signed), table)
+        assert batched.shape == oracle.shape == (math.comb(n, k), math.comb(n, k))
+        assert np.abs(batched - oracle).max() <= 1e-14, (n, k)
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (5, 3), (6, 3)])
 def test_project_identical_matches_cell_loop(n, k):
-    # the scatter adds amplitudes in kept order, like the plain loop over cells
-    spec = eigh(weighted_path(n))
-    mask = deletion_mask(n, k)
-    g_hc = apply_deletion(cartesian_power(weighted_path(n), k), mask)
-    signed = unit_antisymmetry(decompose_components(g_hc, n, k))
-    boson = tg_boson_state(fermion_state(spec, ModeTuple(tuple(range(1, k + 1)))), signed, mask)
-    labels = list(itertools.combinations(range(1, n + 1), k))
-    expected = np.zeros(len(labels))
-    for amp, label in zip(boson.amplitudes, mask.kept_labels()):
-        expected[labels.index(tuple(sorted(label)))] += amp
-    expected /= math.sqrt(math.factorial(k))
-    projected = project_identical(boson, mask)
-    assert projected.basis == "identical"
-    assert np.array_equal(projected.amplitudes, expected)
-
-
-def test_cell_map_built_once_per_mask():
-    mask = deletion_mask(6, 3)
-    cells = mask._cells
-    assert mask._cells is cells
-    assert not cells.flags.writeable
-    labels = list(itertools.combinations(range(1, 7), 3))
-    assert cells.tolist() == [labels.index(tuple(sorted(label))) for label in mask.kept_labels()]
-
-
-def test_cell_order_built_once_per_mask():
-    mask = deletion_mask(6, 3)
-    order = mask._cell_order
-    assert mask._cell_order is order
-    assert not order.flags.writeable
-    # cell by cell, k! members each, kept order inside a cell
-    cells = mask._cells[order]
-    assert np.array_equal(cells, np.repeat(np.arange(math.comb(6, 3)), 6))
-    assert all(np.all(np.diff(order[cells == c]) > 0) for c in range(math.comb(6, 3)))
+    # a plain loop over the kept labels adds each signed determinant into its ascending cell
+    spec, table, _, signed = deleted_chain(n, k)
+    bosons = kept_bosons(spec, table, signed)
+    labels = list(itertools.combinations(range(n), k))
+    expected = np.zeros((len(labels), bosons.shape[1]))
+    for amps, label in zip(bosons, table.tolist()):
+        expected[labels.index(tuple(sorted(label)))] += amps
+    expected /= math.factorial(k)
+    assert np.abs(_projected_states(spec, table, signed) - expected).max() <= 1e-14
 
 
 @pytest.mark.parametrize("n,k", [(6, 6), (7, 6), (7, 7)])
-def test_projected_amplitudes_match_sorted_label_determinant(n, k, monkeypatch):
+def test_projected_amplitudes_match_sorted_label_determinant(n, k):
     # k! kept terms per cell: a sequential cell sum drifted 5.7e-14 from det Z[X, L] at (7, 7)
-    monkeypatch.setenv("PSTLAB_CAP", str(n**n))
-    spec = eigh(weighted_path(n))
-    mask, table = deletion_mask(n, k), _kept_table(n, k)
-    signed = unit_antisymmetry(decompose_components(_kept_graph(weighted_path(n), table), n, k))
+    spec, table, _, signed = deleted_chain(n, k)
     labels = _ascending(n, k)
-    batched = _projected_states(spec, table, signed)
-    for col, modes in enumerate(all_mode_tuples(n, k)):
-        exact = np.linalg.det(spec.eigenvectors[labels][:, :, list(modes.modes)])
-        single = project_identical(tg_boson_state(fermion_state(spec, modes), signed, mask), mask)
-        assert np.abs(single.amplitudes - exact).max() <= 1e-15, (n, k, modes.modes)
-        assert np.abs(batched[:, col] - exact).max() <= 1e-15, (n, k, modes.modes)
+    exact = np.stack([np.linalg.det(spec.eigenvectors[labels][:, :, list(modes)]) for modes in labels], axis=1)
+    oracle = cell_sums(kept_bosons(spec, table, signed), table)
+    assert np.abs(oracle - exact).max() <= 1e-15, (n, k)
+    assert np.abs(_projected_states(spec, table, signed) - exact).max() <= 1e-15, (n, k)
 
 
 def _random_orthogonal(n, seed):
@@ -431,8 +350,8 @@ def _flip_one(signs, decomp):
 
 def _shuffle_one_cell(signs, decomp):
     # the members of one cell take each other's signs, rolled by one
-    mask = deletion_mask(decomp.n, decomp.k)
-    members = np.flatnonzero(mask._cells == mask._cells[len(signs) // 2])
+    multisets = np.sort(decomp.labels, axis=1)
+    members = np.flatnonzero((multisets == multisets[len(signs) // 2]).all(axis=1))
     signs[members] = np.roll(signs[members], 1)
 
 
@@ -456,6 +375,6 @@ def test_eigenbasis_routes_take_no_per_entry_determinant(monkeypatch):
     slater_decomposition(eigh(weighted_path(9)), 4)
     assert verify_corollary1(7, 3) <= 1e-12
     assert calls == []
-    # the per-tuple reference route still goes through the patched determinant
-    fermion_state(eigh(weighted_path(4)), ModeTuple((0, 1)))
+    # the per-minor route still goes through the patched determinant
+    _minors(np.eye(2), np.array([[0, 1]]), np.array([[0, 1]]))
     assert calls
