@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure (including non-equitable
-quotient requests), 2 usage or precondition error, 3 input-format error,
-4 resource-cap refusal. All numeric output is printed with 17 significant
-digits. Graph documents go to --out when given, otherwise to stdout;
-diagnostics and legends go to stderr.
+quotient requests), 2 usage or precondition error (including an --out file
+that cannot be written), 3 input-format error (including an --in or
+--partition file that cannot be read or is not UTF-8), 4 resource-cap
+refusal. All numeric output is printed with 17 significant digits. Graph
+documents go to --out when given, otherwise to stdout; diagnostics and
+legends go to stderr.
 """
 
 from __future__ import annotations
@@ -111,8 +113,16 @@ def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text + "\n")
+    except OSError as exc:
+        raise PreconditionError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_graph(g: WeightedGraph, out: str | None) -> None:
@@ -120,8 +130,7 @@ def _write_graph(g: WeightedGraph, out: str | None) -> None:
     if out is None:
         print(text)
     else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        _write_text(out, text)
 
 
 def _load_graph_arg(path: str) -> WeightedGraph:
@@ -240,8 +249,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"{passed:>3}/{len(report.checks):<3} {worst}"
         )
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(_to_json([r.to_dict() for r in reports]) + "\n")
+        _write_text(args.out, _to_json([r.to_dict() for r in reports]))
     return 0 if all_ok else 1
 
 

@@ -10,6 +10,8 @@ diagonalized, so the n-vertex path is the only eigensolve of a case. Walkers
 on a path never cross, so U_k(t)[Y, X] = det U_1(t)[Y, X] (Karlin and
 McGregor 1959; compound matrices in Horn and Johnson, Matrix Analysis,
 0.8.1): every amplitude a check reads is a k x k minor of a path propagator.
+The two n x n path propagators are the only walks a case assembles; the
+quotient walk is read off the certified eigenpairs of the quotient.
 
 Phase bookkeeping: propagators are U(t) = exp(-i t A), and the amplitude
 toward the mirror label at t = pi/2 is exactly
@@ -49,7 +51,7 @@ from .hardcore import (
     symmetric_power,
 )
 from .partition import _quotient_graph, check_equitable, normalized_partition_matrix, orbit_partition
-from .spectral import PST_TOL, SpectralDecomposition, _fix_signs, eigh, evolve, find_pst_pairs
+from .spectral import PST_TOL, SpectralDecomposition, eigh, evolve, find_pst_pairs
 from .tonks import _eigenbasis_deviation, _minors, slater_decomposition
 
 MODULUS_TOL = 1e-9
@@ -325,9 +327,20 @@ def _lemma5_and_theorem2(case: _Case) -> tuple[CheckResult, ...]:
     Problem). The value of quotient-thinning-match is r,
     plus the distance of Lambda_e from the means of their classes, plus
     the largest deviation of a column's mirror parity from +-1, so a mixed
-    column cannot slip into either sector. When the quotient size differs
-    from the even count, that check and the two quotient-walk checks fail
-    with the count mismatch.
+    column cannot slip into either sector.
+
+    No quotient walk is assembled: with D = diag(exp(-i pi Lambda_e / 2)),
+    the walk Y D Y^T at t = pi/2 is read off the certified pairs. Since
+
+        Y D Y^T - gamma I = Y (D - gamma I) Y^T + gamma (Y Y^T - I),
+
+    |Y|_2^2 <= 1 + e and |Y Y^T - I|_2 = |Y^T Y - I|_2 for square Y, the
+    value of quotient-periodicity is the bound max |D - gamma| (1 + e) + e
+    on its largest entry deviation from gamma I. quotient-transport compares
+    the diagonal (Y * Y) D with the mirror amplitude of each cell's smallest
+    member, the first occurrence of its cell id. When the quotient size
+    differs from the even count, the thinning match and the two
+    quotient-walk checks fail with the count mismatch.
     """
     identical, spec, mirror = case.graph, case.spec, case.mirror
     part = orbit_partition(identical, mirror)
@@ -360,11 +373,11 @@ def _lemma5_and_theorem2(case: _Case) -> tuple[CheckResult, ...]:
                 + float((1.0 - np.abs(even_overlap)).max())
             )
 
-            u_quot = evolve(SpectralDecomposition(lam_e, _fix_signs(y)), math.pi / 2.0)
-            period_dev = float(np.abs(u_quot - gamma * np.eye(quot.n)).max())
-            # The first occurrence of each cell id is the smallest member of that cell.
+            d = np.exp(-1j * (math.pi / 2.0) * lam_e)
+            period_dev = float(np.abs(d - gamma).max()) * (1.0 + gram) + gram
             _, first = np.unique(part.cell_index, return_index=True)
-            miss = np.diag(u_quot) - case.mirror_amps[first]
+            weights = y * y
+            miss = weights @ d.real + 1j * (weights @ d.imag) - case.mirror_amps[first]
             transport_dev = float(np.hypot(miss.real, miss.imag).max())
         checks.append(
             _check(
@@ -407,9 +420,10 @@ def run_case(n: int, k: int, cap: int | None = None) -> VerificationReport:
 
     The case is built once and shared by every check: its eigenbasis comes
     from one eigensolve of the n-vertex path, the only eigensolve of the
-    case. The first check confirms that basis against the C(n, k)-vertex
-    graph, and the Lemma 5 block confirms its even half against the mirror
-    quotient.
+    case, and its only walks are the two n x n path propagators at t = pi/2
+    and t = pi. The first check confirms that basis against the
+    C(n, k)-vertex graph, and the Lemma 5 block confirms its even half
+    against the mirror quotient.
     Failures of preconditions or resource limits are captured in the
     report's ``error`` field instead of propagating.
     """

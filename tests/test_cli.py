@@ -191,6 +191,60 @@ def test_missing_file(tmp_path, capsys):
     assert err != ""
 
 
+def _assert_cannot_write(code, err, target):
+    # a precondition error: exit 2 and one error line, not a traceback
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot write {target}: ")
+
+
+def test_verify_unwritable_out(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "verify", "--n", "4", "--k", "2", "--out", str(target))
+    # the summary table is printed before the report file is written
+    assert "pass" in out
+    _assert_cannot_write(code, err, target)
+
+
+def test_build_unwritable_out(tmp_path, capsys):
+    target = tmp_path / "missing" / "g.json"
+    code, out, err = run(capsys, "build", "path", "--n", "3", "--out", str(target))
+    assert out == ""
+    _assert_cannot_write(code, err, target)
+
+
+def test_quotient_unwritable_out(tmp_path, capsys):
+    from pstlab import hypercube
+
+    gpath = write_graph(tmp_path, hypercube(3))
+    ppath = write_partition(tmp_path, hamming_partition(3))
+    target = tmp_path / "missing" / "quot.json"
+    code, out, err = run(capsys, "quotient", "--in", gpath, "--partition", ppath, "--out", str(target))
+    assert out == ""
+    _assert_cannot_write(code, err, target)
+
+
+def test_non_utf8_graph_file(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + '{"n": 2, "edges": []}'.encode("utf-16-le"))
+    code, out, err = run(capsys, "spectrum", "--in", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: cannot read {path}: ")
+
+
+def test_non_utf8_partition_file(tmp_path, capsys):
+    from pstlab import hypercube
+
+    gpath = write_graph(tmp_path, hypercube(3))
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + '{"n": 8, "cells": []}'.encode("utf-16-le"))
+    code, out, err = run(capsys, "quotient", "--in", gpath, "--partition", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: cannot read {path}: ")
+
+
 def test_usage_errors(capsys):
     code, _, _ = run(capsys, "verify", "--n", "8..4", "--k", "2")
     assert code == 2

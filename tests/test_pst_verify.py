@@ -111,8 +111,8 @@ def test_run_case_diagonalizes_once(monkeypatch, n, k):
 
 @pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (6, 3), (7, 3), (9, 4)])
 def test_run_case_assembles_no_hard_core_propagator(monkeypatch, n, k):
-    # every amplitude is a k x k minor of the two n x n path propagators;
-    # the only other walk is the mirror quotient's, smaller than C(n, k)
+    # every amplitude is a k x k minor of the two n x n path propagators, and
+    # no other walk is assembled: the quotient walk is read off its eigenpairs
     import pstlab.pst_verify
 
     real = pstlab.pst_verify.evolve
@@ -122,11 +122,14 @@ def test_run_case_assembles_no_hard_core_propagator(monkeypatch, n, k):
         dims.append(spec.n)
         return real(spec, t)
 
+    def refusing(*args):
+        raise AssertionError("verify synthesized a decomposition")
+
     monkeypatch.setattr(pstlab.pst_verify, "evolve", counting)
+    monkeypatch.setattr(pstlab.pst_verify, "SpectralDecomposition", refusing)
     report = run_case(n, k)
     assert report.ok
-    assert dims[:2] == [n, n]
-    assert max(dims[2:]) < math.comb(n, k)
+    assert dims == [n, n]
 
 
 def test_run_case_memory_holds_no_hard_core_propagator():
@@ -276,17 +279,21 @@ def test_quotient_count_mismatch_fails_every_quotient_check(monkeypatch):
     assert checks["mirror-equitable"].passed
 
 
-@pytest.mark.parametrize("n", range(2, 10))
+@pytest.mark.parametrize("n", range(2, 11))
 def test_quotient_even_sector_matches_dense_route(n):
     # the dense eigensolve of the mirror quotient is the oracle for the even
-    # Slater columns pushed down into it
+    # Slater columns pushed down into it, and the dense walk assembled from
+    # those columns is the oracle for the quotient-walk checks: the
+    # periodicity bound lies above its distance from gamma I, and the
+    # transport value is its diagonal's distance from the mirror amplitudes
     from pstlab import SpectralDecomposition, evolve, normalized_partition_matrix, orbit_partition
     from pstlab.partition import _quotient_graph
-    from pstlab.pst_verify import _build_case
+    from pstlab.pst_verify import _build_case, _lemma5_and_theorem2
 
     for k in range(1, n):
         case = _build_case(n, k, None)
-        pm = normalized_partition_matrix(case.graph, orbit_partition(case.graph, case.mirror))
+        part = orbit_partition(case.graph, case.mirror)
+        pm = normalized_partition_matrix(case.graph, part)
         quot = _quotient_graph(case.graph, pm)
         z = case.spec.eigenvectors
         even = np.einsum("vj,vj->j", z[case.mirror, :], z) > 0.0
@@ -298,6 +305,42 @@ def test_quotient_even_sector_matches_dense_route(n):
         u_oracle = evolve(oracle, t)
         u_even = evolve(SpectralDecomposition(lam_e, y), t)
         assert np.abs(u_oracle - u_even).max() <= 1e-12
+
+        checks = {c.name: c for c in _lemma5_and_theorem2(case)}
+        gamma = predicted_transfer_phase(n, k)
+        dense_period = float(np.abs(u_even - gamma * np.eye(quot.n)).max())
+        assert checks["quotient-periodicity"].value >= dense_period, (n, k)
+        _, first = np.unique(part.cell_index, return_index=True)
+        dense_transport = float(np.abs(np.diag(u_even) - case.mirror_amps[first]).max())
+        assert abs(checks["quotient-transport"].value - dense_transport) <= 1e-15, (n, k)
+
+
+def test_quotient_periodicity_fails_on_the_conjugate_phase(monkeypatch):
+    # at (6, 3) the two phase conventions differ by -1, so every eigenvalue
+    # factor of the quotient walk lies 2 away from the conjugate phase
+    import pstlab.pst_verify
+
+    real = pstlab.pst_verify.predicted_transfer_phase
+    monkeypatch.setattr(pstlab.pst_verify, "predicted_transfer_phase", lambda n, k: real(n, k).conjugate())
+    report = run_case(6, 3)
+    (check,) = [c for c in report.checks if c.name == "quotient-periodicity"]
+    assert not check.passed
+    assert check.value >= 2.0
+
+
+def test_lemma5_block_memory_holds_no_quotient_walk():
+    # the complex m_q x m_q quotient walk and its distance from gamma I peaked at 63.3 MiB
+    from pstlab.pst_verify import _lemma5_and_theorem2
+
+    case = _build_case(13, 6, None)
+    tracemalloc.start()
+    try:
+        checks = _lemma5_and_theorem2(case)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(c.passed for c in checks)
+    assert peak / 2**20 < 57.0
 
 
 @pytest.mark.parametrize("n,k", [(3, 3), (4, 4), (4, 5), (1, 1), (4, 0)])
