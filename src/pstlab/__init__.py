@@ -61,8 +61,6 @@ from .partition import (
     quotient_spectrum_subset,
     save_partition,
     singleton_evolution_check,
-    singleton_partition,
-    vertex_weight,
     verify_theorem_equivalences,
 )
 from .products import (
@@ -93,7 +91,6 @@ from .spectral import (
 )
 from .tonks import (
     hc_spectrum,
-    slater_decomposition,
     verify_corollary1,
 )
 

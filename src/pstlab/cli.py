@@ -4,7 +4,10 @@ Exit codes: 0 success, 1 verification failure (including non-equitable
 quotient requests), 2 usage or precondition error (including an --out file
 that cannot be written), 3 input-format error (including an --in or
 --partition file that cannot be read or is not UTF-8), 4 resource-cap
-refusal. All numeric output is printed with 17 significant digits. Graph
+refusal. Graph documents, from build and quotient --out, hold the
+shortest repr that round-trips each weight (save_graph); every other JSON
+output, reports and the quotient embedded in stdout included, prints floats
+with 17 significant digits. Both forms read back bit for bit. Graph
 documents go to --out when given, otherwise to stdout; diagnostics and
 legends go to stderr.
 """
@@ -229,6 +232,13 @@ def cmd_quotient(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.out is not None:
+        # Appending truncates nothing, so an unwritable target fails before the first case.
+        try:
+            with open(args.out, "a", encoding="utf-8"):
+                pass
+        except OSError as exc:
+            raise PreconditionError(f"cannot write {args.out}: {exc}") from exc
     reports = sweep(n_range=args.n, k_range=args.k, cap=args.cap)
     header = f"{'family':<10} {'n':>3} {'k':>3} {'status':<6} {'checks':>7} worst"
     print(header)
@@ -238,11 +248,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         passed = sum(1 for c in report.checks if c.passed)
         if report.error is not None:
             worst = report.error
-        elif report.checks:
+        else:
             top = max(report.checks, key=lambda c: c.value / c.tol)
             worst = f"{top.name}={_fmt(top.value)}"
-        else:
-            worst = "-"
         status = "pass" if report.ok else "FAIL"
         print(
             f"{report.family:<10} {report.n:>3} {report.k:>3} {status:<6} "

@@ -155,12 +155,6 @@ class WeightedGraph:
             object.__setattr__(self, "_dense", a)
         return self._dense
 
-    def weight(self, u: int, v: int) -> float:
-        """Weight of the edge between 1-based vertices ``u`` and ``v`` (0.0 if absent)."""
-        _check_vertex(self.n, u)
-        _check_vertex(self.n, v)
-        return float(self.adjacency[u - 1, v - 1])
-
 
 def _check_vertex(n: int, v: int) -> None:
     if not isinstance(v, int) or not 1 <= v <= n:

@@ -93,16 +93,8 @@ class DeletionMask:
         keep.flags.writeable = False
         object.__setattr__(self, "keep", keep)
 
-    @property
-    def kept_count(self) -> int:
-        return int(self.keep.sum())
-
     def kept_indices(self) -> np.ndarray:
         return np.flatnonzero(self.keep)
-
-    def kept_labels(self) -> tuple[tuple[int, ...], ...]:
-        """1-based site tuples of the kept vertices, in kept order."""
-        return tuple(map(tuple, (_digits(self.kept_indices(), self.n, self.k) + 1).tolist()))
 
 
 def deletion_mask(n: int, k: int, cap: int | None = None) -> DeletionMask:
@@ -324,17 +316,15 @@ def commutator_check_antisymmetry(g_hc: WeightedGraph, signed: SignedDiagonal) -
     return float(np.abs(g_hc._weights * (s[g_hc._cols] - s[g_hc._rows])).max(initial=0.0))
 
 
-def indistinguishability_partition(mask: DeletionMask | None, n: int, k: int) -> Partition:
-    """Group labels that agree as multisets, cells ordered by smallest member.
+def indistinguishability_partition(mask: DeletionMask, n: int, k: int) -> Partition:
+    """Group the kept labels that agree as multisets, cells ordered by smallest member.
 
-    With a mask the partition lives on the kept vertices (every cell has k!
-    members, the orderings of one ascending label). With ``mask=None`` it
-    lives on all n**k power labels, where cells of labels with repeats are
-    smaller.
+    The partition lives on the kept vertices: every cell has k! members, the
+    orderings of one ascending label.
     """
-    if mask is not None and (mask.n, mask.k) != (n, k):
+    if (mask.n, mask.k) != (n, k):
         raise PreconditionError("mask was built for different (n, k)")
-    indices = np.arange(n**k) if mask is None else mask.kept_indices()
+    indices = mask.kept_indices()
     multisets = np.sort(_digits(indices, n, k), axis=1)
     # Each vertex's cell is named by its smallest member, the first row of its multiset.
     first = _label_rows(multisets, multisets)

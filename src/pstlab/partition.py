@@ -112,10 +112,6 @@ class Partition:
         return hash((self.n, self.cells))
 
 
-def singleton_partition(n: int) -> Partition:
-    return Partition(n, tuple((v,) for v in range(1, n + 1)))
-
-
 @dataclass(frozen=True, eq=False)
 class PartitionMatrix:
     """Normalized partition matrix Q with the weights that built it.
@@ -201,12 +197,6 @@ class EquivalenceReport:
             self.intertwiner_exists,
         )
         return all(flags) or not any(flags)
-
-
-def vertex_weight(g: WeightedGraph, v: int) -> float:
-    """Euclidean norm of the adjacency column of 1-based vertex v."""
-    _check_vertex(g.n, v)
-    return float(_omega(g)[v - 1])
 
 
 def _omega(g: WeightedGraph) -> np.ndarray:

@@ -46,12 +46,6 @@ class OccupationLabel:
             value = value * self.n + (x - 1)
         return value
 
-    def has_repeat(self) -> bool:
-        return len(set(self.sites)) < len(self.sites)
-
-    def is_ascending(self) -> bool:
-        return all(a < b for a, b in zip(self.sites, self.sites[1:]))
-
 
 def _digits(indices: np.ndarray, n: int, k: int) -> np.ndarray:
     """Mixed-radix digits (0-based sites) of flat power indices, shape (len, k).

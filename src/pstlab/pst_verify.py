@@ -1,17 +1,19 @@
 """End-to-end verifiers for hard-core walker transfer on weighted paths.
 
 Every check of one (n, k) case reads one shared context: the identical-walker
-graph on ascending labels, its spectral decomposition, the mirror map and
-the path propagators at t = pi/2 and t = pi. The decomposition is built from
-Slater determinants of the n-vertex path's modes (Corollary 1), and a check
-ties it back to the graph's adjacency. The mirror quotient of the graph is
-certified against the even-parity Slater columns by a residual bound, not
-diagonalized, so the n-vertex path is the only eigensolve of a case. Walkers
-on a path never cross, so U_k(t)[Y, X] = det U_1(t)[Y, X] (Karlin and
-McGregor 1959; compound matrices in Horn and Johnson, Matrix Analysis,
-0.8.1): every amplitude a check reads is a k x k minor of a path propagator.
-The two n x n path propagators are the only walks a case assembles; the
-quotient walk is read off the certified eigenpairs of the quotient.
+graph on ascending labels, its eigenbasis and eigenvalues, the mirror map and
+the path propagators at t = pi/2 and t = pi. The eigenbasis is the k-th
+compound C_k(Z) of the n-vertex path's eigenvectors, whose columns are the
+Slater determinants of its modes (Corollary 1), kept in mode order with the
+compound's own signs; a check ties it back to the graph's adjacency. The
+mirror quotient of the graph is certified against the even-parity Slater
+columns by a residual bound, not diagonalized, so the n-vertex path is the
+only eigensolve of a case. Walkers on a path never cross, so U_k(t)[Y, X] =
+det U_1(t)[Y, X] (Karlin and McGregor 1959; compound matrices in Horn and
+Johnson, Matrix Analysis, 0.8.1): every amplitude a check reads is a k x k
+minor of a path propagator. The two n x n path propagators are the only
+walks a case assembles; the quotient walk is read off the certified
+eigenpairs of the quotient.
 
 Phase bookkeeping: propagators are U(t) = exp(-i t A), and the amplitude
 toward the mirror label at t = pi/2 is exactly
@@ -51,8 +53,8 @@ from .hardcore import (
     symmetric_power,
 )
 from .partition import _quotient_graph, check_equitable, normalized_partition_matrix, orbit_partition
-from .spectral import PST_TOL, SpectralDecomposition, eigh, evolve, find_pst_pairs
-from .tonks import _eigenbasis_deviation, _minors, slater_decomposition
+from .spectral import PST_TOL, eigh, evolve, find_pst_pairs
+from .tonks import _compound, _eigenbasis_deviation, _minors
 
 MODULUS_TOL = 1e-9
 PHASE_TOL = 1e-8
@@ -177,18 +179,25 @@ def _unitarity_check(u: np.ndarray, k: int, anchor: str) -> CheckResult:
 class _Case:
     """What every check of one (n, k) case reads, built once.
 
-    ``graph`` is the identical-walker graph on ascending labels, ``spec`` its
-    decomposition, ``class_ids`` the degenerate class of each eigenvector
-    column and ``class_values`` the mean eigenvalue of each class, ``mirror``
-    the 0-based mirror map, ``labels`` the 0-based ascending labels,
-    ``path_half``, ``path_full`` the path propagators at t = pi/2 and t = pi,
-    and ``mirror_amps`` the minors det U_1(pi/2)[mirror(X), X].
+    ``graph`` is the identical-walker graph on ascending labels. Its
+    eigenbasis ``z`` is the read-only compound C_k(Z) of the path's
+    eigenvectors as ``_compound`` returns it: column L, for the L-th ascending
+    mode tuple, is the Slater determinant of those modes (Corollary 1), with
+    eigenvalue ``values[L]``, the sum of their single-walker eigenvalues.
+    Columns keep this mode order and the compound's signs; no check reads
+    either. ``class_ids`` is the degenerate class of each column, counted
+    from 0 up the sorted spectrum, and ``class_values`` the mean eigenvalue
+    of each class. ``mirror`` is the 0-based mirror map, ``labels`` the
+    0-based ascending labels, ``path_half``, ``path_full`` the path
+    propagators at t = pi/2 and t = pi, and ``mirror_amps`` the minors
+    det U_1(pi/2)[mirror(X), X].
     """
 
     n: int
     k: int
     graph: WeightedGraph
-    spec: SpectralDecomposition
+    z: np.ndarray
+    values: np.ndarray
     class_ids: np.ndarray
     class_values: np.ndarray
     mirror: np.ndarray
@@ -210,17 +219,26 @@ def _build_case(n: int, k: int, cap: int | None) -> _Case:
     path = weighted_path(n)
     graph = symmetric_power(path, k, cap=cap)
     single = eigh(path)
-    spec = slater_decomposition(single, k)
-    class_ids = _eigenvalue_classes(spec.eigenvalues)
-    mirror, labels = _mirror_permutation(n, k), _ascending(n, k)
+    # Ascending k-subsets of range(n): the site labels and the mode tuples alike.
+    labels = _ascending(n, k)
+    z = _compound(single.eigenvectors, k)
+    z.flags.writeable = False
+    values = single.eigenvalues[labels].sum(axis=1)
+    # Class ids count up the sorted spectrum and are scattered back to mode order.
+    order = np.argsort(values, kind="stable")
+    sorted_ids = _eigenvalue_classes(values[order])
+    class_ids = np.empty_like(sorted_ids)
+    class_ids[order] = sorted_ids
+    mirror = _mirror_permutation(n, k)
     path_half = evolve(single, math.pi / 2.0)
     return _Case(
         n=n,
         k=k,
         graph=graph,
-        spec=spec,
+        z=z,
+        values=values,
         class_ids=class_ids,
-        class_values=np.bincount(class_ids, weights=spec.eigenvalues) / np.bincount(class_ids),
+        class_values=np.bincount(sorted_ids, weights=values[order]) / np.bincount(sorted_ids),
         mirror=mirror,
         labels=labels,
         path_half=path_half,
@@ -240,7 +258,7 @@ def _corollary1(case: _Case) -> tuple[CheckResult, ...]:
         _check(
             "determinant-eigenbasis",
             "Corollary 1: Slater determinants diagonalize the identical-walker graph",
-            _eigenbasis_deviation(case.graph, case.spec.eigenvectors, case.spec.eigenvalues),
+            _eigenbasis_deviation(case.graph, case.z, case.values),
             EIGENBASIS_TOL,
         ),
     )
@@ -274,7 +292,7 @@ def _theorem1(case: _Case) -> tuple[CheckResult, ...]:
     phase_dev = float(np.abs(np.conj(gamma) * amps - 1.0).max())
     off_target = _hadamard_bound(case.path_half, reflection_permutation(n), k)
 
-    z, lam = case.spec.eigenvectors, case.class_values
+    z, lam = case.z, case.class_values
     global_sign = -1.0 if (k * (n - 1)) % 2 else 1.0
     sign = global_sign * (1.0 - 2.0 * (np.rint((lam - lam[0]) / 2.0) % 2))
     coef = (np.exp(-1j * (math.pi / 2.0) * lam) * sign)[case.class_ids]
@@ -317,12 +335,12 @@ def _lemma5_and_theorem2(case: _Case) -> tuple[CheckResult, ...]:
 
         r = sqrt(1 + e) |R|_F + e (|Q|_b + max |Lambda_e|)
 
-    of Lambda_e entrywise: Weyl's inequality bounds the spectrum of the
-    symmetric Y^T Q Y = Lambda_e + E Lambda_e + Y^T R against Lambda_e, and
-    Ostrowski's theorem on congruences bounds it against the spectrum of Q
-    (Horn and Johnson, Matrix Analysis, ch. 4). At e >= 1 the term e |Q|_b
-    alone exceeds the tolerance for any nonzero quotient, so r never passes
-    a case it does not cover. At e = 0 this is the classical residual bound
+    of the sorted Lambda_e entrywise: Weyl's inequality bounds the sorted
+    spectrum of the symmetric Y^T Q Y = Lambda_e + E Lambda_e + Y^T R against
+    the sorted Lambda_e, and Ostrowski's theorem on congruences bounds it
+    against the spectrum of Q (Horn and Johnson, Matrix Analysis, ch. 4). At
+    e >= 1 the term e |Q|_b alone exceeds the tolerance for any nonzero
+    quotient, so r never passes a case it does not cover. At e = 0 this is the classical residual bound
     |R| for an orthonormal basis (Parlett, The Symmetric Eigenvalue
     Problem). The value of quotient-thinning-match is r,
     plus the distance of Lambda_e from the means of their classes, plus
@@ -342,7 +360,7 @@ def _lemma5_and_theorem2(case: _Case) -> tuple[CheckResult, ...]:
     differs from the even count, the thinning match and the two
     quotient-walk checks fail with the count mismatch.
     """
-    identical, spec, mirror = case.graph, case.spec, case.mirror
+    identical, z, mirror = case.graph, case.z, case.mirror
     part = orbit_partition(identical, mirror)
     report = check_equitable(identical, part)
     checks = [
@@ -353,10 +371,9 @@ def _lemma5_and_theorem2(case: _Case) -> tuple[CheckResult, ...]:
         pm = normalized_partition_matrix(identical, part)
         quot = _quotient_graph(identical, pm)
 
-        z = spec.eigenvectors
         even_overlap = np.einsum("vj,vj->j", z[mirror, :], z)
         even = even_overlap > 0.0
-        lam_e = spec.eigenvalues[even]
+        lam_e = case.values[even]
         flags = np.bincount(case.class_ids[even], minlength=case.class_values.size) > 0
         mismatch = abs(quot.n - lam_e.size)
         if mismatch:

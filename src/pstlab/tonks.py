@@ -8,11 +8,13 @@ walker exchange. Projecting onto the ascending-label graph then yields a
 complete orthonormal eigenbasis of the hard-core adjacency; eigenvalues are
 sums of the chosen single-particle eigenvalues. On an ascending label the
 projected amplitude is the k x k determinant itself: the eigenbasis is the
-k-th compound C_k(Z) of the n-vertex eigenvectors. ``_compound`` builds
-every entry of it at once by Laplace expansion, so ``slater_decomposition``
-and ``verify_corollary1`` take no determinant per entry; the latter lists
-only the kept labels, never the n**k power. ``_minors`` takes one
-determinant per minor, for the few minors a verify case reads.
+k-th compound C_k(Z) of the n-vertex eigenvectors, with column L, for the
+L-th ascending mode tuple, carrying the eigenvalue sum(lambda[L]).
+``_compound`` builds every entry of it at once by Laplace expansion, so a
+verify case, which reads the compound as its eigenbasis, and
+``verify_corollary1`` take no determinant per entry; the latter lists only
+the kept labels, never the n**k power. ``_minors`` takes one determinant per
+minor, for the few minors a verify case reads.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .hardcore import (
     symmetric_power,
     unit_antisymmetry,
 )
-from .spectral import SpectralDecomposition, _fix_signs, eigh
+from .spectral import SpectralDecomposition, eigh
 
 # Entries gathered per block of rows by each Laplace level of ``_compound``.
 _DET_BLOCK = 2**18
@@ -84,30 +86,6 @@ def _compound(z: np.ndarray, k: int) -> np.ndarray:
                     acc += term
         prev = level
     return prev
-
-
-def slater_decomposition(single: SpectralDecomposition, k: int) -> SpectralDecomposition:
-    """Identical-walker eigenbasis on ascending labels from the single-walker one.
-
-    ``single`` decomposes an n-vertex path-family graph. By the
-    Tonks-Girardeau construction (Corollary 1), the ascending mode tuple L
-    gives the eigenvalue sum(lambda[L]) and the eigenvector whose entry on the
-    ascending label x is det Z[x, L]: the eigenvector matrix is the k-th
-    compound C_k(Z), which is orthogonal because Z is. Columns are sorted by
-    eigenvalue with a stable sort and carry the sign convention of
-    SpectralDecomposition.
-    """
-    n = single.n
-    if not isinstance(k, int) or not 1 <= k <= n:
-        raise InvalidSizeError(f"need 1 <= k <= {n}, got k={k!r}")
-    # Ascending k-subsets of range(n): the site labels and the mode tuples alike.
-    subsets = _ascending(n, k)
-    values = single.eigenvalues[subsets].sum(axis=1)
-    order = np.argsort(values, kind="stable")
-    vecs = _compound(single.eigenvectors, k)[:, order]
-    # Rebinding frees the unsigned matrix before SpectralDecomposition copies.
-    vecs = _fix_signs(vecs)
-    return SpectralDecomposition(values[order], vecs)
 
 
 def hc_spectrum(n: int, k: int) -> tuple[tuple[float, int], ...]:

@@ -44,7 +44,7 @@ def test_build_weighted_path(capsys):
 def test_build_path_and_hypercube(capsys):
     code, out, _ = run(capsys, "build", "path", "--n", "3")
     assert code == 0
-    assert load_graph(out).weight(1, 2) == 1.0
+    assert load_graph(out).adjacency[0, 1] == 1.0
     code, out, _ = run(capsys, "build", "hypercube", "--n", "3")
     assert code == 0
     assert load_graph(out).n == 8
@@ -66,6 +66,18 @@ def test_build_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert load_graph(target.read_text()).n == 5
+
+
+def test_build_cartesian_power_legend(capsys):
+    # the legend lists every label of the power, repeats included, in index order
+    code, out, err = run(capsys, "build", "cartesian-power", "--n", "3", "--k", "2")
+    assert code == 0
+    g = load_graph(out)
+    assert g.n == 9
+    assert g.adjacency[0, 1] == math.sqrt(2.0)  # (1,1) to (1,2): the second walker hops
+    lines = err.strip().splitlines()
+    assert lines[0] == "# vertex labels for cartesian-power (n=3, k=2)"
+    assert lines[1:] == [f"# {3 * (a - 1) + b}: ({a},{b})" for a in (1, 2, 3) for b in (1, 2, 3)]
 
 
 def test_build_k_usage(capsys):
@@ -112,6 +124,11 @@ def test_time_parsing_forms(tmp_path, capsys):
         assert len(json.loads(out)) == 2, spec
     code, _, err = run(capsys, "pst", "--in", path, "--t", "two*pi")
     assert code == 2
+    code, out, err = run(capsys, "pst", "--in", path, "--t", "pi/0")
+    assert code == 2 and out == ""
+    code, out, err = run(capsys, "pst", "--in", path, "--t", "nan")
+    assert code == 2 and out == ""
+    assert err == "error: time must be finite, got nan\n"
 
 
 def test_periodic(tmp_path, capsys):
@@ -178,6 +195,37 @@ def test_malformed_graph_file(tmp_path, capsys):
     assert "line" in err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"n": 2, "edges": {}}',
+        '{"n": 2, "edges": [[1.5, 2, 1.0]]}',
+        # JSON reads 1e400 as an infinite float
+        '{"n": 2, "edges": [[1, 2, 1e400]]}',
+    ],
+    ids=["edges-not-a-list", "fractional-endpoint", "weight-overflows-to-inf"],
+)
+def test_invalid_graph_fields_exit_three(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    code, out, err = run(capsys, "spectrum", "--in", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_partition_document_not_an_object_exits_three(tmp_path, capsys):
+    from pstlab import hypercube
+
+    gpath = write_graph(tmp_path, hypercube(2))
+    part = tmp_path / "p.json"
+    part.write_text("[]")
+    code, out, err = run(capsys, "quotient", "--in", gpath, "--partition", str(part))
+    assert code == 3
+    assert out == ""
+    assert err == "error: partition document must be a JSON object\n"
+
+
 def test_asymmetric_graph_file(tmp_path, capsys):
     path = tmp_path / "asym.json"
     path.write_text('{"n": 2, "edges": [[1, 2, 1.0], [2, 1, 2.0]]}')
@@ -198,12 +246,27 @@ def _assert_cannot_write(code, err, target):
     assert err.startswith(f"error: cannot write {target}: ")
 
 
-def test_verify_unwritable_out(tmp_path, capsys):
+def test_verify_unwritable_out(tmp_path, capsys, monkeypatch):
+    # the target is checked before the first case runs, so no table is printed
+    import pstlab.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep ran before --out was checked")
+
+    monkeypatch.setattr(pstlab.cli, "sweep", refuse)
     target = tmp_path / "missing" / "report.json"
     code, out, err = run(capsys, "verify", "--n", "4", "--k", "2", "--out", str(target))
-    # the summary table is printed before the report file is written
-    assert "pass" in out
+    assert out == ""
     _assert_cannot_write(code, err, target)
+
+
+def test_verify_out_replaces_an_existing_report(tmp_path, capsys):
+    # the early check appends nothing; the final write replaces the old text
+    target = tmp_path / "report.json"
+    target.write_text("stale text that is not JSON\n")
+    code, _, _ = run(capsys, "verify", "--n", "4", "--k", "2", "--out", str(target))
+    assert code == 0
+    assert [r["case"]["n"] for r in json.loads(target.read_text())] == [4]
 
 
 def test_build_unwritable_out(tmp_path, capsys):
@@ -248,6 +311,8 @@ def test_non_utf8_partition_file(tmp_path, capsys):
 def test_usage_errors(capsys):
     code, _, _ = run(capsys, "verify", "--n", "8..4", "--k", "2")
     assert code == 2
+    code, out, _ = run(capsys, "verify", "--n", "a..b", "--k", "2")
+    assert code == 2 and out == ""
     code, _, _ = run(capsys, "build", "torus", "--n", "4")
     assert code == 2
     code, _, _ = run(capsys, "nonsense")

@@ -31,14 +31,14 @@ from conftest import graph_from_edges
 
 def test_weighted_path_frozen_weights():
     g4 = weighted_path(4)
-    assert g4.weight(1, 2) == math.sqrt(3.0)
-    assert g4.weight(2, 3) == 2.0
-    assert g4.weight(3, 4) == math.sqrt(3.0)
+    assert g4.adjacency[0, 1] == math.sqrt(3.0)
+    assert g4.adjacency[1, 2] == 2.0
+    assert g4.adjacency[2, 3] == math.sqrt(3.0)
     g5 = weighted_path(5)
-    assert g5.weight(1, 2) == 2.0
-    assert g5.weight(2, 3) == math.sqrt(6.0)
-    assert g5.weight(3, 4) == math.sqrt(6.0)
-    assert g5.weight(4, 5) == 2.0
+    assert g5.adjacency[0, 1] == 2.0
+    assert g5.adjacency[1, 2] == math.sqrt(6.0)
+    assert g5.adjacency[2, 3] == math.sqrt(6.0)
+    assert g5.adjacency[3, 4] == 2.0
 
 
 @given(st.integers(min_value=2, max_value=40))
@@ -362,7 +362,7 @@ def test_graph_is_immutable():
     a = np.array(weighted_path(4).adjacency)
     from_array = WeightedGraph(4, a)
     a[0, 1] = 9.0  # the graph holds a copy
-    assert from_array.weight(1, 2) == math.sqrt(3.0)
+    assert from_array.adjacency[0, 1] == math.sqrt(3.0)
     for g in (from_array, hypercube(3), load_graph(save_graph(hypercube(2)))):
         assert g.adjacency is g.adjacency  # scattered once, then cached
         for arr in (g.adjacency, g._rows, g._cols, g._weights):

@@ -62,16 +62,14 @@ def hardcore_graph(n, k):
 
 def test_deletion_mask_counts():
     for n, k in COMPONENT_GRID:
-        mask = deletion_mask(n, k)
-        assert mask.kept_count == math.factorial(n) // math.factorial(n - k)
-        labels = mask.kept_labels()
-        assert len(labels) == mask.kept_count
-        assert all(len(set(lab)) == len(lab) for lab in labels)
+        labels = _digits(deletion_mask(n, k).kept_indices(), n, k)
+        assert len(labels) == math.factorial(n) // math.factorial(n - k)
+        assert all(len(set(lab)) == len(lab) for lab in labels.tolist())
 
 
 def test_deletion_mask_k1_keeps_all():
     mask = deletion_mask(5, 1)
-    assert mask.kept_count == 5
+    assert mask.kept_indices().tolist() == [0, 1, 2, 3, 4]
 
 
 def test_apply_deletion_shape():
@@ -137,18 +135,10 @@ def test_indistinguishability_partition_post_deletion():
     assert p.n == 12
     assert p.m == 6
     assert all(len(cell) == 2 for cell in p.cells)
-    labels = mask.kept_labels()
+    labels = _kept_table(4, 2).tolist()
     for cell in p.cells:
         reprs = {tuple(sorted(labels[v - 1])) for v in cell}
         assert len(reprs) == 1
-
-
-def test_indistinguishability_partition_pre_deletion():
-    p = indistinguishability_partition(None, 3, 2)
-    assert p.n == 9
-    assert p.m == 6  # 3 diagonal singletons plus 3 swap pairs
-    sizes = sorted(len(c) for c in p.cells)
-    assert sizes == [1, 1, 1, 2, 2, 2]
 
 
 def test_symmetric_power_frozen_4_2():
@@ -490,7 +480,7 @@ def test_mirror_permutation_matches_c_operator_lookup(n):
 @pytest.mark.parametrize("n,k", COMPONENT_GRID)
 def test_mirror_permutation_on_explicit_kept_labels(n, k):
     # on the kept labels the mirror map is an automorphism of the deleted power, with orbits of size 1 or 2
-    labels = deletion_mask(n, k).kept_labels()
+    labels = list(map(tuple, (_kept_table(n, k) + 1).tolist()))
     part = orbit_partition(_kept_graph(weighted_path(n), _kept_table(n, k)), mirror_lookup(n, labels))
     assert {len(cell) for cell in part.cells} <= {1, 2}
 
@@ -618,13 +608,11 @@ def test_isomorphism_check_memory_reads_edges_only():
 
 @pytest.mark.parametrize("n,k", [(3, 2), (4, 3), (5, 2), (5, 3)])
 def test_indistinguishability_partition_matches_grouping_loop(n, k):
-    for mask in (deletion_mask(n, k), None):
-        labels = mask.kept_labels() if mask else list(itertools.product(range(1, n + 1), repeat=k))
-        groups = {}
-        for vid, lab in enumerate(labels, start=1):
-            groups.setdefault(tuple(sorted(lab)), []).append(vid)
-        cells = sorted((tuple(c) for c in groups.values()), key=lambda c: c[0])
-        assert indistinguishability_partition(mask, n, k).cells == tuple(cells)
+    groups = {}
+    for vid, lab in enumerate(_kept_table(n, k).tolist(), start=1):
+        groups.setdefault(tuple(sorted(lab)), []).append(vid)
+    cells = sorted((tuple(c) for c in groups.values()), key=lambda c: c[0])
+    assert indistinguishability_partition(deletion_mask(n, k), n, k).cells == tuple(cells)
 
 
 @pytest.mark.parametrize("n,k", COMPONENT_GRID)

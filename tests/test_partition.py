@@ -29,25 +29,24 @@ from pstlab import (
     save_graph,
     save_partition,
     singleton_evolution_check,
-    singleton_partition,
     symmetric_power,
     verify_theorem_equivalences,
-    vertex_weight,
     weighted_path,
 )
 
 from pstlab.hardcore import _mirror_permutation
-from pstlab.partition import _automorphism_deviation, _quotient_graph
+from pstlab.partition import _automorphism_deviation, _omega, _quotient_graph
 
 from conftest import graph_from_edges, hamming_partition, mirror_path_partition
 
 
 def test_vertex_weight_examples():
+    # omega(v), the Euclidean norm of the adjacency column of v
     g = weighted_path(4)
-    assert vertex_weight(g, 1) == pytest.approx(math.sqrt(3.0), abs=1e-15)
-    assert vertex_weight(g, 2) == pytest.approx(math.sqrt(7.0), abs=1e-15)
+    assert _omega(g)[0] == pytest.approx(math.sqrt(3.0), abs=1e-15)
+    assert _omega(g)[1] == pytest.approx(math.sqrt(7.0), abs=1e-15)
     isolated = graph_from_edges(3, [(1, 2, 1.0)])
-    assert vertex_weight(isolated, 3) == 0.0
+    assert _omega(isolated)[2] == 0.0
 
 
 def test_partition_validation():
@@ -65,11 +64,6 @@ def test_partition_validation():
     assert p.cells == ((1, 3), (2,))  # members sorted inside each cell
     assert p.m == 2
     assert list(p.cell_index) == [0, 1, 0]
-
-
-def test_singleton_partition():
-    p = singleton_partition(4)
-    assert p.cells == ((1,), (2,), (3,), (4,))
 
 
 def test_q_entries_hypercube_hamming():
@@ -185,9 +179,9 @@ def test_max_eigenvalue_preservation():
 def test_max_eigenvalue_preconditions():
     neg = graph_from_edges(2, [(1, 2, -1.0)])
     with pytest.raises(PreconditionError):
-        max_eigenvalue_preservation(neg, normalized_partition_matrix(neg, singleton_partition(2)))
+        max_eigenvalue_preservation(neg, normalized_partition_matrix(neg, Partition(2, ((1,), (2,)))))
     disconnected = graph_from_edges(4, [(1, 2, 1.0), (3, 4, 1.0)])
-    pm = normalized_partition_matrix(disconnected, singleton_partition(4))
+    pm = normalized_partition_matrix(disconnected, Partition(4, ((1,), (2,), (3,), (4,))))
     with pytest.raises(PreconditionError):
         max_eigenvalue_preservation(disconnected, pm)
 

@@ -53,10 +53,6 @@ def test_label_round_trip():
 
 
 def test_label_predicates():
-    assert OccupationLabel((1, 3, 3), 4).has_repeat()
-    assert not OccupationLabel((1, 2, 4), 4).has_repeat()
-    assert OccupationLabel((1, 2, 4), 4).is_ascending()
-    assert not OccupationLabel((2, 1), 4).is_ascending()
     assert OccupationLabel((2,), 5).k == 1
 
 

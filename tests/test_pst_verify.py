@@ -11,6 +11,7 @@ from pstlab import (
     InvalidSizeError,
     PreconditionError,
     ResourceCapError,
+    SpectralDecomposition,
     WeightedGraph,
     conjecture_probe,
     eigh,
@@ -23,6 +24,7 @@ from pstlab import (
     sweep,
     weighted_path,
 )
+from pstlab.hardcore import _kept_table
 from pstlab.pst_verify import _build_case, _hadamard_bound, _mirror_permutation, _unitarity_check
 from pstlab.tonks import _minors
 
@@ -112,24 +114,30 @@ def test_run_case_diagonalizes_once(monkeypatch, n, k):
 @pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (6, 3), (7, 3), (9, 4)])
 def test_run_case_assembles_no_hard_core_propagator(monkeypatch, n, k):
     # every amplitude is a k x k minor of the two n x n path propagators, and
-    # no other walk is assembled: the quotient walk is read off its eigenpairs
+    # no other walk is assembled: the quotient walk is read off its eigenpairs;
+    # the path's eigh builds the only SpectralDecomposition, since the case
+    # reads the compound as it is
     import pstlab.pst_verify
+    import pstlab.spectral
 
-    real = pstlab.pst_verify.evolve
-    dims = []
+    real_evolve = pstlab.pst_verify.evolve
+    real_init = pstlab.spectral.SpectralDecomposition.__post_init__
+    dims, built = [], []
 
     def counting(spec, t):
         dims.append(spec.n)
-        return real(spec, t)
+        return real_evolve(spec, t)
 
-    def refusing(*args):
-        raise AssertionError("verify synthesized a decomposition")
+    def counting_init(self):
+        real_init(self)
+        built.append(self.n)
 
     monkeypatch.setattr(pstlab.pst_verify, "evolve", counting)
-    monkeypatch.setattr(pstlab.pst_verify, "SpectralDecomposition", refusing)
+    monkeypatch.setattr(pstlab.spectral.SpectralDecomposition, "__post_init__", counting_init)
     report = run_case(n, k)
     assert report.ok
     assert dims == [n, n]
+    assert built == [n]
 
 
 def test_run_case_memory_holds_no_hard_core_propagator():
@@ -142,6 +150,18 @@ def test_run_case_memory_holds_no_hard_core_propagator():
         tracemalloc.stop()
     assert report.ok
     assert peak / 2**20 < 38.0
+
+
+def test_build_case_memory_holds_one_compound():
+    # sorting, signing and copying the compound into a decomposition peaked at 45.7 MiB
+    tracemalloc.start()
+    try:
+        case = _build_case(13, 6, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / 2**20 < 38.0
+    assert case.z.shape == (1716, 1716)
 
 
 def test_run_case_checks_equitability_once(monkeypatch):
@@ -167,10 +187,9 @@ def test_run_case_checks_equitability_once(monkeypatch):
 def test_run_case_gamma_is_first_mirror_amplitude(n, k):
     # the label (1, ..., k) transfers to its mirror, the last ascending label;
     # agreement of this U with the dense route is tested in test_tonks
-    from pstlab import slater_decomposition
-
     report = run_case(n, k)
-    u = evolve(slater_decomposition(eigh(weighted_path(n)), k), math.pi / 2.0)
+    case = _build_case(n, k, None)
+    u = evolve(SpectralDecomposition(case.values, case.z), math.pi / 2.0)
     assert report.gamma_predicted == predicted_transfer_phase(n, k)
     assert abs(report.gamma_measured - u[-1, 0]) <= 1e-13
 
@@ -182,7 +201,8 @@ def test_minors_and_bounds_match_dense_route(n):
     for k in range(1, n):
         case = _build_case(n, k, None)
         cols = np.arange(case.graph.n)
-        u_half, u_full = evolve(case.spec, math.pi / 2.0), evolve(case.spec, math.pi)
+        spec = SpectralDecomposition(case.values, case.z)
+        u_half, u_full = evolve(spec, math.pi / 2.0), evolve(spec, math.pi)
         assert np.abs(case.mirror_amps - u_half[case.mirror, cols]).max() <= 1e-13, (n, k)
         diagonal = _minors(case.path_full, case.labels, case.labels)
         assert np.abs(diagonal - np.diag(u_full)).max() <= 1e-13, (n, k)
@@ -286,7 +306,7 @@ def test_quotient_even_sector_matches_dense_route(n):
     # those columns is the oracle for the quotient-walk checks: the
     # periodicity bound lies above its distance from gamma I, and the
     # transport value is its diagonal's distance from the mirror amplitudes
-    from pstlab import SpectralDecomposition, evolve, normalized_partition_matrix, orbit_partition
+    from pstlab import normalized_partition_matrix, orbit_partition
     from pstlab.partition import _quotient_graph
     from pstlab.pst_verify import _build_case, _lemma5_and_theorem2
 
@@ -295,12 +315,12 @@ def test_quotient_even_sector_matches_dense_route(n):
         part = orbit_partition(case.graph, case.mirror)
         pm = normalized_partition_matrix(case.graph, part)
         quot = _quotient_graph(case.graph, pm)
-        z = case.spec.eigenvectors
+        z = case.z
         even = np.einsum("vj,vj->j", z[case.mirror, :], z) > 0.0
-        lam_e = case.spec.eigenvalues[even]
+        lam_e = case.values[even]
         y = pm.q.T @ z[:, even]
         oracle = eigh(quot)
-        assert np.abs(oracle.eigenvalues - lam_e).max() <= 1e-12
+        assert np.abs(oracle.eigenvalues - np.sort(lam_e)).max() <= 1e-12
         t = math.pi / 2.0
         u_oracle = evolve(oracle, t)
         u_even = evolve(SpectralDecomposition(lam_e, y), t)
@@ -450,7 +470,7 @@ def test_three_way_amplitude_agreement():
     n, k, t = 5, 2, math.pi / 2.0
     mask = deletion_mask(n, k)
     g_hc = apply_deletion(cartesian_power(weighted_path(n), k), mask)
-    labels = mask.kept_labels()
+    labels = list(map(tuple, (_kept_table(n, k) + 1).tolist()))
     src = labels.index((1, 2))
     dst = labels.index((4, 5))
     amp_distinct = evolve(eigh(g_hc), t)[dst, src]
@@ -513,6 +533,13 @@ def test_conjecture_probe_cap_reaches_the_component_check():
     assert any("expected 120 components for k=5, found 24" in note for note in report.notes)
 
 
+def test_conjecture_probe_notes_a_deleted_power_past_the_cap():
+    # the C(8, 4) = 70 ascending labels fit the cap of 100, the 1680 kept labels do not
+    report = conjecture_probe(cycle_graph(8), 4, cap=100)
+    assert "deleted power graph exceeds the size cap; component structure unchecked" in report.notes
+    assert report.times_scanned >= 64
+
+
 def test_conjecture_probe_caps_the_kept_labels_not_the_power():
     # 12**4 = 20736 power labels exceed the default cap; the 11880 kept labels do not
     report = conjecture_probe(cycle_graph(12), 4)
@@ -544,11 +571,26 @@ def test_class_ids_match_grouping_loop():
     for n in range(2, 13):
         single = eigh(weighted_path(n))
         for k in range(1, n):
-            # the eigenvalues of slater_decomposition(single, k), without its determinants
+            # the sorted eigenvalues of the compound basis, without its determinants
             values = np.sort(single.eigenvalues[_ascending(n, k)].sum(axis=1), kind="stable")
             ids = _eigenvalue_classes(values)
             groups = _eigenvalue_classes_loop(values)
             assert [list(np.flatnonzero(ids == c)) for c in range(ids.max() + 1)] == groups, (n, k)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_case_class_ids_follow_the_sorted_spectrum(n):
+    # columns stay in mode order; two share a class exactly when their
+    # eigenvalues lie within the class gap, and ids count up the ladder
+    for k in range(1, n):
+        case = _build_case(n, k, None)
+        ids, values = case.class_ids, case.values
+        close = np.abs(values[:, None] - values[None, :]) <= 1e-6
+        assert np.array_equal(ids[:, None] == ids[None, :], close), (n, k)
+        below = values[:, None] < values[None, :] - 1e-6
+        assert np.array_equal(ids[:, None] < ids[None, :], below), (n, k)
+        assert np.abs(case.class_values[ids] - values).max() <= 1e-12, (n, k)
+        assert sorted(set(ids.tolist())) == list(range(ids.max() + 1)), (n, k)
 
 
 def _thinning_value_frobenius(case):
@@ -558,7 +600,9 @@ def _thinning_value_frobenius(case):
 
     pm = normalized_partition_matrix(case.graph, orbit_partition(case.graph, case.mirror))
     quot = _quotient_graph(case.graph, pm).adjacency
-    z, values = case.spec.eigenvectors, case.spec.eigenvalues
+    # the consecutive class grouping below needs the columns in ascending eigenvalue order
+    order = np.argsort(case.values, kind="stable")
+    z, values = case.z[:, order], case.values[order]
     even_overlap = np.einsum("vj,vj->j", z[case.mirror, :], z)
     survivors = []
     for cls in _eigenvalue_classes_loop(values):

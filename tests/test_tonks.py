@@ -10,14 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pstlab import (
-    InvalidSizeError,
     ResourceCapError,
     SignedDiagonal,
+    SpectralDecomposition,
     decompose_components,
     eigh,
     evolve,
     hc_spectrum,
-    slater_decomposition,
     symmetric_power,
     unit_antisymmetry,
     verify_corollary1,
@@ -25,6 +24,7 @@ from pstlab import (
 )
 from pstlab import tonks
 from pstlab.hardcore import _ascending, _kept_graph, _kept_table, _mirror_permutation
+from pstlab.pst_verify import _build_case
 from pstlab.tonks import _compound, _minors, _projected_states
 
 
@@ -151,14 +151,16 @@ def test_verify_corollary1_grid():
 
 @functools.lru_cache(maxsize=None)
 def dense_and_slater(n, k):
-    # the dense route is the oracle: one eigensolve of the whole C(n, k)-vertex graph
+    # the dense route is the oracle: one eigensolve of the whole C(n, k)-vertex graph;
+    # the Slater route is the compound basis in mode order, as a verify case reads it
     dense = eigh(symmetric_power(weighted_path(n), k))
-    return dense, slater_decomposition(eigh(weighted_path(n)), k)
+    case = _build_case(n, k, None)
+    return dense, SpectralDecomposition(case.values, case.z)
 
 
 def assert_routes_agree(n, k, times):
     dense, slater = dense_and_slater(n, k)
-    assert np.abs(slater.eigenvalues - dense.eigenvalues).max() <= 1e-12
+    assert np.abs(np.sort(slater.eigenvalues) - dense.eigenvalues).max() <= 1e-12
     # walkers on a path never cross, so entry (Y, X) is the minor det U_1(t)[Y, X]
     labels = _ascending(n, k)
     rows, cols = np.repeat(labels, labels.shape[0], axis=0), np.tile(labels, (labels.shape[0], 1))
@@ -186,27 +188,15 @@ def test_slater_matches_dense_route_random_time(data):
 
 
 def test_slater_decomposition_basis():
-    # columns are sorted by eigenvalue, orthonormal, with the sign convention
-    spec = slater_decomposition(eigh(weighted_path(7)), 3)
-    assert spec.n == math.comb(7, 3)
-    assert np.all(np.diff(spec.eigenvalues) >= -1e-12)
-    z = spec.eigenvectors
-    assert np.abs(z.T @ z - np.eye(spec.n)).max() <= 1e-12
-    lead = np.argmax(np.abs(z), axis=0)
-    assert np.all(z[lead, np.arange(spec.n)] > 0.0)
+    # the basis a verify case reads: the compound, orthonormal, its eigenvalues the ladder as a multiset
+    case = _build_case(7, 3, None)
+    m = math.comb(7, 3)
+    assert case.z.shape == (m, m) and case.values.shape == (m,)
+    assert not case.z.flags.writeable
+    assert np.abs(case.z.T @ case.z - np.eye(m)).max() <= 1e-12
+    assert np.array_equal(case.z, _compound(eigh(weighted_path(7)).eigenvectors, 3))
     flat = np.concatenate([[v] * c for v, c in hc_spectrum(7, 3)])
-    assert np.abs(spec.eigenvalues - flat).max() <= 1e-12
-
-
-def test_slater_decomposition_full_occupation_and_validation():
-    single = eigh(weighted_path(4))
-    full = slater_decomposition(single, 4)
-    assert full.eigenvectors.shape == (1, 1)
-    assert full.eigenvalues[0] == pytest.approx(0.0, abs=1e-12)
-    assert full.eigenvectors[0, 0] == pytest.approx(1.0, abs=1e-12)
-    for k in (0, 5):
-        with pytest.raises(InvalidSizeError):
-            slater_decomposition(single, k)
+    assert np.abs(np.sort(case.values) - flat).max() <= 1e-12
 
 
 def test_slater_decomposition_memory_is_blocked():
@@ -214,7 +204,7 @@ def test_slater_decomposition_memory_is_blocked():
     single = eigh(weighted_path(12))
     tracemalloc.start()
     try:
-        slater_decomposition(single, 4)
+        _compound(single.eigenvectors, 4)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -372,7 +362,7 @@ def test_eigenbasis_routes_take_no_per_entry_determinant(monkeypatch):
         return det(a)
 
     monkeypatch.setattr(np.linalg, "det", counting_det)
-    slater_decomposition(eigh(weighted_path(9)), 4)
+    _compound(eigh(weighted_path(9)).eigenvectors, 4)
     assert verify_corollary1(7, 3) <= 1e-12
     assert calls == []
     # the per-minor route still goes through the patched determinant
