@@ -45,7 +45,7 @@ from .partition import (
     normalized_partition_matrix,
 )
 from .products import cartesian_power, label_of_index
-from .pst_verify import conjecture_probe, sweep
+from .pst_verify import _check_ranges, conjecture_probe, sweep
 from .spectral import PST_TOL, eigh, find_pst_pairs, is_periodic
 
 _BUILD_KINDS = ("path", "weighted-path", "hypercube", "cartesian-power", "symmetric-power")
@@ -232,6 +232,8 @@ def cmd_quotient(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # A refused range leaves --out as it was: no file is made, none is emptied.
+    _check_ranges(args.n, args.k, args.cap)
     if args.out is not None:
         # Appending truncates nothing, so an unwritable target fails before the first case.
         try:

@@ -15,7 +15,11 @@ edge slot may appear at most once. Duplicates are rejected rather than
 summed; the same slot listed with two different weights is rejected as an
 asymmetry. Weights must be finite reals. A document whose ``n`` exceeds
 the size cap (``resolve_size_cap``) is refused with ResourceCapError before
-anything is allocated. ``save_graph`` followed by ``load_graph`` reproduces
+anything is allocated. ``load_graph`` validates the edge list column by
+column and finds repeated slots with one stable sort; the error it reports is
+still that of the first failing edge in document order, with the message an
+edge-by-edge check gives. ``save_graph`` writes the text ``json.dumps`` would,
+without a list per edge. ``save_graph`` followed by ``load_graph`` reproduces
 the adjacency matrix bit for bit, except that a ``-0.0`` entry, which is no
 edge, comes back as ``0.0``.
 
@@ -31,6 +35,7 @@ saving, loading and quotienting a hypercube never allocates an ``n x n`` array.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -222,8 +227,70 @@ def _parse_json(text: str, parse_constant: Callable[[str], float] | None = None)
         raise FormatError(f"invalid JSON: {exc}") from exc
 
 
+# float() of an integer at or past this bound overflows; a float reaches it
+# only as inf (2**1024 - 2**970 rounds up to 2**1024).
+_FLOAT_LIMIT = 2**1024 - 2**970
+
+
+def _check_edge(n: int, pos: int, item: object) -> None:
+    """Raise the error of the first per-edge check that item ``pos`` fails."""
+    if not isinstance(item, list) or len(item) != 3:
+        raise FormatError(f"edge {pos} must be a [u, v, w] triple, got {item!r}")
+    u, v, w = item
+    for end in (u, v):
+        if isinstance(end, bool) or not isinstance(end, int):
+            raise FormatError(f"edge {pos} endpoint {end!r} is not an integer")
+        if not 1 <= end <= n:
+            raise FormatError(f"edge {pos} endpoint {end} outside 1..{n}")
+    if isinstance(w, bool) or not isinstance(w, (int, float)):
+        raise FormatError(f"edge {pos} weight {w!r} is not a number")
+    try:
+        w = float(w)
+    except OverflowError:
+        raise NonFiniteWeightError(f"edge {pos} weight overflows a float") from None
+    if not math.isfinite(w):
+        raise NonFiniteWeightError(f"edge {pos} weight is not finite")
+
+
+def _first(bad, default: int) -> int:
+    """Index of the first true flag in ``bad``, but at most ``default``."""
+    return min(next(itertools.compress(itertools.count(), bad), default), default)
+
+
+def _columns(n: int, edges: list) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Columns of the longest prefix of ``edges`` that passes every per-edge check.
+
+    Returns the position of the first item ``_check_edge`` rejects
+    (``len(edges)`` when there is none) and the int64 endpoint and float
+    weight columns of the items before it. Each check runs over a whole
+    column; a column that fails is scanned once for its first bad item, which
+    cuts the prefix there, so no later check sees an item of the wrong kind.
+    """
+    p = len(edges)
+    if set(map(type, edges)) - {list} or set(map(len, edges)) - {3}:
+        p = _first((type(x) is not list or len(x) != 3 for x in edges), p)
+    flat = list(itertools.chain.from_iterable(itertools.islice(edges, p)))
+    u, v, w = flat[0::3], flat[1::3], flat[2::3]
+    for col, kinds in ((u, {int}), (v, {int}), (w, {int, float})):
+        if set(map(type, col)) - kinds:
+            p = _first((type(x) not in kinds for x in col), p)
+    u, v, w = u[:p], v[:p], w[:p]
+    for col in (u, v):
+        if col and (min(col) < 1 or max(col) > n):
+            p = _first((not 1 <= x <= n for x in col), p)
+    if w and not max(map(abs, w)) < _FLOAT_LIMIT:
+        p = _first((not abs(x) < _FLOAT_LIMIT for x in w), p)
+    return p, np.array(u[:p], dtype=np.int64), np.array(v[:p], dtype=np.int64), np.array(w[:p], dtype=float)
+
+
 def load_graph(text: str) -> WeightedGraph:
-    """Parse a graph document (see the module docstring for the format)."""
+    """Parse a graph document (see the module docstring for the format).
+
+    The edge list is validated column by column, and repeated slots are found
+    with one stable sort. The error raised is still the one the first failing
+    edge in document order gives, with the same message: a repeated slot
+    counts only when every edge before its second listing is valid.
+    """
     doc = _parse_json(text, parse_constant=_reject_constant)
     if not isinstance(doc, dict):
         raise FormatError("graph document must be a JSON object")
@@ -241,45 +308,37 @@ def load_graph(text: str) -> WeightedGraph:
     edges = doc["edges"]
     if not isinstance(edges, list):
         raise FormatError('"edges" must be a list')
-    seen: dict[tuple[int, int], float] = {}
-    for pos, item in enumerate(edges):
-        if not isinstance(item, list) or len(item) != 3:
-            raise FormatError(f"edge {pos} must be a [u, v, w] triple, got {item!r}")
-        u, v, w = item
-        for end in (u, v):
-            if isinstance(end, bool) or not isinstance(end, int):
-                raise FormatError(f"edge {pos} endpoint {end!r} is not an integer")
-            if not 1 <= end <= n:
-                raise FormatError(f"edge {pos} endpoint {end} outside 1..{n}")
-        if isinstance(w, bool) or not isinstance(w, (int, float)):
-            raise FormatError(f"edge {pos} weight {w!r} is not a number")
-        try:
-            w = float(w)
-        except OverflowError:
-            raise NonFiniteWeightError(f"edge {pos} weight overflows a float") from None
-        if not math.isfinite(w):
-            raise NonFiniteWeightError(f"edge {pos} weight is not finite")
-        slot = (min(u, v), max(u, v))
-        if slot in seen:
-            if seen[slot] != w:
-                raise AsymmetryError(
-                    f"edge {slot} listed with weights {seen[slot]!r} and {w!r}"
-                )
-            raise DuplicateEdgeError(f"edge {slot} listed twice")
-        seen[slot] = w
-    slots = np.array(list(seen), dtype=np.intp).reshape(-1, 2) - 1
-    weights = np.fromiter(seen.values(), float, len(seen))
-    return WeightedGraph._from_slots(n, slots[:, 0], slots[:, 1], weights)
+    p, u, v, w = _columns(n, edges)
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    # Slot codes fit int64 for every n below 2**31; past that, sort on both columns.
+    order = np.argsort(lo * (n + 1) + hi, kind="stable") if n < 2**31 else np.lexsort((hi, lo))
+    repeat = np.flatnonzero((np.diff(lo[order]) == 0) & (np.diff(hi[order]) == 0))
+    if repeat.size:
+        # The earliest second listing; the item just before it in the stable
+        # order is the slot's first listing.
+        j = repeat[np.argmin(order[repeat + 1])]
+        slot = (int(lo[order[j]]), int(hi[order[j]]))
+        before, again = float(w[order[j]]), float(w[order[j + 1]])
+        if before != again:
+            raise AsymmetryError(f"edge {slot} listed with weights {before!r} and {again!r}")
+        raise DuplicateEdgeError(f"edge {slot} listed twice")
+    if p < len(edges):
+        _check_edge(n, p, edges[p])
+    return WeightedGraph._from_slots(n, lo - 1, hi - 1, w)
 
 
 def save_graph(g: WeightedGraph) -> str:
-    """Serialize a graph to its JSON document, edges in (u, v) lexicographic order."""
+    """Serialize a graph to its JSON document, edges in (u, v) lexicographic order.
+
+    The text is the one ``json.dumps({"n": n, "edges": [[u, v, w], ...]})``
+    gives, written without building one list per edge.
+    """
     # The stored nonzeros are in row-major order, which is already (u, v)
     # order, and hold no signed zero.
     upper = g._rows <= g._cols
-    rows, cols, weights = (x[upper].tolist() for x in (g._rows, g._cols, g._weights))
-    edges = [[u + 1, v + 1, w] for u, v, w in zip(rows, cols, weights)]
-    return json.dumps({"n": g.n, "edges": edges})
+    rows, cols = (g._rows[upper] + 1).tolist(), (g._cols[upper] + 1).tolist()
+    edges = ", ".join(map("[{}, {}, {!r}]".format, rows, cols, g._weights[upper].tolist()))
+    return f'{{"n": {g.n}, "edges": [{edges}]}}'
 
 
 def reflection_permutation(n: int) -> np.ndarray:

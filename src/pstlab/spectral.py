@@ -40,6 +40,9 @@ _EPS = float(np.finfo(float).eps)
 # rows: bounds the record's memory, and the flush point changes no byte.
 _ROTATION_BLOCK = 4096
 
+# _tridiagonalize leaves a column whose squares sum below this (see there).
+_TINY_COLUMN = 2.0**-968
+
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
@@ -82,7 +85,10 @@ def _tridiagonalize(t: np.ndarray) -> np.ndarray:
     returned orthogonal ``Q`` satisfies ``A = Q T Q^T`` (Golub and Van Loan,
     Matrix Computations, Algorithm 8.3.1). A column that is already zero below
     its subdiagonal gets no reflector, so tridiagonal input passes through
-    bit for bit.
+    bit for bit. Nor does a column whose squares sum below ``_TINY_COLUMN``:
+    its reflector would overflow, and leaving it changes ``T`` by less than
+    2**-484, far under the solver's backward error for a ``t`` scaled to
+    norm about 1.
     """
     n = t.shape[0]
     reflectors = []
@@ -90,7 +96,10 @@ def _tridiagonalize(t: np.ndarray) -> np.ndarray:
         x = t[k + 1 :, k]
         if not x[1:].any():
             continue
-        alpha = -math.copysign(math.sqrt(float((x * x).sum())), x[0])
+        norm2 = float((x * x).sum())
+        if norm2 < _TINY_COLUMN:
+            continue
+        alpha = -math.copysign(math.sqrt(norm2), x[0])
         v = x.copy()
         v[0] -= alpha
         beta = 2.0 / float((v * v).sum())
@@ -241,13 +250,15 @@ def eigh_matrix(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     count. Residual ``|A Z - Z Lambda|`` and orthogonality ``|Z^T Z - I|`` are
     a small multiple of ``n * eps * ||A||_2`` (backward stability; the tests
     hold them to ``10 n eps ||A||_2``). Raises ConvergenceError for a
-    non-finite input and when one eigenvalue needs more than 30 QL steps.
+    non-finite input, when one eigenvalue needs more than 30 QL steps and
+    when an eigenvalue overflows a float.
     """
     a = np.asarray(a, dtype=float)
     if not np.isfinite(a).all():
         raise ConvergenceError("eigensolver input has non-finite entries")
-    scale = math.ldexp(1.0, math.frexp(float(np.abs(a).max(initial=0.0)))[1])
-    t = a / scale
+    # ldexp keeps the scaling exact where 2**exponent itself is no float.
+    exponent = math.frexp(float(np.abs(a).max(initial=0.0)))[1]
+    t = np.ldexp(a, -exponent)
     q = _tridiagonalize(t)
     diag, off = np.diag(t), np.diag(t, -1)
     # Deflating at eps * ||T||_inf perturbs T by at most that much, which keeps
@@ -259,7 +270,10 @@ def eigh_matrix(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d = diag.tolist()
     zt = np.ascontiguousarray(q.T)
     _ql_implicit(d, off.tolist(), zt, _EPS * float(rows.max(initial=0.0)))
-    vals = np.array(d) * scale
+    with np.errstate(over="ignore"):
+        vals = np.ldexp(np.array(d), exponent)
+    if not np.isfinite(vals).all():
+        raise ConvergenceError("eigenvalues overflow a float")
     order = np.argsort(vals, kind="stable")
     return vals[order], zt[order].T
 

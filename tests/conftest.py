@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from pstlab import (
     Partition,
@@ -26,6 +29,54 @@ def graph_from_edges(n: int, edges: list[tuple[int, int, float]]) -> WeightedGra
         a[u - 1, v - 1] = w
         a[v - 1, u - 1] = w
     return WeightedGraph(n, a)
+
+
+# Written into the document text as the token 1e400, which json reads as inf.
+HUGE_FLOAT = "huge-float-token"
+
+# Field values a graph or partition document may not hold, and the integers on
+# either side of the float range (2**1024 - 2**970 is the first that overflows).
+ODD_VALUES = (
+    True, False, None, "1", [1], {}, 1.5, 10**400, HUGE_FLOAT,
+    2**1024 - 2**970, -(2**1024 - 2**970), 2**1024 - 2**970 - 1,
+)
+
+
+@st.composite
+def graph_documents(draw, sizes=st.integers(1, 5), reals=st.floats(allow_nan=False, allow_infinity=False)) -> str:
+    """Text of a graph document, valid or not, with ``n`` from ``sizes``.
+
+    A list of distinct slots with finite weights, into which up to three
+    faults are inserted: a repeat of a listed slot with the same or another
+    weight, a triple whose fields may be any of ODD_VALUES or out of range, a
+    list of another length, or an item that is no list at all.
+    """
+    n = draw(sizes)
+    odd = st.sampled_from(ODD_VALUES)
+    weight = st.sampled_from([1.0, -1.0, 2.5, 0.0, -0.0, 1, 3]) | reals
+    triple = st.tuples(st.integers(1, n), st.integers(1, n), weight).map(list)
+    edges = draw(st.lists(triple, max_size=8, unique_by=lambda e: (min(e[:2]), max(e[:2]))))
+    end = st.integers(-1, n + 2) | odd
+    fault = st.tuples(end, end, weight | odd).map(list) | st.lists(end, max_size=4) | odd
+    if edges:
+        listed = st.sampled_from(edges)
+        fault = fault | listed.map(lambda e: [e[1], e[0], e[2]]) | st.tuples(listed, weight).map(lambda e: [*e[0][:2], e[1]])
+    for _ in range(draw(st.integers(0, 3))):
+        edges.insert(draw(st.integers(0, len(edges))), draw(fault))
+    return json.dumps({"n": n, "edges": edges}).replace(json.dumps(HUGE_FLOAT), "1e400")
+
+
+@st.composite
+def partition_documents(draw, sizes=st.integers(1, 5)) -> str:
+    """Text of a partition document: two times in three a true partition of 1..n."""
+    n = draw(sizes)
+    if draw(st.integers(0, 2)):
+        ids = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        cells = [[v + 1 for v in range(n) if ids[v] == c] for c in sorted(set(ids))]
+    else:
+        member = st.integers(0, n + 1) | st.sampled_from(ODD_VALUES)
+        cells = draw(st.lists(st.lists(member, max_size=4) | st.sampled_from(ODD_VALUES), max_size=5))
+    return json.dumps({"n": n, "cells": cells}).replace(json.dumps(HUGE_FLOAT), "1e400")
 
 
 def cycle_graph(n: int) -> WeightedGraph:

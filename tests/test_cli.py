@@ -1,16 +1,22 @@
 """Command line behaviour: output documents, diagnostics and exit codes."""
 
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pstlab import load_graph, save_graph, weighted_path
 from pstlab.cli import main
 
-from conftest import graph_from_edges, hamming_partition
+from conftest import graph_documents, graph_from_edges, hamming_partition, partition_documents
 
 
 def run(capsys, *argv):
@@ -269,6 +275,23 @@ def test_verify_out_replaces_an_existing_report(tmp_path, capsys):
     assert [r["case"]["n"] for r in json.loads(target.read_text())] == [4]
 
 
+@pytest.mark.parametrize(
+    ("n_range", "code"),
+    [("2..20000", 4), ("0..3", 2)],
+    ids=["past-the-cap", "below-n-2"],
+)
+def test_verify_refused_range_leaves_out_untouched(tmp_path, capsys, n_range, code):
+    # the ranges are refused before --out is opened: no file is made, none is emptied
+    missing, existing = tmp_path / "missing.json", tmp_path / "existing.json"
+    existing.write_text("an earlier report\n")
+    for target in (missing, existing):
+        got, out, err = run(capsys, "verify", "--n", n_range, "--k", "1", "--out", str(target))
+        assert got == code
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not missing.exists()
+    assert existing.read_text() == "an earlier report\n"
+
+
 def test_build_unwritable_out(tmp_path, capsys):
     target = tmp_path / "missing" / "g.json"
     code, out, err = run(capsys, "build", "path", "--n", "3", "--out", str(target))
@@ -285,6 +308,13 @@ def test_quotient_unwritable_out(tmp_path, capsys):
     code, out, err = run(capsys, "quotient", "--in", gpath, "--partition", ppath, "--out", str(target))
     assert out == ""
     _assert_cannot_write(code, err, target)
+
+
+def test_spectrum_past_the_float_range_is_one_error_line(tmp_path, capsys):
+    # the triangle's top eigenvalue, 3e308, is no float
+    path = write_graph(tmp_path, graph_from_edges(3, [(1, 2, 1e308), (2, 3, 1e308), (1, 3, 1e308)]))
+    code, out, err = run(capsys, "spectrum", "--in", path)
+    assert (code, out, err) == (1, "", "error: eigenvalues overflow a float\n")
 
 
 def test_non_utf8_graph_file(tmp_path, capsys):
@@ -502,3 +532,33 @@ def test_oversized_integer_tokens_exit_three(tmp_path, capsys, graph_doc, partit
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def _main_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7), st.data())
+def test_fuzzed_documents_exit_with_a_documented_code(n, data):
+    # every input ends in exit 0-4; any other exit prints one diagnostic line, never a traceback.
+    # n = 7 is past the cap of 6 below; the partition mostly has the graph's n.
+    graph = data.draw(graph_documents(st.just(n), st.floats(-1e150, 1e150)))
+    partition = data.draw(partition_documents(st.just(n) | st.integers(1, 7)) | st.text(max_size=12))
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, {"PSTLAB_CAP": "6"}):
+        gpath, ppath = os.path.join(tmp, "g.json"), os.path.join(tmp, "p.json")
+        for path, text in ((gpath, graph), (ppath, partition)):
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        for argv in (["spectrum", "--in", gpath], ["quotient", "--in", gpath, "--partition", ppath]):
+            code, _, err = _main_quietly(argv)
+            assert code in (0, 1, 2, 3, 4), (argv, code, err)
+            if code == 0:
+                assert err == ""
+                continue
+            # exit 1 from quotient is its verdict on the partition, not an error
+            verdict = "not equitable: " if code == 1 and argv[0] == "quotient" else "error: "
+            assert len(err.splitlines()) == 1 and err.startswith(verdict), (argv, code, err)

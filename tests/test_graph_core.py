@@ -6,7 +6,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pstlab import (
     AsymmetryError,
@@ -25,8 +25,9 @@ from pstlab import (
     symmetric_power,
     weighted_path,
 )
+from pstlab.graph_core import _parse_json, _reject_constant
 
-from conftest import graph_from_edges
+from conftest import HUGE_FLOAT, graph_documents, graph_from_edges
 
 
 def test_weighted_path_frozen_weights():
@@ -381,3 +382,138 @@ def test_load_graph_oversized_integer_tokens():
     # past Python's digit limit for int(), json.loads itself fails
     with pytest.raises(FormatError):
         load_graph('{"n": 2, "edges": [[1, 2, 1' + "0" * 5000 + "]]}")
+
+
+def load_graph_by_loop(text: str) -> WeightedGraph:
+    # reference loader: every edge checked in document order, one at a time
+    doc = _parse_json(text, parse_constant=_reject_constant)
+    if not isinstance(doc, dict):
+        raise FormatError("graph document must be a JSON object")
+    extra = set(doc) - {"n", "edges"}
+    if extra:
+        raise FormatError(f"unknown graph keys: {sorted(extra)}")
+    if "n" not in doc or "edges" not in doc:
+        raise FormatError('graph document needs both "n" and "edges"')
+    n = doc["n"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise FormatError(f'"n" must be a positive integer, got {n!r}')
+    limit = resolve_size_cap()
+    if n > limit:
+        raise ResourceCapError(f"graph document has {n} vertices, cap is {limit}")
+    edges = doc["edges"]
+    if not isinstance(edges, list):
+        raise FormatError('"edges" must be a list')
+    seen: dict[tuple[int, int], float] = {}
+    for pos, item in enumerate(edges):
+        if not isinstance(item, list) or len(item) != 3:
+            raise FormatError(f"edge {pos} must be a [u, v, w] triple, got {item!r}")
+        u, v, w = item
+        for end in (u, v):
+            if isinstance(end, bool) or not isinstance(end, int):
+                raise FormatError(f"edge {pos} endpoint {end!r} is not an integer")
+            if not 1 <= end <= n:
+                raise FormatError(f"edge {pos} endpoint {end} outside 1..{n}")
+        if isinstance(w, bool) or not isinstance(w, (int, float)):
+            raise FormatError(f"edge {pos} weight {w!r} is not a number")
+        try:
+            w = float(w)
+        except OverflowError:
+            raise NonFiniteWeightError(f"edge {pos} weight overflows a float") from None
+        if not math.isfinite(w):
+            raise NonFiniteWeightError(f"edge {pos} weight is not finite")
+        slot = (min(u, v), max(u, v))
+        if slot in seen:
+            if seen[slot] != w:
+                raise AsymmetryError(f"edge {slot} listed with weights {seen[slot]!r} and {w!r}")
+            raise DuplicateEdgeError(f"edge {slot} listed twice")
+        seen[slot] = w
+    slots = np.array(list(seen), dtype=np.intp).reshape(-1, 2) - 1
+    weights = np.fromiter(seen.values(), float, len(seen))
+    return WeightedGraph._from_slots(n, slots[:, 0], slots[:, 1], weights)
+
+
+def load_outcome(load, text: str) -> tuple:
+    # the exception class and message, or the stored arrays with their dtypes
+    try:
+        g = load(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return g.n, *((a.dtype.str, a.tobytes()) for a in (g._rows, g._cols, g._weights))
+
+
+def assert_loads_like_the_loop(text: str) -> None:
+    assert load_outcome(load_graph, text) == load_outcome(load_graph_by_loop, text)
+
+
+_BIG = 2**1024 - 2**970  # the first integer float() cannot convert
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [],
+        [[1, 2, 1.0], [2, 3, -0.0], [3, 3, 0.0], [1, 1, 2.5]],
+        [[True, 2, 1.0]],
+        [[1, False, 1.0]],
+        [[1, 2, True]],
+        [[1, 2, 1.0], [2, 3, False]],
+        [[10**400, 2, 1.0]],
+        [[1, -(10**400), 1.0]],
+        [[1, 2, 10**400]],
+        [[1, 2, _BIG]],
+        [[1, 2, -_BIG]],
+        [[1, 2, _BIG - 1], [2, 3, -(_BIG - 1)]],
+        [[1, 2, HUGE_FLOAT]],
+        [[1, 2, 1.0], 7],
+        [[1, 2, 1.0], None, [2, 3]],
+        [[1, 2]],
+        [[1, 2, 1.0, 4]],
+        [[1, 2, 1.0], "edge"],
+        [[1, 2, 1.5], [2, 1, 1.5]],
+        [[1, 2, 1.5], [2, 1, 2.5]],
+        [[2, 2, 1.0], [2, 2, 1.0]],
+        [[1, 2, 0.0], [2, 1, -0.0]],
+        [[1, 2, -0.0], [2, 1, 0.0], [1, 2, 1.0]],
+        [[1, 2, 1], [2, 1, 1.0]],
+        [[1, 3, 1.0], [1, 2, 1.0], [2, 3, 4.0], [3, 2, 5.0], [1, 2, 1.0]],
+        [[1, 2, 1.0], [0, 2, 1.0], [2, 1, 3.0]],
+        [[1, 2, 1.0], [2, 1, 3.0], [0, 2, 1.0]],
+        [[1, 2, 1.0], [1, 2, "x"]],
+        [[1, 4, 1.0], [1, 2, 1.0], [1, 2, 2.0]],
+        [[1, 2, 1.0], [3, "1", 1.0], [1, 2, 1.0]],
+        [[3, 1, 1.0], [2, 3, HUGE_FLOAT], [1, 3, 2.0]],
+        [[1, 2, 1.0], [2, 3, 10**400], [1, 0, 1.0]],
+    ],
+)
+def test_load_graph_matches_the_edge_loop(edges):
+    text = json.dumps({"n": 3, "edges": edges}).replace(json.dumps(HUGE_FLOAT), "1e400")
+    assert_loads_like_the_loop(text)
+
+
+def test_load_graph_matches_the_edge_loop_past_int32_vertex_counts(monkeypatch):
+    # slot codes would overflow int64 here, so repeats are found by sorting both columns
+    n = 2**40
+    monkeypatch.setenv("PSTLAB_CAP", str(n))
+    for edges in ([[1, n, 1.0], [n, n, 2.0]], [[1, n, 1.0], [n, 1, 1.0]], [[n, 1, 1.0], [1, n, 2.0]]):
+        assert_loads_like_the_loop(json.dumps({"n": n, "edges": edges}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_documents())
+def test_load_graph_matches_the_edge_loop_on_fuzzed_documents(text):
+    assert_loads_like_the_loop(text)
+
+
+def test_load_graph_matches_the_edge_loop_on_shuffled_hypercubes():
+    # endpoints swapped on every other edge; then every slot listed again with another weight
+    g = hypercube(6)
+    upper = g._rows <= g._cols
+    edges = [[int(u) + 1, int(v) + 1, 1.0] for u, v in zip(g._rows[upper], g._cols[upper])]
+    rng = np.random.default_rng(3)
+    for _ in range(8):
+        doc = [edges[i] if i % 2 else [edges[i][1], edges[i][0], 1.0] for i in rng.permutation(len(edges))]
+        text = json.dumps({"n": g.n, "edges": doc})
+        assert_loads_like_the_loop(text)
+        assert np.array_equal(load_graph(text).adjacency, g.adjacency)
+        again = doc + [[u, v, 2.0] for u, v, _ in doc]
+        assert_loads_like_the_loop(json.dumps({"n": g.n, "edges": [again[i] for i in rng.permutation(len(again))]}))

@@ -171,6 +171,15 @@ def test_eigh_matrix_small_and_trivial_inputs():
     assert eigh_matrix(np.zeros((0, 0)))[0].size == 0
 
 
+def test_eigh_matrix_extreme_scales():
+    # 2**1023 scales by 2**-1024, a power of two that is no float
+    assert_eigh_accurate(np.array([[2.0**1023]]))
+    # the last column scales to 1e-154: its reflector's 2 / (v . v) would overflow
+    assert_eigh_accurate(np.array([[1e149, 0.0, 1e-5], [0.0, 0.0, 0.0], [1e-5, 0.0, 0.0]]))
+    with pytest.raises(ConvergenceError, match="eigenvalues overflow a float"):
+        eigh_matrix(np.full((3, 3), 1.5e308))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_eigh_matrix_non_finite_input_raises(bad):
     for pos in ((0, 0), (0, 2)):
