@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from typing import Sequence
@@ -45,7 +46,7 @@ from .partition import (
     normalized_partition_matrix,
 )
 from .products import cartesian_power, label_of_index
-from .pst_verify import _check_ranges, conjecture_probe, sweep
+from .pst_verify import conjecture_probe, sweep
 from .spectral import PST_TOL, eigh, find_pst_pairs, is_periodic
 
 _BUILD_KINDS = ("path", "weighted-path", "hypercube", "cartesian-power", "symmetric-power")
@@ -232,16 +233,22 @@ def cmd_quotient(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    # A refused range leaves --out as it was: no file is made, none is emptied.
-    _check_ranges(args.n, args.k, args.cap)
+    made = False
     if args.out is not None:
         # Appending truncates nothing, so an unwritable target fails before the first case.
+        made = not os.path.exists(args.out)
         try:
             with open(args.out, "a", encoding="utf-8"):
                 pass
         except OSError as exc:
             raise PreconditionError(f"cannot write {args.out}: {exc}") from exc
-    reports = sweep(n_range=args.n, k_range=args.k, cap=args.cap)
+    try:
+        reports = sweep(n_range=args.n, k_range=args.k, cap=args.cap)
+    except PstlabError:
+        # A refused range leaves --out as it was: the file made above goes again.
+        if made:
+            os.remove(args.out)
+        raise
     header = f"{'family':<10} {'n':>3} {'k':>3} {'status':<6} {'checks':>7} worst"
     print(header)
     all_ok = True

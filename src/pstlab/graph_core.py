@@ -310,8 +310,7 @@ def load_graph(text: str) -> WeightedGraph:
         raise FormatError('"edges" must be a list')
     p, u, v, w = _columns(n, edges)
     lo, hi = np.minimum(u, v), np.maximum(u, v)
-    # Slot codes fit int64 for every n below 2**31; past that, sort on both columns.
-    order = np.argsort(lo * (n + 1) + hi, kind="stable") if n < 2**31 else np.lexsort((hi, lo))
+    order = np.lexsort((hi, lo))
     repeat = np.flatnonzero((np.diff(lo[order]) == 0) & (np.diff(hi[order]) == 0))
     if repeat.size:
         # The earliest second listing; the item just before it in the stable

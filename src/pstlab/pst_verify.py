@@ -468,11 +468,17 @@ def run_case(n: int, k: int, cap: int | None = None) -> VerificationReport:
     )
 
 
-def _check_ranges(n_range: tuple[int, int], k_range: tuple[int, int], cap: int | None) -> None:
-    """Refuse sweep ranges that are empty, start below n = 2 or k = 1, or pass the cap.
+def sweep(
+    n_range: tuple[int, int],
+    k_range: tuple[int, int],
+    cap: int | None = None,
+) -> tuple[VerificationReport, ...]:
+    """Run every (n, k) case with 1 <= k < n over inclusive ranges, in (n, k) order.
 
-    Since C(n, k) >= n for every case with 1 <= k < n, an ``n_range`` that
-    reaches past the size cap is refused with ResourceCapError.
+    Needs n >= 2 and k >= 1 at the low ends; walker counts k >= n are
+    skipped. Since C(n, k) >= n for every such case, an ``n_range`` that
+    reaches past the size cap is refused up front. Per-case errors are
+    captured inside the corresponding report.
     """
     n_lo, n_hi = n_range
     k_lo, k_hi = k_range
@@ -483,22 +489,6 @@ def _check_ranges(n_range: tuple[int, int], k_range: tuple[int, int], cap: int |
     limit = resolve_size_cap(cap)
     if n_hi > limit:
         raise ResourceCapError(f"n = {n_hi} gives at least {n_hi} vertices, cap is {limit}")
-
-
-def sweep(
-    n_range: tuple[int, int],
-    k_range: tuple[int, int],
-    cap: int | None = None,
-) -> tuple[VerificationReport, ...]:
-    """Run every (n, k) case with 1 <= k < n over inclusive ranges, in (n, k) order.
-
-    Walker counts k >= n are skipped, and the ranges are refused up front as
-    ``_check_ranges`` says. Per-case errors are captured inside the
-    corresponding report.
-    """
-    _check_ranges(n_range, k_range, cap)
-    n_lo, n_hi = n_range
-    k_lo, k_hi = k_range
     return tuple(
         run_case(n, k, cap=cap)
         for n in range(n_lo, n_hi + 1)

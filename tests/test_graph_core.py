@@ -491,7 +491,7 @@ def test_load_graph_matches_the_edge_loop(edges):
 
 
 def test_load_graph_matches_the_edge_loop_past_int32_vertex_counts(monkeypatch):
-    # slot codes would overflow int64 here, so repeats are found by sorting both columns
+    # endpoints past int32, where a slot code min*(n+1)+max would overflow int64
     n = 2**40
     monkeypatch.setenv("PSTLAB_CAP", str(n))
     for edges in ([[1, n, 1.0], [n, n, 2.0]], [[1, n, 1.0], [n, 1, 1.0]], [[n, 1, 1.0], [1, n, 2.0]]):
