@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -199,9 +200,29 @@ class EquivalenceReport:
         return all(flags) or not any(flags)
 
 
-def _omega(g: WeightedGraph) -> np.ndarray:
-    """Column norms of the adjacency, summed over the stored nonzeros only."""
-    return np.sqrt(np.bincount(g._cols, weights=g._weights * g._weights, minlength=g.n))
+def _weight_shift(g: WeightedGraph) -> int:
+    """Exponent ``s`` that keeps every sum over a column of ``2**-s A`` in the float range.
+
+    Every weight of ``2**-s A`` lies below ``2**e`` with ``e = (1023 - 2 b) // 2``
+    for ``n < 2**b``, so a column sums fewer than ``2**b`` squares below
+    ``2**(2 e)``, and a connection strength fewer than ``2**b`` products of a
+    weight and a column norm below ``2**(e + b / 2)``. ``s`` is 0, and nothing
+    is scaled, whenever the weights already lie below ``2**e``: 2**496, about
+    2e149, at the default cap of 16384 vertices.
+    """
+    top = math.frexp(float(np.abs(g._weights).max(initial=0.0)))[1]
+    return max(0, top - (1023 - 2 * g.n.bit_length()) // 2)
+
+
+def _omega(g: WeightedGraph, shift: int = 0) -> np.ndarray:
+    """Column norms of ``2**-shift A``, summed over the stored nonzeros only.
+
+    Scaling by a power of two is exact, so these are ``2**-shift`` times the
+    column norms of ``A`` wherever no square falls below the normal range.
+    """
+    squares = np.ldexp(g._weights, -shift)
+    squares *= squares
+    return np.sqrt(np.bincount(g._cols, weights=squares, minlength=g.n))
 
 
 def _strength(g: WeightedGraph, cells: np.ndarray, m: int, x: np.ndarray) -> np.ndarray:
@@ -218,7 +239,8 @@ def normalized_partition_matrix(g: WeightedGraph, p: Partition) -> PartitionMatr
     """Build Q from the vertex weights; rejects cells of total weight zero."""
     if p.n != g.n:
         raise PreconditionError(f"partition is over {p.n} vertices, graph has {g.n}")
-    w = _omega(g)
+    shift = _weight_shift(g)
+    w = _omega(g, shift)
     cells = p.cell_index
     cell_weights = np.sqrt(np.bincount(cells, weights=w * w, minlength=p.m))
     empty = np.flatnonzero(cell_weights == 0.0)
@@ -228,16 +250,21 @@ def normalized_partition_matrix(g: WeightedGraph, p: Partition) -> PartitionMatr
         )
     q = np.zeros((g.n, p.m))
     q[np.arange(g.n), cells] = w / cell_weights[cells]
-    return PartitionMatrix(p, q, w, cell_weights)
+    # Undo the scaling; a weight past the float range becomes inf.
+    with np.errstate(over="ignore"):
+        return PartitionMatrix(p, q, np.ldexp(w, shift), np.ldexp(cell_weights, shift))
 
 
 def check_equitable(g: WeightedGraph, p: Partition) -> EquitabilityReport:
     """Measure cellwise constancy of the weight-scaled connection strengths; equitable within ``TOL_EQ``."""
     if p.n != g.n:
         raise PreconditionError(f"partition is over {p.n} vertices, graph has {g.n}")
-    w = _omega(g)
+    shift = _weight_shift(g)
+    w = _omega(g, shift)
     cells = p.cell_index
-    strength = _strength(g, cells, p.m, w)
+    # With w = 2**-s omega, the strengths of A toward 2**-s w are 2**-2s times
+    # those toward omega, and vals = 2**-s b_ij(u), unscaled below.
+    strength = _strength(g, cells, p.m, np.ldexp(w, -shift))
     # A zero-weight vertex has a zero adjacency column, so its connection
     # strength toward every cell is zero by continuity.
     vals = np.divide(strength, w[:, None], out=np.zeros(strength.shape), where=w[:, None] > 0.0)
@@ -252,7 +279,10 @@ def check_equitable(g: WeightedGraph, p: Partition) -> EquitabilityReport:
     ci, cj = divmod(int(np.argmax(spreads)), p.m)
     members = np.flatnonzero(cells == ci)
     offender = int(np.argmax(np.abs(vals[members, cj] - b[ci, cj])))
-    max_spread = float(spreads[ci, cj])
+    # Undo the scaling; a value past the float range becomes inf.
+    with np.errstate(over="ignore"):
+        max_spread = float(np.ldexp(spreads[ci, cj], shift))
+        np.ldexp(b, shift, out=b)
     return EquitabilityReport(
         equitable=max_spread <= TOL_EQ,
         b=b,
@@ -287,8 +317,10 @@ def _quotient_graph(g: WeightedGraph, pm: PartitionMatrix) -> WeightedGraph:
     # Q has one nonzero per row, in the column of the vertex's own cell.
     b = pm.q.T @ _strength(g, cells, pm.m, pm.q[np.arange(g.n), cells])
     # Matrix products are not bit-symmetric; the averaging only moves entries
-    # at roundoff scale.
-    b = 0.5 * (b + b.T)
+    # at roundoff scale. Halving first keeps a sum of two entries near the
+    # float maximum in range, and halving is exact in the normal range.
+    b *= 0.5
+    b = b + b.T
     return WeightedGraph(pm.m, b)
 
 

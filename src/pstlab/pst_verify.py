@@ -53,7 +53,7 @@ from .hardcore import (
     symmetric_power,
 )
 from .partition import _quotient_graph, check_equitable, normalized_partition_matrix, orbit_partition
-from .spectral import PST_TOL, eigh, evolve, find_pst_pairs
+from .spectral import PST_TOL, _check_time, _pair_scan, eigh, evolve
 from .tonks import _compound, _eigenbasis_deviation, _minors
 
 MODULUS_TOL = 1e-9
@@ -498,7 +498,11 @@ def sweep(
 
 @dataclass(frozen=True)
 class ProbeReport:
-    """Exploratory scan for transfer on a non-path input; carries no pass/fail."""
+    """Exploratory scan for transfer on a non-path input; carries no pass/fail.
+
+    ``pairs_scanned`` counts the label pairs whose amplitudes the scan
+    computed, out of ``pairs_total = m (m - 1) / 2`` for ``m`` labels.
+    """
 
     n: int
     k: int
@@ -509,6 +513,8 @@ class ProbeReport:
     best_source: tuple[int, ...]
     best_target: tuple[int, ...]
     achieves_transfer: bool
+    pairs_scanned: int
+    pairs_total: int
     notes: tuple[str, ...] = field(default=())
 
     def to_dict(self) -> dict:
@@ -522,6 +528,8 @@ class ProbeReport:
             "best_source": list(self.best_source),
             "best_target": list(self.best_target),
             "achieves_transfer": self.achieves_transfer,
+            "pairs_scanned": self.pairs_scanned,
+            "pairs_total": self.pairs_total,
             "notes": list(self.notes),
         }
 
@@ -545,13 +553,25 @@ def conjecture_probe(
     off-diagonal modulus over the scanned times plus the scanned times at
     which a single walker transfers perfectly (within ``PST_TOL``).
     Exploratory output only.
+
+    No propagator is assembled. Each walk amplitude is ``sum_l z_il z_jl
+    exp(-i t lambda_l)``, taken for a block of label pairs ``i < j`` at every
+    time at once, and the time-free bound ``sum_l |z_il| |z_jl|`` on its
+    modulus leaves out every pair that cannot reach the best modulus found so
+    far, or ``1 - PST_TOL`` if that is smaller, less a rounding slack of
+    ``64 m eps`` (see ``spectral._pair_scan``).
+    The single walker's transfer times come from the same scan of its vertex
+    pairs. Ties go to the largest modulus, then the earliest time, then the
+    smallest ``(i, j)``; the report names ``labels[i]`` the target and
+    ``labels[j]`` the source.
     """
     notes: list[str] = []
-    spec_single = eigh(g)
     candidates = _probe_grid()
     if pst_time is not None:
-        candidates = sorted(set(candidates) | {float(pst_time)})
-    single_times = [t for t in candidates if find_pst_pairs(spec_single, t)]
+        candidates = sorted(set(candidates) | {_check_time(pst_time)})
+    times = np.array(candidates)
+    transfers, _, _ = _pair_scan(eigh(g), times)
+    single_times = [t for t, hit in zip(candidates, transfers) if hit]
     if not single_times:
         notes.append("no single-walker transfer found on the probe grid")
 
@@ -564,25 +584,19 @@ def conjecture_probe(
     except PstlabError as exc:
         notes.append(str(exc))
 
-    spec = eigh(identical)
     labels = ascending_labels(g.n, k)
-    best = (0.0, 0.0, 0, 0)
-    for t in candidates:
-        u = np.abs(evolve(spec, t))
-        np.fill_diagonal(u, 0.0)
-        flat = int(np.argmax(u))
-        i, j = divmod(flat, identical.n)
-        if u[i, j] > best[0]:
-            best = (float(u[i, j]), float(t), i, j)
+    _, (modulus, when, i, j), scanned = _pair_scan(eigh(identical), times)
     return ProbeReport(
         n=g.n,
         k=k,
         single_pst_times=tuple(single_times),
         times_scanned=len(candidates),
-        best_modulus=best[0],
-        best_time=best[1],
-        best_source=labels[best[3]],
-        best_target=labels[best[2]],
-        achieves_transfer=best[0] >= 1.0 - PST_TOL,
+        best_modulus=modulus,
+        best_time=candidates[when] if when >= 0 else 0.0,
+        best_source=labels[j],
+        best_target=labels[i],
+        achieves_transfer=modulus >= 1.0 - PST_TOL,
+        pairs_scanned=scanned,
+        pairs_total=identical.n * (identical.n - 1) // 2,
         notes=tuple(notes),
     )

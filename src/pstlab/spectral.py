@@ -15,7 +15,9 @@ thread count; eigenvector signs follow one fixed convention (see
 SpectralDecomposition). Propagators are assembled from
 the decomposition as U(t) = Z exp(-i t Lambda) Z^T, so unitarity holds to
 the accuracy of the decomposition itself and no matrix exponential routine
-is involved.
+is involved. The probe's scan (_pair_scan) takes the same amplitudes pair by
+pair, in blocks at every time at once, and skips the pairs that a time-free
+bound rules out.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ _ROTATION_BLOCK = 4096
 
 # _tridiagonalize leaves a column whose squares sum below this (see there).
 _TINY_COLUMN = 2.0**-968
+
+# _pair_scan prunes pairs whose bound lies this many n eps below its target (see there).
+_PAIR_SLACK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,11 +311,20 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
+def _angles(values: np.ndarray, times) -> np.ndarray:
+    """``t * lambda`` for every eigenvalue (rows) and time; refuses a product past the float range."""
+    with np.errstate(over="ignore"):
+        angles = np.multiply.outer(values, times)
+    if not np.isfinite(angles).all():
+        raise PreconditionError("a time times an eigenvalue overflows a float")
+    return angles
+
+
 def evolve(spec: SpectralDecomposition, t: float) -> np.ndarray:
     """Propagator U(t) = exp(-i t A) from a spectral decomposition, as a read-only complex array."""
     t = _check_time(t)
     z = spec.eigenvectors
-    angles = t * spec.eigenvalues
+    angles = _angles(spec.eigenvalues, t)
     # Two real products, since exp(-i t lambda) = cos(t lambda) - i sin(t lambda): half
     # the flops of one complex product, and no complex copies of z or z^T.
     u = np.empty((spec.n, spec.n), dtype=complex)
@@ -328,6 +342,66 @@ def transfer_amplitude(spec: SpectralDecomposition, u: int, v: int, t: float) ->
     phases = np.exp(-1j * t * spec.eigenvalues)
     weights = spec.eigenvectors[v - 1] * spec.eigenvectors[u - 1]
     return complex(weights @ phases)
+
+
+def _pair_scan(
+    spec: SpectralDecomposition, times: np.ndarray
+) -> tuple[np.ndarray, tuple[float, int, int, int], int]:
+    """Largest amplitude modulus ``|U_ij(t)|`` over 0-based pairs ``i < j`` and ``times``, pruned by a bound.
+
+    This is ``transfer_amplitude`` in batches: for a block of pairs,
+    ``U_ij(t) = sum_l z_il z_jl exp(-i t lambda_l)`` at every time is two real
+    products of the weights ``z_il z_jl`` with ``cos(lambda t)`` and
+    ``-sin(lambda t)``. By the triangle inequality ``|U_ij(t)| <= B_ij =
+    sum_l |z_il| |z_jl|`` at every time, and ``B`` is one product
+    ``|Z| |Z|^T``. Pairs go in blocks of ``n`` in descending order of ``B``,
+    and the scan stops at the first block whose largest bound lies below
+    ``min(best, 1 - PST_TOL) - slack``, ``best`` being the largest modulus so
+    far and ``slack = _PAIR_SLACK n eps = 64 n eps``. Each computed sum is
+    within about ``n eps`` of its exact value, its terms summing to at most
+    ``B_ij <= |z_i| |z_j| = 1``, so the slack covers the rounding: every pair
+    left out has a modulus below both ``best`` and ``1 - PST_TOL``, and the
+    order of pairs within a block or among equal bounds changes no result.
+
+    Returns a mask of the times at which some pair reaches ``1 - PST_TOL``,
+    the best ``(modulus, time index, i, j)`` with ties to the earliest time and
+    then the smallest ``(i, j)``, as in a row-major argmax of a symmetric
+    ``|U|`` over ascending times, and the number of pairs scanned. The best is
+    ``(0.0, -1, 0, 0)`` when no amplitude is positive.
+    """
+    z, n = spec.eigenvectors, spec.n
+    angles = _angles(spec.eigenvalues, times)
+    cos, minus_sin = np.cos(angles), -np.sin(angles)
+    bound = np.abs(z) @ np.abs(z).T
+    # The diagonal and below sort after every pair i < j, and are cut off.
+    bound[np.tri(n, dtype=bool)] = -1.0
+    order = np.argsort(bound, axis=None)[::-1][: n * (n - 1) // 2]
+    bound = bound.ravel()
+    floor, slack = 1.0 - PST_TOL, _PAIR_SLACK * n * _EPS
+    transfers = np.zeros(len(times), dtype=bool)
+    best = (0.0, -1, 0, 0)
+    scanned = 0
+    for lo in range(0, order.size, n):
+        block = order[lo : lo + n]
+        if bound[block[0]] < min(best[0], floor) - slack:
+            break
+        i, j = np.divmod(block, n)
+        weights = z[i]
+        weights *= z[j]
+        amps = np.empty((block.size, len(times)), dtype=complex)
+        amps.real = weights @ cos
+        amps.imag = weights @ minus_sin
+        moduli = np.abs(amps)
+        transfers |= (moduli >= floor).any(axis=0)
+        top = float(moduli.max())
+        if top > 0.0 and top >= best[0]:
+            rows, cols = np.nonzero(moduli == top)
+            first = np.lexsort((block[rows], cols))[0]
+            candidate = (top, int(cols[first]), int(i[rows[first]]), int(j[rows[first]]))
+            if top > best[0] or candidate[1:] < best[1:]:
+                best = candidate
+        scanned += block.size
+    return transfers, best, scanned
 
 
 def find_pst_pairs(spec: SpectralDecomposition, t: float, tol: float = PST_TOL) -> tuple[PstPair, ...]:

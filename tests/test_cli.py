@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from pstlab import load_graph, save_graph, weighted_path
 from pstlab.cli import main
 
-from conftest import ODD_VALUES_SQUARING_IN_RANGE, graph_documents, graph_from_edges, hamming_partition, partition_documents
+from conftest import graph_documents, graph_from_edges, hamming_partition, partition_documents
 
 
 def run(capsys, *argv):
@@ -189,6 +189,21 @@ def test_quotient_not_equitable(tmp_path, capsys):
     assert "cell" in err
 
 
+@pytest.mark.parametrize("weight", ["1.3407807929942597e+154", "1.7976931348623157e+308"])
+def test_quotient_by_singletons_of_weights_whose_squares_overflow(tmp_path, capsys, weight):
+    # 2**512 and the largest float square past the float range; a singleton partition is
+    # equitable whatever the weights, and the quotient is the graph itself
+    graph = tmp_path / "g.json"
+    graph.write_text(f'{{"n": 2, "edges": [[1, 2, {weight}], [1, 1, 1.0]]}}')
+    part = tmp_path / "p.json"
+    part.write_text('{"n": 2, "cells": [[1], [2]]}')
+    code, out, err = run(capsys, "quotient", "--in", str(graph), "--partition", str(part))
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["equitable"] is True and doc["max_spread"] == 0.0
+    assert doc["quotient"]["edges"] == [[1, 1, 1.0], [1, 2, float(weight)]]
+
+
 def test_malformed_graph_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"n": 3,\n  "edges": [[1, 2]]}')
@@ -315,6 +330,16 @@ def test_spectrum_past_the_float_range_is_one_error_line(tmp_path, capsys):
     path = write_graph(tmp_path, graph_from_edges(3, [(1, 2, 1e308), (2, 3, 1e308), (1, 3, 1e308)]))
     code, out, err = run(capsys, "spectrum", "--in", path)
     assert (code, out, err) == (1, "", "error: eigenvalues overflow a float\n")
+
+
+@pytest.mark.parametrize(
+    "argv", [["pst", "--t", "pi/2"], ["periodic", "--t", "pi"], ["probe", "--k", "1"]], ids=lambda a: a[0]
+)
+def test_times_past_the_float_range_are_one_error_line(tmp_path, capsys, argv):
+    # the eigenvalues +-1.8e308 are floats, but pi / 2 times them is not
+    path = write_graph(tmp_path, graph_from_edges(2, [(1, 2, 1.7976931348623157e308)]))
+    code, out, err = run(capsys, argv[0], "--in", path, *argv[1:])
+    assert (code, out, err) == (2, "", "error: a time times an eigenvalue overflows a float\n")
 
 
 def test_non_utf8_graph_file(tmp_path, capsys):
@@ -500,6 +525,9 @@ def test_probe(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["achieves_transfer"] is True
     assert doc["best_modulus"] >= 1.0 - 1e-9
+    # the 10 labels make 45 pairs; the mirror pairs reach the bound and all are scanned
+    assert doc["pairs_total"] == 45
+    assert 1 <= doc["pairs_scanned"] <= 45
 
 
 def test_single_range_form(capsys):
@@ -546,15 +574,21 @@ def _main_quietly(argv):
 def test_fuzzed_documents_exit_with_a_documented_code(n, data):
     # every input ends in exit 0-4; any other exit prints one diagnostic line, never a traceback.
     # n = 7 is past the cap of 6 below; the partition mostly has the graph's n.
-    # weights square within the float range: see the partition._omega overflow in CHANGES.md
-    graph = data.draw(graph_documents(st.just(n), st.floats(-1e150, 1e150), ODD_VALUES_SQUARING_IN_RANGE))
+    graph = data.draw(graph_documents(st.just(n), st.floats(-1e300, 1e300)))
     partition = data.draw(partition_documents(st.just(n) | st.integers(1, 7)) | st.text(max_size=12))
+    k = data.draw(st.integers(1, 3))
     with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, {"PSTLAB_CAP": "6"}):
         gpath, ppath = os.path.join(tmp, "g.json"), os.path.join(tmp, "p.json")
         for path, text in ((gpath, graph), (ppath, partition)):
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(text)
-        for argv in (["spectrum", "--in", gpath], ["quotient", "--in", gpath, "--partition", ppath]):
+        for argv in (
+            ["spectrum", "--in", gpath],
+            ["quotient", "--in", gpath, "--partition", ppath],
+            ["pst", "--in", gpath, "--t", "pi/2"],
+            ["periodic", "--in", gpath, "--t", "pi"],
+            ["probe", "--in", gpath, "--k", str(k)],
+        ):
             code, _, err = _main_quietly(argv)
             assert code in (0, 1, 2, 3, 4), (argv, code, err)
             if code == 0:

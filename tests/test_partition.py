@@ -393,6 +393,101 @@ def _traced_peak_mib(fn, *args):
     return peak / 2**20
 
 
+# The unscaled formulas, which square the weights as they stand: the oracle
+# for every input whose squares fit a float.
+
+
+def _omega_unscaled(g):
+    return np.sqrt(np.bincount(g._cols, weights=g._weights * g._weights, minlength=g.n))
+
+
+def _strength_unscaled(g, cells, m, x):
+    flat = g._rows * m + cells[g._cols]
+    return np.bincount(flat, weights=g._weights * x[g._cols], minlength=g.n * m).reshape(g.n, m)
+
+
+def _check_equitable_unscaled(g, p):
+    w = _omega_unscaled(g)
+    cells = p.cell_index
+    strength = _strength_unscaled(g, cells, p.m, w)
+    vals = np.divide(strength, w[:, None], out=np.zeros(strength.shape), where=w[:, None] > 0.0)
+    order = np.argsort(cells, kind="stable")
+    sizes = np.bincount(cells, minlength=p.m)
+    starts = np.cumsum(sizes) - sizes
+    by_cell = np.take(vals.T, order, axis=1)
+    b = (np.add.reduceat(by_cell, starts, axis=1) / sizes).T
+    spreads = (np.maximum.reduceat(by_cell, starts, axis=1) - np.minimum.reduceat(by_cell, starts, axis=1)).T
+    ci, cj = divmod(int(np.argmax(spreads)), p.m)
+    members = np.flatnonzero(cells == ci)
+    offender = int(np.argmax(np.abs(vals[members, cj] - b[ci, cj])))
+    return b, float(spreads[ci, cj]), (ci + 1, cj + 1, int(members[offender]) + 1)
+
+
+def _partition_matrix_unscaled(g, p):
+    w = _omega_unscaled(g)
+    cells = p.cell_index
+    cell_weights = np.sqrt(np.bincount(cells, weights=w * w, minlength=p.m))
+    q = np.zeros((g.n, p.m))
+    q[np.arange(g.n), cells] = w / cell_weights[cells]
+    return q, w, cell_weights
+
+
+def _quotient_unscaled(g, p, q):
+    cells = p.cell_index
+    b = q.T @ _strength_unscaled(g, cells, p.m, q[np.arange(g.n), cells])
+    return 0.5 * (b + b.T)
+
+
+def _same_bytes(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _hamming_and_mirror_partitions():
+    rng = np.random.default_rng(20261019)
+    for dim in range(3, 9):
+        ham = hamming_partition(dim)
+        yield f"q{dim}-hamming", hypercube(dim), Partition(ham.n, tuple(ham.cells[i] for i in rng.permutation(ham.m)))
+    for n in range(2, 12):
+        for k in range(1, n):
+            graph = symmetric_power(weighted_path(n), k)
+            yield f"mirror-{n}-{k}", graph, orbit_partition(graph, _mirror_permutation(n, k))
+
+
+def test_partition_layer_keeps_the_unscaled_bytes():
+    # weights far below 1e149 are never scaled, so every array is that of the squaring formulas
+    for name, g, p in _hamming_and_mirror_partitions():
+        b, max_spread, worst = _check_equitable_unscaled(g, p)
+        report = check_equitable(g, p)
+        assert _same_bytes(report.b, b) and report.max_spread == max_spread, name
+        assert (report.worst_cell, report.worst_target_cell, report.worst_vertex) == worst, name
+        q, w, cell_weights = _partition_matrix_unscaled(g, p)
+        pm = normalized_partition_matrix(g, p)
+        assert _same_bytes(pm.q, q) and _same_bytes(pm.vertex_weights, w), name
+        assert _same_bytes(pm.cell_weights, cell_weights), name
+        assert _same_bytes(_quotient_graph(g, pm).adjacency, _quotient_unscaled(g, p, q)), name
+
+
+@pytest.mark.parametrize("exponent", [512, 600, 1000])
+def test_partition_layer_scales_with_weights_whose_squares_overflow(exponent):
+    # 2**exponent A squares past the float range; scaling by a power of two is exact, so
+    # q is unchanged, b, the spread, the weights and the quotient scale by 2**exponent, and
+    # nothing warns (the equitability verdict does not scale: TOL_EQ is absolute)
+    for name, g, p in _hamming_and_mirror_partitions():
+        if 2.0 ** (exponent - 1024) * np.abs(g._weights).max() * g.n >= 1.0:
+            continue  # the quotient's own entries would pass the float range
+        big = WeightedGraph(g.n, np.ldexp(g.adjacency, exponent))
+        report, base = check_equitable(big, p), check_equitable(g, p)
+        assert _same_bytes(report.b, np.ldexp(base.b, exponent)), name
+        assert report.max_spread == math.ldexp(base.max_spread, exponent), name
+        pm, pm_base = normalized_partition_matrix(big, p), normalized_partition_matrix(g, p)
+        assert _same_bytes(pm.q, pm_base.q), name
+        assert _same_bytes(pm.vertex_weights, np.ldexp(pm_base.vertex_weights, exponent)), name
+        assert _same_bytes(pm.cell_weights, np.ldexp(pm_base.cell_weights, exponent)), name
+        expected = np.ldexp(_quotient_graph(g, pm_base).adjacency, exponent)
+        assert _same_bytes(_quotient_graph(big, pm).adjacency, expected), name
+
+
 def test_partition_layer_allocates_less_than_one_adjacency():
     # one 1024 x 1024 float array is 8 MiB; the grouped code stays far below it
     g, p = hypercube(10), hamming_partition(10)

@@ -13,19 +13,23 @@ from pstlab import (
     ResourceCapError,
     SpectralDecomposition,
     WeightedGraph,
+    ascending_labels,
     conjecture_probe,
     eigh,
     evolve,
     find_pst_pairs,
+    hypercube,
     predicted_period_phase,
     predicted_transfer_phase,
     reflection_permutation,
     run_case,
     sweep,
+    symmetric_power,
     weighted_path,
 )
 from pstlab.hardcore import _kept_table
-from pstlab.pst_verify import _build_case, _hadamard_bound, _mirror_permutation, _unitarity_check
+from pstlab.pst_verify import _build_case, _hadamard_bound, _mirror_permutation, _probe_grid, _unitarity_check
+from pstlab.spectral import PST_TOL, _PAIR_SLACK, _pair_scan
 from pstlab.tonks import _minors
 
 from conftest import cycle_graph
@@ -551,6 +555,134 @@ def test_conjecture_probe_caps_the_kept_labels_not_the_power():
 def test_conjecture_probe_refuses_walker_counts_outside_the_graph(k):
     with pytest.raises(InvalidSizeError):
         conjecture_probe(weighted_path(4), k)
+
+
+# The scan conjecture_probe replaced, kept as the oracle of its pair scan: one
+# propagator per time, and a row-major argmax that keeps the earliest time.
+
+
+def _seeded_ring(n, seed):
+    rng = np.random.default_rng(seed)
+    a = np.zeros((n, n))
+    for v in range(n):
+        a[v, (v + 1) % n] = a[(v + 1) % n, v] = rng.uniform(0.5, 1.5)
+    return WeightedGraph(n, a)
+
+
+def _seeded_cube(dim, seed):
+    rng = np.random.default_rng(seed)
+    weights = np.triu(rng.uniform(0.5, 1.5, size=(2**dim, 2**dim)), 1)
+    return WeightedGraph(2**dim, hypercube(dim).adjacency * (weights + weights.T))
+
+
+PROBE_CASES = [
+    ("ring-C12", _seeded_ring(12, 31), 2),
+    ("ring-C10", _seeded_ring(10, 32), 3),
+    ("cube-Q4", _seeded_cube(4, 33), 2),
+    ("ring-C9", _seeded_ring(9, 34), 2),
+    *((f"path-{n}", weighted_path(n), 2) for n in range(5, 9)),
+    ("cycle-4", cycle_graph(4), 2),
+]
+
+
+def _probe_times(pst_time):
+    times = _probe_grid()
+    return times if pst_time is None else sorted(set(times) | {pst_time})
+
+
+def _probe_oracle(g, k, pst_time):
+    """Single-walker times, best (modulus, time, i, j) and the best's margin over its runner-up."""
+    times = _probe_times(pst_time)
+    spec_single = eigh(g)
+    single = tuple(t for t in times if find_pst_pairs(spec_single, t))
+    spec = eigh(symmetric_power(g, k, allow_non_path=True))
+    best = (0.0, 0.0, 0, 0)
+    per_pair = []
+    upper = np.triu_indices(spec.n, 1)
+    for t in times:
+        u = np.abs(evolve(spec, t))
+        np.fill_diagonal(u, 0.0)
+        i, j = divmod(int(np.argmax(u)), spec.n)
+        if u[i, j] > best[0]:
+            best = (float(u[i, j]), float(t), i, j)
+        per_pair.append(np.maximum(u, u.T)[upper])
+    ranked = np.sort(np.concatenate(per_pair))
+    return single, best, float(ranked[-1] - ranked[-2])
+
+
+@pytest.mark.parametrize("pst_time", [None, 1.0])
+@pytest.mark.parametrize("name,g,k", PROBE_CASES, ids=[c[0] for c in PROBE_CASES])
+def test_conjecture_probe_matches_the_dense_scan(name, g, k, pst_time):
+    single, (modulus, when, i, j), margin = _probe_oracle(g, k, pst_time)
+    report = conjecture_probe(g, k, pst_time=pst_time)
+    labels = ascending_labels(g.n, k)
+    assert abs(report.best_modulus - modulus) <= 1e-13
+    assert report.single_pst_times == single
+    assert report.times_scanned == len(_probe_times(pst_time))
+    m = math.comb(g.n, k)
+    assert report.pairs_total == m * (m - 1) // 2
+    assert 0 < report.pairs_scanned <= report.pairs_total
+    if margin > 1e-12:
+        assert report.best_time == when
+        assert {report.best_source, report.best_target} == {labels[i], labels[j]}
+
+
+def test_conjecture_probe_breaks_exact_ties_as_the_dense_scan():
+    # on an exactly symmetric |U| the largest modulus, then the earliest time, then the
+    # smallest (i, j) wins, and the report names labels[i] the target: the dense argmax's pick
+    z = np.full((4, 4), 0.5) * np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
+    spec = SpectralDecomposition(np.array([-2.0, 0.0, 0.0, 2.0]), z)
+    times = np.array(_probe_grid())
+    transfers, best, _ = _pair_scan(spec, times)
+    u = np.array([np.abs(evolve(spec, t)) for t in times])
+    for slice_ in u:
+        np.fill_diagonal(slice_, 0.0)
+    assert np.array_equal(u, u.transpose(0, 2, 1))
+    t, i, j = np.unravel_index(int(np.argmax(u)), u.shape)
+    assert best == (float(u[t, i, j]), t, i, j)
+    assert np.array_equal(transfers, (u >= 1.0 - PST_TOL).any(axis=(1, 2)))
+
+
+def test_conjecture_probe_assembles_no_propagator(monkeypatch):
+    import pstlab.pst_verify
+    import pstlab.spectral
+
+    calls = []
+
+    def counting(spec, t):
+        calls.append(spec.n)
+        raise AssertionError("evolve called")
+
+    monkeypatch.setattr(pstlab.pst_verify, "evolve", counting)
+    monkeypatch.setattr(pstlab.spectral, "evolve", counting)
+    for _, g, k in PROBE_CASES[:3]:
+        conjecture_probe(g, k, pst_time=1.0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name,g,k", PROBE_CASES, ids=[c[0] for c in PROBE_CASES])
+def test_pair_bound_and_slack_cover_every_propagator_modulus(name, g, k):
+    # sum_l |z_il| |z_jl| bounds |U_ij(t)| at every t, and the slack covers the rounding:
+    # on the weighted paths the transfer amplitudes reach their bound of 1 to the last bits
+    spec = eigh(symmetric_power(g, k, allow_non_path=True))
+    size = np.abs(spec.eigenvectors)
+    bound = size @ size.T + _PAIR_SLACK * spec.n * np.finfo(float).eps
+    for t in _probe_grid():
+        assert (np.abs(evolve(spec, t)) <= bound).all(), t
+
+
+@pytest.mark.parametrize("name,g,k", PROBE_CASES, ids=[c[0] for c in PROBE_CASES])
+def test_pair_scan_stops_at_the_first_block_the_bound_rules_out(name, g, k):
+    # every pair whose bound reaches min(best, 1 - PST_TOL) is scanned, and no whole block
+    # past the pairs whose bound reaches it less twice the slack
+    spec = eigh(symmetric_power(g, k, allow_non_path=True))
+    _, (modulus, _, _, _), scanned = _pair_scan(spec, np.array(_probe_grid()))
+    size = np.abs(spec.eigenvectors)
+    pairs = (size @ size.T)[np.triu_indices(spec.n, 1)]
+    target = min(modulus, 1.0 - PST_TOL)
+    slack = _PAIR_SLACK * spec.n * np.finfo(float).eps
+    assert scanned >= int((pairs >= target).sum())
+    assert scanned <= -(-int((pairs >= target - 2 * slack).sum()) // spec.n) * spec.n
 
 
 def _eigenvalue_classes_loop(values):
