@@ -217,6 +217,8 @@ def cmd_quotient(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
+    if not math.isfinite(abs(report.b).max()):
+        raise PreconditionError("a connection strength overflows a float")
     quot = _quotient_graph(g, normalized_partition_matrix(g, part))
     doc = {
         "equitable": True,

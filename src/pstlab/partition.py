@@ -315,12 +315,15 @@ def _quotient_graph(g: WeightedGraph, pm: PartitionMatrix) -> WeightedGraph:
     """
     cells = pm.partition.cell_index
     # Q has one nonzero per row, in the column of the vertex's own cell.
-    b = pm.q.T @ _strength(g, cells, pm.m, pm.q[np.arange(g.n), cells])
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = pm.q.T @ _strength(g, cells, pm.m, pm.q[np.arange(g.n), cells])
     # Matrix products are not bit-symmetric; the averaging only moves entries
     # at roundoff scale. Halving first keeps a sum of two entries near the
     # float maximum in range, and halving is exact in the normal range.
     b *= 0.5
     b = b + b.T
+    if not np.isfinite(b).all():
+        raise PreconditionError("a quotient entry overflows a float")
     return WeightedGraph(pm.m, b)
 
 

@@ -24,10 +24,12 @@ This is the complex conjugate of exp(-i pi k (k - n) / 2), the form that
 belongs to the convention U(t) = exp(+i t A). The two agree when k (k - n)
 is even and differ by a factor -1 when k is odd and n is even; the smallest
 such case is (n, k) = (6, 3). Spectrally, the amplitude sums
-exp(-i pi lambda / 2) times the mirror parity over the eigenvalue classes.
-The bottom class lambda = k (k - n) has parity (-1)**(k (n - 1)), and each
-step of 2 up the ladder flips both the parity and the phase factor, so the
-sum is (-1)**(k (n - 1)) * exp(-i pi k (k - n) / 2), which equals gamma(n, k)
+exp(-i pi lambda_L / 2) times the mirror parity over the ascending mode
+tuples L. Each L sits at the integer ladder step d_L = sum(L) - k (k - 1) / 2
+(``tonks._ladder_steps``), with eigenvalue lambda_L = k (k - n) + 2 d_L and
+parity (-1)**(k (n - 1) + d_L). Step 0 has parity (-1)**(k (n - 1)), and
+each step up flips both the parity and the phase factor, so the sum is
+(-1)**(k (n - 1)) * exp(-i pi k (k - n) / 2), which equals gamma(n, k)
 because k (k - 1) is even. The full revival at t = pi carries
 exp(-i pi k (k - n)), the square of gamma(n, k), in either convention.
 """
@@ -53,8 +55,8 @@ from .hardcore import (
     symmetric_power,
 )
 from .partition import _quotient_graph, check_equitable, normalized_partition_matrix, orbit_partition
-from .spectral import PST_TOL, _check_time, _pair_scan, eigh, evolve
-from .tonks import _compound, _eigenbasis_deviation, _minors
+from .spectral import PST_TOL, SpectralDecomposition, _check_time, _pair_scan, eigh, evolve
+from .tonks import _compound, _eigenbasis_deviation, _ladder_steps, _minors
 
 MODULUS_TOL = 1e-9
 PHASE_TOL = 1e-8
@@ -65,10 +67,6 @@ SPREAD_TOL = 1e-10
 SPECTRUM_TOL = 1e-8
 TRANSPORT_TOL = 1e-8
 EIGENBASIS_TOL = 1e-12
-
-# Eigenvalues closer than this are treated as one degenerate class when
-# building projectors; the hard-core ladders have unit gaps times two.
-_CLASS_GAP = 1e-6
 
 # Time grid scanned by the conjecture probe: dyadic fractions of pi.
 _PROBE_DEPTH = 6
@@ -137,15 +135,6 @@ def predicted_period_phase(n: int, k: int) -> complex:
     return complex(-1.0 if (k * (k - n)) % 2 else 1.0)
 
 
-def _eigenvalue_classes(values: np.ndarray) -> np.ndarray:
-    """Degenerate class id of each ascending eigenvalue, counted from 0.
-
-    A new class starts wherever the next eigenvalue lies more than
-    ``_CLASS_GAP`` above the previous one.
-    """
-    return np.concatenate(([0], np.cumsum(np.diff(values) > _CLASS_GAP)))
-
-
 def _norm2_bound(m: np.ndarray) -> float:
     """Upper bound on the 2-norm of a Hermitian matrix: its largest absolute row sum or its Frobenius norm."""
     return min(float(np.abs(m).sum(axis=1).max()), float(np.linalg.norm(m)))
@@ -185,12 +174,11 @@ class _Case:
     mode tuple, is the Slater determinant of those modes (Corollary 1), with
     eigenvalue ``values[L]``, the sum of their single-walker eigenvalues.
     Columns keep this mode order and the compound's signs; no check reads
-    either. ``class_ids`` is the degenerate class of each column, counted
-    from 0 up the sorted spectrum, and ``class_values`` the mean eigenvalue
-    of each class. ``mirror`` is the 0-based mirror map, ``labels`` the
-    0-based ascending labels, ``path_half``, ``path_full`` the path
-    propagators at t = pi/2 and t = pi, and ``mirror_amps`` the minors
-    det U_1(pi/2)[mirror(X), X].
+    either. ``path_spec`` is the n-vertex path's own decomposition, its
+    modes ascending. ``mirror`` is the 0-based mirror map, ``labels`` the
+    0-based ascending labels, which double as the mode tuples of the
+    columns, ``path_half``, ``path_full`` the path propagators at t = pi/2
+    and t = pi, and ``mirror_amps`` the minors det U_1(pi/2)[mirror(X), X].
     """
 
     n: int
@@ -198,8 +186,7 @@ class _Case:
     graph: WeightedGraph
     z: np.ndarray
     values: np.ndarray
-    class_ids: np.ndarray
-    class_values: np.ndarray
+    path_spec: SpectralDecomposition
     mirror: np.ndarray
     labels: np.ndarray
     path_half: np.ndarray
@@ -223,12 +210,6 @@ def _build_case(n: int, k: int, cap: int | None) -> _Case:
     labels = _ascending(n, k)
     z = _compound(single.eigenvectors, k)
     z.flags.writeable = False
-    values = single.eigenvalues[labels].sum(axis=1)
-    # Class ids count up the sorted spectrum and are scattered back to mode order.
-    order = np.argsort(values, kind="stable")
-    sorted_ids = _eigenvalue_classes(values[order])
-    class_ids = np.empty_like(sorted_ids)
-    class_ids[order] = sorted_ids
     mirror = _mirror_permutation(n, k)
     path_half = evolve(single, math.pi / 2.0)
     return _Case(
@@ -236,9 +217,8 @@ def _build_case(n: int, k: int, cap: int | None) -> _Case:
         k=k,
         graph=graph,
         z=z,
-        values=values,
-        class_ids=class_ids,
-        class_values=np.bincount(sorted_ids, weights=values[order]) / np.bincount(sorted_ids),
+        values=single.eigenvalues[labels].sum(axis=1),
+        path_spec=single,
         mirror=mirror,
         labels=labels,
         path_half=path_half,
@@ -281,9 +261,16 @@ def _theorem1(case: _Case) -> tuple[CheckResult, ...]:
 
     Checks, for every vertex of the identical-walker graph: the amplitude
     toward the mirror label has modulus 1, matches gamma(n, k), and every
-    other amplitude vanishes (a Hadamard bound). A spectral route recomputes
-    the amplitudes from per-class projector weights of the Slater basis with
-    alternating signs and must agree with the minors.
+    other amplitude vanishes (a Hadamard bound).
+
+    expansion-sign-law rebuilds the same amplitudes through the alternating
+    parities (module docstring): the amplitude of X is the sum over mode
+    tuples L of C_k(Z)[X, L]**2 times (-1)**(k (n - 1) + d_L)
+    exp(-i pi lambda_L / 2). That factor is c times the product over the
+    modes j of L of g_j = (-1)**j exp(-i pi lambda_j / 2), with
+    c = (-1)**(k (n - 1) + k (k - 1) / 2), so by Cauchy-Binet the sum is the
+    k x k minor c det (Z G Z^T)[X, X], G = diag(g). The check reads the largest
+    distance of these minors from the mirror minors det U_1(pi/2)[JX, X].
     """
     n, k, amps = case.n, case.k, case.mirror_amps
     gamma = predicted_transfer_phase(n, k)
@@ -292,13 +279,10 @@ def _theorem1(case: _Case) -> tuple[CheckResult, ...]:
     phase_dev = float(np.abs(np.conj(gamma) * amps - 1.0).max())
     off_target = _hadamard_bound(case.path_half, reflection_permutation(n), k)
 
-    z, lam = case.z, case.class_values
-    global_sign = -1.0 if (k * (n - 1)) % 2 else 1.0
-    sign = global_sign * (1.0 - 2.0 * (np.rint((lam - lam[0]) / 2.0) % 2))
-    coef = (np.exp(-1j * (math.pi / 2.0) * lam) * sign)[case.class_ids]
-    # Two real products: a complex one would first copy the m x m weights to complex.
-    weights = z * z
-    rebuilt = weights @ coef.real + 1j * (weights @ coef.imag)
+    z, lam = case.path_spec.eigenvectors, case.path_spec.eigenvalues
+    g = np.exp(-1j * (math.pi / 2.0) * lam) * (-1.0) ** np.arange(n)
+    c = -1.0 if (k * (n - 1) + k * (k - 1) // 2) % 2 else 1.0
+    rebuilt = c * _minors((z * g) @ z.T, case.labels, case.labels)
     sign_law_dev = float(np.abs(rebuilt - amps).max())
 
     return (
@@ -321,9 +305,11 @@ def _lemma5_and_theorem2(case: _Case) -> tuple[CheckResult, ...]:
     The mirror-orbit partition of the identical-walker graph must be
     equitable; its quotient keeps exactly every second eigenvalue class, is
     periodic at t = pi/2 with phase gamma(n, k), and its diagonal reproduces
-    the mirror-transfer amplitudes of the parent walk. The even-sector
-    dimension of each class is its number of columns of even mirror parity,
-    read from the same parity overlaps that select the even columns.
+    the mirror-transfer amplitudes of the parent walk. The classes are the
+    integer ladder steps d_L of the columns' mode tuples
+    (``tonks._ladder_steps``); a class survives when one of its columns has
+    even mirror parity, read from the same parity overlaps that select the
+    even columns.
 
     The quotient Q = P^T A P is built from the graph, and no eigensolve of it
     runs. Each Slater column has a definite mirror parity, and the even ones
@@ -342,10 +328,10 @@ def _lemma5_and_theorem2(case: _Case) -> tuple[CheckResult, ...]:
     e >= 1 the term e |Q|_b alone exceeds the tolerance for any nonzero
     quotient, so r never passes a case it does not cover. At e = 0 this is the classical residual bound
     |R| for an orthonormal basis (Parlett, The Symmetric Eigenvalue
-    Problem). The value of quotient-thinning-match is r,
-    plus the distance of Lambda_e from the means of their classes, plus
-    the largest deviation of a column's mirror parity from +-1, so a mixed
-    column cannot slip into either sector.
+    Problem). The value of quotient-thinning-match is r, plus the distance
+    of Lambda_e from the mean computed eigenvalue of their ladder steps,
+    plus the largest deviation of a column's mirror parity from +-1, so a
+    mixed column cannot slip into either sector.
 
     No quotient walk is assembled: with D = diag(exp(-i pi Lambda_e / 2)),
     the walk Y D Y^T at t = pi/2 is read off the certified pairs. Since
@@ -374,7 +360,9 @@ def _lemma5_and_theorem2(case: _Case) -> tuple[CheckResult, ...]:
         even_overlap = np.einsum("vj,vj->j", z[mirror, :], z)
         even = even_overlap > 0.0
         lam_e = case.values[even]
-        flags = np.bincount(case.class_ids[even], minlength=case.class_values.size) > 0
+        steps = _ladder_steps(case.labels)
+        means = np.bincount(steps, weights=case.values) / np.bincount(steps)
+        flags = np.bincount(steps[even], minlength=means.size) > 0
         mismatch = abs(quot.n - lam_e.size)
         if mismatch:
             match_dev = period_dev = transport_dev = 1.0 + mismatch
@@ -386,7 +374,7 @@ def _lemma5_and_theorem2(case: _Case) -> tuple[CheckResult, ...]:
             bound = math.sqrt(1.0 + gram) * residual + gram * (_norm2_bound(a) + float(np.abs(lam_e).max()))
             match_dev = (
                 bound
-                + float(np.abs(case.class_values[case.class_ids[even]] - lam_e).max())
+                + float(np.abs(means[steps[even]] - lam_e).max())
                 + float((1.0 - np.abs(even_overlap)).max())
             )
 

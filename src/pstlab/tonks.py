@@ -19,9 +19,7 @@ minor, for the few minors a verify case reads.
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import Counter
 
 import numpy as np
 
@@ -88,22 +86,28 @@ def _compound(z: np.ndarray, k: int) -> np.ndarray:
     return prev
 
 
+def _ladder_steps(labels: np.ndarray) -> np.ndarray:
+    """Ladder step ``d_L = sum(L) - k (k - 1) / 2`` of each row L of an ascending mode-tuple table.
+
+    On the n-vertex weighted path, mode j has eigenvalue 2 j - (n - 1), so
+    the tuple L has eigenvalue k (k - n) + 2 d_L exactly, and the Slater
+    column of L has mirror parity (-1)**(k (n - 1) + d_L).
+    """
+    k = labels.shape[1]
+    return labels.sum(axis=1) - k * (k - 1) // 2
+
+
 def hc_spectrum(n: int, k: int) -> tuple[tuple[float, int], ...]:
     """Eigenvalues of the k-walker hard-core graph on the n-vertex weighted path.
 
     Returns (value, degeneracy) pairs ascending. Values form the integer
     ladder k(k - n) + 2*d for d = 0..k(n - k); the degeneracy of step d
-    counts the ascending mode tuples whose index sum exceeds the minimum
-    possible sum by d.
+    counts the ascending mode tuples at ladder step d (``_ladder_steps``).
     """
     if not isinstance(n, int) or not isinstance(k, int) or not 1 <= k <= n:
         raise InvalidSizeError(f"need 1 <= k <= n, got k={k!r}, n={n!r}")
-    counts = Counter(sum(c) for c in itertools.combinations(range(n), k))
-    base = k * (k - 1) // 2
-    ladder = []
-    for d in range(k * (n - k) + 1):
-        ladder.append((float(k * (k - n) + 2 * d), counts[base + d]))
-    return tuple(ladder)
+    counts = np.bincount(_ladder_steps(_ascending(n, k)), minlength=k * (n - k) + 1)
+    return tuple((float(k * (k - n) + 2 * d), int(c)) for d, c in enumerate(counts))
 
 
 def _projected_states(spec: SpectralDecomposition, table: np.ndarray, signed: SignedDiagonal) -> np.ndarray:

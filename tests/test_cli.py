@@ -204,6 +204,20 @@ def test_quotient_by_singletons_of_weights_whose_squares_overflow(tmp_path, caps
     assert doc["quotient"]["edges"] == [[1, 1, 1.0], [1, 2, float(weight)]]
 
 
+@pytest.mark.parametrize(
+    "cells", ["[[1], [2], [3]]", "[[1, 3], [2]]"], ids=["singletons", "ends-and-middle"]
+)
+def test_quotient_past_the_float_range_is_one_error_line(tmp_path, capsys, cells):
+    # both files are well formed; the middle vertex's weight, sqrt(2) times the float
+    # maximum, puts a connection strength toward it past the float range
+    graph = tmp_path / "g.json"
+    graph.write_text('{"n": 3, "edges": [[1, 2, 1.7976931348623157e308], [2, 3, 1.7976931348623157e308]]}')
+    part = tmp_path / "p.json"
+    part.write_text(f'{{"n": 3, "cells": {cells}}}')
+    code, out, err = run(capsys, "quotient", "--in", str(graph), "--partition", str(part))
+    assert (code, out, err) == (2, "", "error: a connection strength overflows a float\n")
+
+
 def test_malformed_graph_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"n": 3,\n  "edges": [[1, 2]]}')

@@ -488,6 +488,16 @@ def test_partition_layer_scales_with_weights_whose_squares_overflow(exponent):
         assert _same_bytes(_quotient_graph(big, pm).adjacency, expected), name
 
 
+def test_quotient_entry_past_the_float_range_is_refused_without_warnings():
+    # the ends-and-middle partition of this path is equitable, and its quotient has
+    # an entry of sqrt(2) times the largest float: the m_q x m_q product overflows
+    # quietly and is refused
+    g = graph_from_edges(3, [(1, 2, 1.7976931348623157e308), (2, 3, 1.7976931348623157e308)])
+    pm = normalized_partition_matrix(g, Partition(3, ((1, 3), (2,))))
+    with pytest.raises(PreconditionError, match="^a quotient entry overflows a float$"):
+        quotient(g, pm)
+
+
 def test_partition_layer_allocates_less_than_one_adjacency():
     # one 1024 x 1024 float array is 8 MiB; the grouped code stays far below it
     g, p = hypercube(10), hamming_partition(10)

@@ -28,9 +28,16 @@ from pstlab import (
     weighted_path,
 )
 from pstlab.hardcore import _kept_table
-from pstlab.pst_verify import _build_case, _hadamard_bound, _mirror_permutation, _probe_grid, _unitarity_check
+from pstlab.pst_verify import (
+    _build_case,
+    _hadamard_bound,
+    _mirror_permutation,
+    _probe_grid,
+    _theorem1,
+    _unitarity_check,
+)
 from pstlab.spectral import PST_TOL, _PAIR_SLACK, _pair_scan
-from pstlab.tonks import _minors
+from pstlab.tonks import _ladder_steps, _minors
 
 from conftest import cycle_graph
 
@@ -697,32 +704,97 @@ def _eigenvalue_classes_loop(values):
 
 
 def test_class_ids_match_grouping_loop():
+    # the class ids are the integer ladder steps of the mode tuples: on the
+    # sorted computed spectrum they are exactly the gap grouping
     from pstlab.hardcore import _ascending
-    from pstlab.pst_verify import _eigenvalue_classes
 
     for n in range(2, 13):
         single = eigh(weighted_path(n))
         for k in range(1, n):
+            labels = _ascending(n, k)
             # the sorted eigenvalues of the compound basis, without its determinants
-            values = np.sort(single.eigenvalues[_ascending(n, k)].sum(axis=1), kind="stable")
-            ids = _eigenvalue_classes(values)
+            sums = single.eigenvalues[labels].sum(axis=1)
+            order = np.argsort(sums, kind="stable")
+            values, ids = sums[order], _ladder_steps(labels)[order]
             groups = _eigenvalue_classes_loop(values)
             assert [list(np.flatnonzero(ids == c)) for c in range(ids.max() + 1)] == groups, (n, k)
 
 
-@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("n", range(2, 13))
 def test_case_class_ids_follow_the_sorted_spectrum(n):
-    # columns stay in mode order; two share a class exactly when their
-    # eigenvalues lie within the class gap, and ids count up the ladder
+    # columns stay in mode order; two share a ladder step exactly when their
+    # eigenvalues lie within the old class gap of 1e-6, the steps count up
+    # the ladder, and each column lies within 1e-12 of its step's mean
     for k in range(1, n):
         case = _build_case(n, k, None)
-        ids, values = case.class_ids, case.values
+        ids, values = _ladder_steps(case.labels), case.values
         close = np.abs(values[:, None] - values[None, :]) <= 1e-6
         assert np.array_equal(ids[:, None] == ids[None, :], close), (n, k)
         below = values[:, None] < values[None, :] - 1e-6
         assert np.array_equal(ids[:, None] < ids[None, :], below), (n, k)
-        assert np.abs(case.class_values[ids] - values).max() <= 1e-12, (n, k)
-        assert sorted(set(ids.tolist())) == list(range(ids.max() + 1)), (n, k)
+        means = np.bincount(ids, weights=values) / np.bincount(ids)
+        assert np.abs(means[ids] - values).max() <= 1e-12, (n, k)
+        assert np.abs(values - (k * (k - n) + 2 * ids)).max() <= 1e-12, (n, k)
+        assert sorted(set(ids.tolist())) == list(range(k * (n - k) + 1)), (n, k)
+
+
+def _sign_law_value_projector_weights(case):
+    """expansion-sign-law as it was computed: m x m projector weights of the
+    Slater basis and alternating signs of the gap-grouped eigenvalue classes."""
+    order = np.argsort(case.values, kind="stable")
+    groups = _eigenvalue_classes_loop(case.values[order])
+    class_ids = np.empty(case.values.size, dtype=np.int64)
+    for c, cls in enumerate(groups):
+        class_ids[order[cls]] = c
+    lam = np.array([case.values[order[cls]].mean() for cls in groups])
+    global_sign = -1.0 if (case.k * (case.n - 1)) % 2 else 1.0
+    sign = global_sign * (1.0 - 2.0 * (np.rint((lam - lam[0]) / 2.0) % 2))
+    coef = (np.exp(-1j * (math.pi / 2.0) * lam) * sign)[class_ids]
+    rebuilt = (case.z * case.z) @ coef
+    return float(np.abs(rebuilt - case.mirror_amps).max())
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_sign_law_matches_projector_weight_route(n):
+    # the Cauchy-Binet minors regroup the per-class coefficients per mode
+    for k in range(1, n):
+        case = _build_case(n, k, None)
+        checks = {c.name: c for c in _theorem1(case)}
+        assert abs(checks["expansion-sign-law"].value - _sign_law_value_projector_weights(case)) <= 1e-13, (n, k)
+
+
+def test_theorem1_memory_holds_no_m_by_m_array():
+    # the m x m projector weights C_k(Z) * C_k(Z) peaked at 22.6 MiB here
+    case = _build_case(13, 6, None)
+    tracemalloc.start()
+    try:
+        checks = _theorem1(case)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(c.passed for c in checks)
+    assert peak / 2**20 < 4.0
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (6, 3), (7, 3)])
+def test_expansion_sign_law_fails_on_a_path_without_mirror_symmetry(monkeypatch, n, k):
+    # a first edge off by 1e-2 breaks the mirror parities the sign law reads,
+    # while the mirror minors still come from the same path; both routes move
+    # off the mirror at second order, about 2e-5 apart here
+    import pstlab.pst_verify
+
+    real = pstlab.pst_verify.weighted_path
+
+    def lopsided(n):
+        a = real(n).adjacency.copy()
+        a[0, 1] += 1e-2
+        a[1, 0] += 1e-2
+        return WeightedGraph(n, a)
+
+    monkeypatch.setattr(pstlab.pst_verify, "weighted_path", lopsided)
+    (check,) = [c for c in _theorem1(_build_case(n, k, None)) if c.name == "expansion-sign-law"]
+    assert not check.passed
+    assert check.value > 1e-6
 
 
 def _thinning_value_frobenius(case):
