@@ -15,6 +15,7 @@ legends go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -153,11 +154,11 @@ def cmd_build(args: argparse.Namespace) -> int:
     elif kind == "weighted-path":
         g = weighted_path(args.n)
     elif kind == "hypercube":
-        g = hypercube(args.n, cap=args.cap)
+        g = hypercube(args.n)
     elif kind == "cartesian-power":
-        g = cartesian_power(weighted_path(args.n), args.k, cap=args.cap)
+        g = cartesian_power(weighted_path(args.n), args.k)
     else:
-        g = symmetric_power(weighted_path(args.n), args.k, cap=args.cap)
+        g = symmetric_power(weighted_path(args.n), args.k)
     _write_graph(g, args.out)
     if needs_k:
         _print_legend(kind, args.n, args.k, g.n)
@@ -245,7 +246,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         except OSError as exc:
             raise PreconditionError(f"cannot write {args.out}: {exc}") from exc
     try:
-        reports = sweep(n_range=args.n, k_range=args.k, cap=args.cap)
+        reports = sweep(n_range=args.n, k_range=args.k)
     except PstlabError:
         # A refused range leaves --out as it was: the file made above goes again.
         if made:
@@ -274,11 +275,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_probe(args: argparse.Namespace) -> int:
     g = _load_graph_arg(args.infile)
-    report = conjecture_probe(g, args.k, pst_time=args.t, cap=args.cap)
+    report = conjecture_probe(g, args.k, pst_time=args.t)
     print(_to_json(report.to_dict()))
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pstlab",
@@ -290,47 +292,37 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("kind", choices=_BUILD_KINDS)
     p_build.add_argument("--n", type=int, required=True, help="vertex count or hypercube dimension")
     p_build.add_argument("--k", type=int, help="walker count for the power kinds")
-    p_build.add_argument("--cap", type=int, help="override the vertex cap (default 16384 or PSTLAB_CAP)")
     p_build.add_argument("--out", help="output file (default stdout)")
-    p_build.set_defaults(handler=cmd_build)
 
     p_spectrum = sub.add_parser("spectrum", help="print ascending eigenvalues of a graph file")
     p_spectrum.add_argument("--in", dest="infile", required=True, help="graph file")
-    p_spectrum.set_defaults(handler=cmd_spectrum)
 
     p_pst = sub.add_parser("pst", help="list perfect-transfer pairs at a time")
     p_pst.add_argument("--in", dest="infile", required=True, help="graph file")
     p_pst.add_argument("--t", type=_parse_time, required=True, help='time, e.g. 1.57 or "pi/2"')
     p_pst.add_argument("--tol", type=float, default=PST_TOL, help="modulus tolerance (default 1e-9)")
-    p_pst.set_defaults(handler=cmd_pst)
 
     p_periodic = sub.add_parser("periodic", help="test whether the walk revives at a time")
     p_periodic.add_argument("--in", dest="infile", required=True, help="graph file")
     p_periodic.add_argument("--t", type=_parse_time, required=True, help='time, e.g. "pi"')
     p_periodic.add_argument("--tol", type=float, default=PST_TOL, help="entrywise tolerance (default 1e-9)")
-    p_periodic.set_defaults(handler=cmd_periodic)
 
     p_quotient = sub.add_parser("quotient", help="equitable-partition quotient of a graph file")
     p_quotient.add_argument("--in", dest="infile", required=True, help="graph file")
     p_quotient.add_argument("--partition", required=True, help="partition file")
     p_quotient.add_argument("--out", help="quotient graph file (default embedded in stdout JSON)")
-    p_quotient.set_defaults(handler=cmd_quotient)
 
     p_verify = sub.add_parser("verify", help="run the verification sweep over (n, k) ranges")
     p_verify.add_argument("--n", type=_parse_range, required=True, help='path sizes n >= 2, e.g. "4..8"')
     p_verify.add_argument(
         "--k", type=_parse_range, required=True, help='walker counts k >= 1, e.g. "2..3"; k >= n is skipped'
     )
-    p_verify.add_argument("--cap", type=int, help="override the vertex cap")
     p_verify.add_argument("--out", help="write the JSON report list here")
-    p_verify.set_defaults(handler=cmd_verify)
 
     p_probe = sub.add_parser("probe", help="exploratory transfer scan for arbitrary graphs")
     p_probe.add_argument("--in", dest="infile", required=True, help="graph file")
     p_probe.add_argument("--k", type=int, required=True, help="walker count")
     p_probe.add_argument("--t", type=_parse_time, help="extra time to scan")
-    p_probe.add_argument("--cap", type=int, help="override the vertex cap")
-    p_probe.set_defaults(handler=cmd_probe)
 
     return parser
 
@@ -343,7 +335,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = exc.code if isinstance(exc.code, int) else 2
         return 0 if code == 0 else 2
     try:
-        return args.handler(args)
+        # Looked up per call, so the cached parser holds no handler.
+        return globals()[f"cmd_{args.command}"](args)
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

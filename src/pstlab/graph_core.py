@@ -53,27 +53,33 @@ from .errors import (
     ResourceCapError,
 )
 
-# Vertex-count ceiling for builders: 2**14 keeps the largest dense adjacency
-# around 2 GiB away and bounds hypercubes at dimension 14.
+# Vertex-count ceiling for builders and documents, set only by PSTLAB_CAP.
+# Builders work on edge lists, so their memory grows with the stored entries;
+# only a reader of ``adjacency``, such as the eigensolver, scatters n x n.
 DEFAULT_SIZE_CAP = 16384
 
 _ENV_CAP = "PSTLAB_CAP"
 
 
-def resolve_size_cap(cap: int | None = None) -> int:
-    """Effective vertex cap: explicit argument, else the PSTLAB_CAP variable, else the default."""
-    if cap is None:
-        env = os.environ.get(_ENV_CAP)
-        if env is None:
-            return DEFAULT_SIZE_CAP
-        try:
-            cap = int(env)
-        except ValueError:
-            raise InvalidSizeError(f"{_ENV_CAP} must be an integer, got {env!r}") from None
-    cap = int(cap)
+def resolve_size_cap() -> int:
+    """Effective vertex cap: the PSTLAB_CAP variable, else the default."""
+    env = os.environ.get(_ENV_CAP)
+    if env is None:
+        return DEFAULT_SIZE_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        raise InvalidSizeError(f"{_ENV_CAP} must be an integer, got {env!r}") from None
     if cap < 1:
         raise InvalidSizeError(f"size cap must be positive, got {cap}")
     return cap
+
+
+def _check_cap(size: int, what: str) -> None:
+    """Refuse ``size`` past the cap with ResourceCapError "<what>, cap is <cap>"."""
+    limit = resolve_size_cap()
+    if size > limit:
+        raise ResourceCapError(f"{what}, cap is {limit}")
 
 
 class WeightedGraph:
@@ -161,6 +167,12 @@ class WeightedGraph:
         return self._dense
 
 
+def _loops(g: WeightedGraph) -> np.ndarray:
+    """Self-loop weight of every vertex, from the stored diagonal; 0.0 where none is stored."""
+    on = g._rows == g._cols
+    return np.bincount(g._rows[on], weights=g._weights[on], minlength=g.n)
+
+
 def _check_vertex(n: int, v: int) -> None:
     if not isinstance(v, int) or not 1 <= v <= n:
         raise InvalidSizeError(f"vertex id {v!r} outside 1..{n}")
@@ -188,7 +200,7 @@ def simple_path(n: int) -> WeightedGraph:
     return WeightedGraph._from_slots(n, v - 1, v, np.ones(n - 1))
 
 
-def hypercube(dim: int, cap: int | None = None) -> WeightedGraph:
+def hypercube(dim: int) -> WeightedGraph:
     """Hypercube of the given dimension, vertices ordered as binary strings.
 
     Vertex ``i`` is the dim-bit binary expansion of ``i - 1`` (most
@@ -200,9 +212,7 @@ def hypercube(dim: int, cap: int | None = None) -> WeightedGraph:
     if not isinstance(dim, int) or dim < 1:
         raise InvalidSizeError(f"hypercube needs dimension >= 1, got {dim!r}")
     size = 2**dim
-    limit = resolve_size_cap(cap)
-    if size > limit:
-        raise ResourceCapError(f"hypercube of dimension {dim} has {size} vertices, cap is {limit}")
+    _check_cap(size, f"hypercube of dimension {dim} has {size} vertices")
     low, bit = np.nonzero((np.arange(size)[:, None] >> np.arange(dim)) & 1 == 0)
     return WeightedGraph._from_slots(size, low, low | (1 << bit), np.ones(low.size))
 
@@ -302,9 +312,7 @@ def load_graph(text: str) -> WeightedGraph:
     n = doc["n"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise FormatError(f'"n" must be a positive integer, got {n!r}')
-    limit = resolve_size_cap()
-    if n > limit:
-        raise ResourceCapError(f"graph document has {n} vertices, cap is {limit}")
+    _check_cap(n, f"graph document has {n} vertices")
     edges = doc["edges"]
     if not isinstance(edges, list):
         raise FormatError('"edges" must be a list')

@@ -10,10 +10,10 @@ adjacency and is what turns free-fermion eigenvectors into hard-core-boson
 ones.
 
 In both graphs an edge is one walker hopping to a free site, so both are
-built as edge lists from one list of hops over their own labels, never as a
-dense array and never from the n**k power, which ``cartesian_power``,
-``apply_deletion`` and the ``DeletionMask`` keep as the paper's reference
-construction. The deleted graph lives on ``_kept_table``, its n!/(n-k)! labels.
+built as edge lists from one list of hops over their own labels, never from
+the n**k power, which ``cartesian_power``, ``apply_deletion`` and the
+``DeletionMask`` keep as the paper's reference construction. The deleted graph
+lives on ``_kept_table``, its n!/(n-k)! labels. No builder reads a dense array.
 """
 
 from __future__ import annotations
@@ -29,17 +29,14 @@ from .errors import (
     InvalidSizeError,
     InvariantViolationError,
     PreconditionError,
-    ResourceCapError,
 )
-from .graph_core import WeightedGraph, resolve_size_cap
-from .partition import Partition, _components, orbit_partition
+from .graph_core import WeightedGraph, _check_cap, _loops
+from .partition import Partition, _components, _slot_deviation, orbit_partition
 from .products import OccupationLabel, _digits
 
 # Entries at or below this magnitude do not count as edges when walking
 # components.
 _EDGE_THRESHOLD = 1e-14
-
-_ISOMORPHISM_TOL = 1e-12
 
 
 def _label_rows(table: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -58,24 +55,32 @@ def _label_rows(table: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _hops(a: np.ndarray, table: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Every hop of one walker to a free site, over the nonzeros of ``a``.
+def _hops(g: WeightedGraph, table: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every hop of one walker to a free site, over the stored entries of ``g``.
 
     ``table`` lists labels with distinct 0-based sites, one per row. Yields,
     a block of rows at a time, the row each hop leaves, the label it reaches
-    (the walker keeps its slot) and its weight ``a[site, target]``; blocks
+    (the walker keeps its slot) and its weight ``A[site, target]``; blocks
     keep the temporaries near 2**22 entries. Self-loops are not hops.
     """
-    step = max(1, 2**22 // (table.shape[1] ** 2 * a.shape[0]))
-    for start in range(0, table.shape[0], step):
-        block = table[start : start + step]
-        free = np.ones((block.shape[0], a.shape[0]), dtype=bool)
-        free[np.arange(block.shape[0])[:, None], block] = False
-        # a[block][r, i, b] is the weight for the walker in slot i of row r to reach site b.
-        row, slot, target = np.nonzero((a[block] != 0.0) & free[:, None, :])
+    start = np.searchsorted(g._rows, np.arange(g.n + 1))
+    degree = np.diff(start)
+    k = table.shape[1]
+    step = max(1, 2**22 // (k * k * max(1, int(degree.max()))))
+    for first in range(0, table.shape[0], step):
+        block = table[first : first + step]
+        # One candidate per (row, slot, stored entry leaving the slot's site).
+        count = degree[block].ravel()
+        row, slot = np.divmod(np.repeat(np.arange(block.size), count), k)
+        entry = np.arange(row.size) + np.repeat(start[block].ravel() - (np.cumsum(count) - count), count)
+        target = g._cols[entry]
+        free = np.ones(row.size, dtype=bool)
+        for site in block.T:
+            free &= site[row] != target
+        row, slot, target, entry = row[free], slot[free], target[free], entry[free]
         moved = block[row]
         moved[np.arange(row.size), slot] = target
-        yield start + row, moved, a[block[row, slot], target]
+        yield first + row, moved, g._weights[entry]
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,16 +102,14 @@ class DeletionMask:
         return np.flatnonzero(self.keep)
 
 
-def deletion_mask(n: int, k: int, cap: int | None = None) -> DeletionMask:
+def deletion_mask(n: int, k: int) -> DeletionMask:
     """Mask keeping exactly the collision-free labels; kept count is n!/(n-k)!."""
     if not isinstance(n, int) or n < 1:
         raise InvalidSizeError(f"deletion_mask needs n >= 1, got {n!r}")
     if not isinstance(k, int) or k < 1:
         raise InvalidSizeError(f"deletion_mask needs k >= 1, got {k!r}")
     size = n**k
-    limit = resolve_size_cap(cap)
-    if size > limit:
-        raise ResourceCapError(f"power has {size} labels, cap is {limit}")
+    _check_cap(size, f"power has {size} labels")
     ordered = np.sort(_digits(np.arange(size), n, k), axis=1)
     repeat = (np.diff(ordered, axis=1) == 0).any(axis=1)
     return DeletionMask(n, k, ~repeat)
@@ -119,19 +122,24 @@ def apply_deletion(g_power: WeightedGraph, mask: DeletionMask) -> WeightedGraph:
             f"graph has {g_power.n} vertices but mask covers {mask.keep.size} labels"
         )
     idx = mask.kept_indices()
-    sub = g_power.adjacency[np.ix_(idx, idx)]
-    return WeightedGraph(idx.size, sub)
+    if not idx.size:
+        raise InvalidSizeError("vertex count must be a positive integer, got 0")
+    # Kept vertices keep their order, so the stored entries between them,
+    # renumbered, are the nonzeros of the kept submatrix.
+    position = np.full(g_power.n, -1)
+    position[idx] = np.arange(idx.size)
+    rows, cols = position[g_power._rows], position[g_power._cols]
+    inner = (rows >= 0) & (rows <= cols)
+    return WeightedGraph._from_slots(idx.size, rows[inner], cols[inner], g_power._weights[inner])
 
 
-def _kept_table(n: int, k: int, cap: int | None = None) -> np.ndarray:
+def _kept_table(n: int, k: int) -> np.ndarray:
     """Kept labels of ``deletion_mask(n, k)`` as 0-based sites: the k-permutations of range(n), lexicographic.
 
     The size cap bounds their n!/(n-k)! count; needs 1 <= k <= n.
     """
     size = math.perm(n, k)
-    limit = resolve_size_cap(cap)
-    if size > limit:
-        raise ResourceCapError(f"deleted power has {size} kept labels, cap is {limit}")
+    _check_cap(size, f"deleted power has {size} kept labels")
     sites = itertools.chain.from_iterable(itertools.permutations(range(n), k))
     return np.fromiter(sites, np.int64, size * k).reshape(size, k)
 
@@ -143,7 +151,7 @@ def _kept_graph(g: WeightedGraph, table: np.ndarray) -> WeightedGraph:
     accumulated first slot first, as the Kronecker sum adds them, so the
     result is equal array for array, without the n**k power or any dense array.
     """
-    loops = np.add.accumulate(np.diagonal(g.adjacency)[table], axis=1)[:, -1]
+    loops = np.add.accumulate(_loops(g)[table], axis=1)[:, -1]
     return _hop_graph(g, table, loops, sort=False)
 
 
@@ -154,7 +162,7 @@ def _hop_graph(g: WeightedGraph, table: np.ndarray, loops: np.ndarray, sort: boo
     appears from the other end, so only the one with ``row < col`` goes in.
     """
     rows, cols, weights = [np.arange(table.shape[0])], [np.arange(table.shape[0])], [loops]
-    for row, moved, weight in _hops(g.adjacency, table):
+    for row, moved, weight in _hops(g, table):
         col = _label_rows(table, np.sort(moved, axis=1) if sort else moved)
         upper = row < col
         rows.append(row[upper])
@@ -265,21 +273,7 @@ def component_isomorphism_check(decomp: ComponentDecomposition, g_hc: WeightedGr
     home = owner == 0
     count = len(decomp.components)
     expected = (np.arange(count)[:, None] * size**2 + moved[home]).ravel()
-    expected_weights = np.tile(weights[home], count)
-    deviations = (
-        weights - _values_at(expected, expected_weights, moved),
-        _values_at(moved, weights, expected) - expected_weights,
-    )
-    return max(float(np.abs(d).max(initial=0.0)) for d in deviations)
-
-
-def _values_at(keys: np.ndarray, values: np.ndarray, wanted: np.ndarray) -> np.ndarray:
-    """``values`` of the distinct ``keys`` at each of ``wanted``, 0.0 where a key is absent."""
-    if not keys.size:
-        return np.zeros(wanted.size)
-    order = np.argsort(keys)
-    at = order[np.minimum(np.searchsorted(keys, wanted, sorter=order), keys.size - 1)]
-    return np.where(keys[at] == wanted, values[at], 0.0)
+    return _slot_deviation(moved, weights, expected, np.tile(weights[home], count))
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,9 +352,7 @@ def ascending_labels(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, (_ascending(n, k) + 1).tolist()))
 
 
-def symmetric_power(
-    g: WeightedGraph, k: int, allow_non_path: bool = False, cap: int | None = None
-) -> WeightedGraph:
+def symmetric_power(g: WeightedGraph, k: int, allow_non_path: bool = False) -> WeightedGraph:
     """Hard-core adjacency on ascending k-subsets of the vertex set.
 
     Vertices are the C(n, k) strictly ascending labels in lexicographic
@@ -377,11 +369,9 @@ def symmetric_power(
             "input is not a path along vertex order; pass allow_non_path=True to build anyway"
         )
     m = math.comb(g.n, k)
-    limit = resolve_size_cap(cap)
-    if m > limit:
-        raise ResourceCapError(f"symmetric power has {m} vertices, cap is {limit}")
+    _check_cap(m, f"symmetric power has {m} vertices")
     table = _ascending(g.n, k)
-    loops = np.diagonal(g.adjacency)[table].sum(axis=1)
+    loops = _loops(g)[table].sum(axis=1)
     return _hop_graph(g, table, loops, sort=True)
 
 

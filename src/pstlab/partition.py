@@ -36,9 +36,8 @@ from .errors import (
     InvalidSizeError,
     NotEquitableError,
     PreconditionError,
-    ResourceCapError,
 )
-from .graph_core import WeightedGraph, _check_vertex, _parse_json, resolve_size_cap
+from .graph_core import WeightedGraph, _check_cap, _check_vertex, _parse_json
 from .spectral import eigh, eigh_matrix, evolve
 
 TOL_EQ = 1e-10
@@ -463,14 +462,21 @@ def singleton_evolution_check(
 def _automorphism_deviation(g: WeightedGraph, perm: np.ndarray) -> float:
     """``max |A[perm][:, perm] - A|`` for a 0-based permutation, from the stored edges.
 
-    The conjugate holds edge (r, c) at (perm^-1[r], perm^-1[c]). A signed
-    bincount over the slot codes of both edge lists adds at most one entry
-    of each side per slot, so it rounds as the dense subtraction does.
+    The conjugate holds edge (r, c) at (perm^-1[r], perm^-1[c]).
     """
     inverse = np.argsort(perm)
-    codes = np.concatenate([inverse[g._rows] * g.n + inverse[g._cols], g._rows * g.n + g._cols])
-    slot = np.unique(codes, return_inverse=True)[1]
-    diff = np.bincount(slot, weights=np.concatenate([g._weights, -g._weights]))
+    codes = inverse[g._rows] * g.n + inverse[g._cols]
+    return _slot_deviation(codes, g._weights, g._rows * g.n + g._cols, g._weights)
+
+
+def _slot_deviation(codes_a: np.ndarray, a: np.ndarray, codes_b: np.ndarray, b: np.ndarray) -> float:
+    """Largest ``|a - b|`` over the slot codes of two edge lists, a missing entry counting as 0.0.
+
+    Each list holds a slot code at most once, so a signed bincount adds at
+    most one entry of each side per slot and rounds as a subtraction does.
+    """
+    slot = np.unique(np.concatenate([codes_a, codes_b]), return_inverse=True)[1]
+    diff = np.bincount(slot, weights=np.concatenate([a, -b]))
     return float(np.abs(diff).max(initial=0.0))
 
 
@@ -507,9 +513,7 @@ def load_partition(text: str) -> Partition:
     n = doc["n"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise FormatError(f'"n" must be a positive integer, got {n!r}')
-    limit = resolve_size_cap()
-    if n > limit:
-        raise ResourceCapError(f"partition document has {n} vertices, cap is {limit}")
+    _check_cap(n, f"partition document has {n} vertices")
     cells = doc["cells"]
     if not isinstance(cells, list) or not all(isinstance(c, list) for c in cells):
         raise FormatError('"cells" must be a list of lists')

@@ -4,6 +4,7 @@ A vertex of a k-fold Cartesian power is a k-tuple of single-particle sites.
 Tuples map to flat indices in row-major mixed radix, first entry most
 significant, which is exactly the order the Kronecker-sum construction
 produces: index(x) = sum_i (x_i - 1) * n**(k - i) with 1-based sites.
+``cartesian_power`` builds the power from stored entries, never densely.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSizeError, ResourceCapError
-from .graph_core import WeightedGraph, resolve_size_cap
+from .errors import InvalidSizeError, NonFiniteWeightError
+from .graph_core import WeightedGraph, _check_cap, _loops
 
 
 @dataclass(frozen=True)
@@ -72,18 +73,28 @@ def label_of_index(i: int, n: int, k: int) -> OccupationLabel:
     return OccupationLabel(tuple(_digits(np.array([i], dtype=object), n, k)[0] + 1), n)
 
 
-def cartesian_power(g: WeightedGraph, k: int, cap: int | None = None) -> WeightedGraph:
-    """k-fold Cartesian power of a graph, labels ordered mixed-radix row-major."""
+def cartesian_power(g: WeightedGraph, k: int) -> WeightedGraph:
+    """k-fold Cartesian power of a graph, labels ordered mixed-radix row-major.
+
+    Built from the stored entries in the order the Kronecker sums
+    ``A_j (x) I + I (x) A`` append each coordinate as least significant, with
+    self-loops added first coordinate first, so the arrays equal the dense sums'.
+    """
     if not isinstance(k, int) or k < 1:
         raise InvalidSizeError(f"cartesian_power needs k >= 1, got {k!r}")
     size = g.n**k
-    limit = resolve_size_cap(cap)
-    if size > limit:
-        raise ResourceCapError(f"power would have {size} vertices, cap is {limit}")
-    a = g.adjacency
+    _check_cap(size, f"power would have {size} vertices")
+    upper = g._rows < g._cols
+    u, v, w = g._rows[upper], g._cols[upper], g._weights[upper]
+    loops = diagonal = _loops(g)
     for step in range(1, k):
-        # Appending the new coordinate as least significant keeps earlier
-        # entries most significant, matching OccupationLabel.index.
-        m = g.n**step
-        a = np.kron(a, np.eye(g.n)) + np.kron(np.eye(m), g.adjacency)
-    return WeightedGraph(size, a)
+        # Every edge so far once per new site, then every edge of g once per old label.
+        old = np.arange(g.n**step)[:, None] * g.n
+        u = np.concatenate([(u[:, None] * g.n + np.arange(g.n)).ravel(), (old + g._rows[upper]).ravel()])
+        v = np.concatenate([(v[:, None] * g.n + np.arange(g.n)).ravel(), (old + g._cols[upper]).ravel()])
+        w = np.concatenate([np.repeat(w, g.n), np.tile(g._weights[upper], old.size)])
+        diagonal = np.add.outer(diagonal, loops).ravel()
+    if not np.isfinite(diagonal).all():  # only summed self-loops can overflow
+        raise NonFiniteWeightError("adjacency entries must be finite")
+    every = np.arange(size)
+    return WeightedGraph._from_slots(size, *map(np.concatenate, ((u, every), (v, every), (w, diagonal))))

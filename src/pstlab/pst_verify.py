@@ -44,7 +44,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import PreconditionError, PstlabError, ResourceCapError
-from .graph_core import WeightedGraph, reflection_permutation, resolve_size_cap, weighted_path
+from .graph_core import WeightedGraph, _check_cap, reflection_permutation, weighted_path
 from .hardcore import (
     _ascending,
     _kept_graph,
@@ -194,17 +194,15 @@ class _Case:
     mirror_amps: np.ndarray
 
 
-def _build_case(n: int, k: int, cap: int | None) -> _Case:
+def _build_case(n: int, k: int) -> _Case:
     # At k = n the graph is one zero-weight vertex and the mirror quotient is undefined.
     if not 1 <= k < n:
         raise PreconditionError(f"verify needs 1 <= k < n, got n={n}, k={k}")
     # Refuse before weighted_path(n) lists its n - 1 edges, since C(n, k) >= n here.
     m = math.comb(n, k)
-    limit = resolve_size_cap(cap)
-    if m > limit:
-        raise ResourceCapError(f"symmetric power has {m} vertices, cap is {limit}")
+    _check_cap(m, f"symmetric power has {m} vertices")
     path = weighted_path(n)
-    graph = symmetric_power(path, k, cap=cap)
+    graph = symmetric_power(path, k)
     single = eigh(path)
     # Ascending k-subsets of range(n): the site labels and the mode tuples alike.
     labels = _ascending(n, k)
@@ -420,7 +418,7 @@ def _lemma5_and_theorem2(case: _Case) -> tuple[CheckResult, ...]:
     return tuple(checks)
 
 
-def run_case(n: int, k: int, cap: int | None = None) -> VerificationReport:
+def run_case(n: int, k: int) -> VerificationReport:
     """Every check of one (n, k) case, with 1 <= k < n, in a single report.
 
     The case is built once and shared by every check: its eigenbasis comes
@@ -434,7 +432,7 @@ def run_case(n: int, k: int, cap: int | None = None) -> VerificationReport:
     """
     start = time.perf_counter()
     try:
-        case = _build_case(n, k, cap)
+        case = _build_case(n, k)
         checks = _corollary1(case) + _periodicity(case) + _theorem1(case) + _lemma5_and_theorem2(case)
     except PstlabError as exc:
         return VerificationReport(
@@ -456,11 +454,7 @@ def run_case(n: int, k: int, cap: int | None = None) -> VerificationReport:
     )
 
 
-def sweep(
-    n_range: tuple[int, int],
-    k_range: tuple[int, int],
-    cap: int | None = None,
-) -> tuple[VerificationReport, ...]:
+def sweep(n_range: tuple[int, int], k_range: tuple[int, int]) -> tuple[VerificationReport, ...]:
     """Run every (n, k) case with 1 <= k < n over inclusive ranges, in (n, k) order.
 
     Needs n >= 2 and k >= 1 at the low ends; walker counts k >= n are
@@ -474,11 +468,9 @@ def sweep(
         raise PreconditionError("ranges must satisfy lo <= hi")
     if n_lo < 2 or k_lo < 1:
         raise PreconditionError(f"verify needs n >= 2 and k >= 1, got n from {n_lo}, k from {k_lo}")
-    limit = resolve_size_cap(cap)
-    if n_hi > limit:
-        raise ResourceCapError(f"n = {n_hi} gives at least {n_hi} vertices, cap is {limit}")
+    _check_cap(n_hi, f"n = {n_hi} gives at least {n_hi} vertices")
     return tuple(
-        run_case(n, k, cap=cap)
+        run_case(n, k)
         for n in range(n_lo, n_hi + 1)
         for k in range(k_lo, min(k_hi, n - 1) + 1)
     )
@@ -530,9 +522,7 @@ def _probe_grid() -> list[float]:
     return sorted(times)
 
 
-def conjecture_probe(
-    g: WeightedGraph, k: int, pst_time: float | None = None, cap: int | None = None
-) -> ProbeReport:
+def conjecture_probe(g: WeightedGraph, k: int, pst_time: float | None = None) -> ProbeReport:
     """Scan a dyadic time grid, and ``pst_time`` when given, for k-walker transfer on any graph.
 
     Meant for inputs outside the path family: builds the ascending-label
@@ -564,9 +554,9 @@ def conjecture_probe(
         notes.append("no single-walker transfer found on the probe grid")
 
     # Validates k before the kept labels are listed.
-    identical = symmetric_power(g, k, allow_non_path=True, cap=cap)
+    identical = symmetric_power(g, k, allow_non_path=True)
     try:
-        decompose_components(_kept_graph(g, _kept_table(g.n, k, cap)), g.n, k)
+        decompose_components(_kept_graph(g, _kept_table(g.n, k)), g.n, k)
     except ResourceCapError:
         notes.append("deleted power graph exceeds the size cap; component structure unchecked")
     except PstlabError as exc:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pstlab import load_graph, save_graph, weighted_path
+from pstlab import load_graph, save_graph, simple_path, weighted_path
 from pstlab.cli import main
 
 from conftest import graph_documents, graph_from_edges, hamming_partition, partition_documents
@@ -403,10 +403,35 @@ def test_cap_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PSTLAB_CAP", "8")
     code, _, _ = run(capsys, "build", "hypercube", "--n", "4")
     assert code == 4
-    # an explicit --cap wins over the environment
-    code, _, _ = run(capsys, "build", "hypercube", "--n", "4", "--cap", "100")
-    assert code == 0
     monkeypatch.delenv("PSTLAB_CAP")
+
+
+def test_probe_applies_one_cap_to_the_document_and_the_walkers(tmp_path, capsys, monkeypatch):
+    path = write_graph(tmp_path, simple_path(20))
+    monkeypatch.setenv("PSTLAB_CAP", "1000")
+    code, _, err = run(capsys, "probe", "--in", path, "--k", "1")
+    assert (code, err) == (0, "")
+    monkeypatch.setenv("PSTLAB_CAP", "10")
+    assert run(capsys, "probe", "--in", path, "--k", "1") == (
+        4, "", "error: graph document has 20 vertices, cap is 10\n"
+    )
+    # the cap is not a command-line option, so no flag can raise it for one input only
+    code, out, _ = run(capsys, "probe", "--in", path, "--k", "1", "--cap", "1000")
+    assert (code, out) == (2, "")
+    # the 20-vertex document fits a cap of 100, its C(20, 2) = 190 walker labels do not
+    monkeypatch.setenv("PSTLAB_CAP", "100")
+    assert run(capsys, "probe", "--in", path, "--k", "2") == (
+        4, "", "error: symmetric power has 190 vertices, cap is 100\n"
+    )
+
+
+def test_main_builds_the_parser_once(capsys):
+    import pstlab.cli
+
+    pstlab.cli.build_parser.cache_clear()
+    run(capsys, "build", "path", "--n", "3")
+    run(capsys, "verify", "--n", "3", "--k", "1")
+    assert pstlab.cli.build_parser.cache_info().misses == 1
 
 
 def run_traced(capsys, *argv):
@@ -467,12 +492,12 @@ def test_verify_report_file(tmp_path, capsys):
 
 
 def test_verify_oversized_n_refused(capsys, monkeypatch):
-    # every case at n has at least n vertices; weighted_path(3000) alone is about 69 MiB
-    (code, out, err), peak = run_traced(capsys, "verify", "--n", "3000", "--k", "2", "--cap", "100")
+    # every case at n has at least n vertices, so the range is refused before any case runs
+    monkeypatch.setenv("PSTLAB_CAP", "100")
+    (code, out, err), peak = run_traced(capsys, "verify", "--n", "3000", "--k", "2")
     assert code == 4 and "cap" in err
     assert out == ""
     assert peak < 8.0
-    monkeypatch.setenv("PSTLAB_CAP", "100")
     (code, _, err), peak = run_traced(capsys, "verify", "--n", "4..2000", "--k", "1")
     assert code == 4 and "cap" in err
     assert peak < 8.0
@@ -526,8 +551,9 @@ def test_not_equitable_error_exits_one(capsys, monkeypatch):
     assert err == "error: cell 2 spreads b\n"
 
 
-def test_verify_error_case_fails(capsys):
-    code, out, _ = run(capsys, "verify", "--n", "6", "--k", "3", "--cap", "10")
+def test_verify_error_case_fails(capsys, monkeypatch):
+    monkeypatch.setenv("PSTLAB_CAP", "10")
+    code, out, _ = run(capsys, "verify", "--n", "6", "--k", "3")
     assert code == 1
     assert "FAIL" in out
 

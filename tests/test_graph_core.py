@@ -98,12 +98,14 @@ def test_hypercube_equals_kronecker_construction(dim):
     assert a.tobytes() == hypercube_by_kronecker(dim).tobytes()
 
 
-def test_hypercube_cap():
+def test_hypercube_cap(monkeypatch):
     with pytest.raises(ResourceCapError):
         hypercube(15)
-    assert hypercube(3, cap=8).n == 8  # building exactly at the cap is legal
+    monkeypatch.setenv("PSTLAB_CAP", "8")
+    assert hypercube(3).n == 8  # building exactly at the cap is legal
+    monkeypatch.setenv("PSTLAB_CAP", "7")
     with pytest.raises(ResourceCapError):
-        hypercube(3, cap=7)
+        hypercube(3)
 
 
 def test_env_cap_override(monkeypatch):
@@ -116,7 +118,8 @@ def test_env_cap_override(monkeypatch):
         resolve_size_cap()
     monkeypatch.delenv("PSTLAB_CAP")
     assert resolve_size_cap() == 16384
-    assert resolve_size_cap(100) == 100
+    monkeypatch.setenv("PSTLAB_CAP", "100")
+    assert resolve_size_cap() == 100
 
 
 def test_round_trip_bit_for_bit():

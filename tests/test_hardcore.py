@@ -337,6 +337,52 @@ def test_kept_graph_equals_deleted_power_off_paths(name, g):
         assert_same_graph(_kept_graph(g, _kept_table(g.n, k)), expected)
 
 
+def dense_power_and_deletion(g, k):
+    """Oracle: the power as the dense Kronecker sum, and its deletion as the kept submatrix."""
+    a = g.adjacency
+    for _ in range(1, k):
+        a = np.kron(a, np.eye(g.n)) + np.kron(np.eye(len(a)), g.adjacency)
+    kept = deletion_mask(g.n, k).kept_indices()
+    return WeightedGraph(len(a), a), WeightedGraph(kept.size, a[np.ix_(kept, kept)])
+
+
+# Self-loops 1 and -1 cancel on the diagonal of the power, where no entry is stored.
+CANCELLING = WeightedGraph(3, np.array([[1.0, 2.0, 0.0], [2.0, -1.0, -0.5], [0.0, -0.5, 0.0]]))
+
+
+@pytest.mark.parametrize(
+    "name,g",
+    [(f"path{n}", weighted_path(n)) for n in (2, 5, 7)] + SEEDED + [("cancelling", CANCELLING)],
+    ids=[f"path{n}" for n in (2, 5, 7)] + [name for name, _ in SEEDED] + ["cancelling"],
+)
+def test_power_and_deletion_equal_the_dense_build(name, g):
+    for k in range(1, min(g.n, 3) + 1):
+        power, deleted = dense_power_and_deletion(g, k)
+        assert_same_graph(cartesian_power(g, k), power)
+        assert_same_graph(apply_deletion(cartesian_power(g, k), deletion_mask(g.n, k)), deleted)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: cartesian_power(weighted_path(64), 2),
+        lambda: apply_deletion(cartesian_power(weighted_path(16), 3), deletion_mask(16, 3)),
+        lambda: symmetric_power(weighted_path(4096), 1),
+    ],
+    ids=["cartesian-power", "deletion", "symmetric-power"],
+)
+def test_builders_read_edges_only(build):
+    # each graph has 4096 vertices, whose dense adjacency alone is 128 MiB
+    tracemalloc.start()
+    try:
+        g = build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert g._dense is None
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_kept_table_is_the_mask_decoded(n):
     for k in range(1, n + 2):
@@ -347,14 +393,16 @@ def test_kept_table_is_the_mask_decoded(n):
         assert np.array_equal(table, _digits(deletion_mask(n, k).kept_indices(), n, k))
 
 
-def test_kept_table_caps_the_kept_count_not_the_power():
+def test_kept_table_caps_the_kept_count_not_the_power(monkeypatch):
     # 12**4 = 20736 power labels exceed the default cap, the 11880 kept labels do not
     assert _kept_table(12, 4).shape == (11880, 4)
     with pytest.raises(ResourceCapError, match="30240 kept labels, cap is 16384"):
         _kept_table(10, 5)
+    monkeypatch.setenv("PSTLAB_CAP", "59")
     with pytest.raises(ResourceCapError, match="60 kept labels, cap is 59"):
-        _kept_table(5, 3, cap=59)
-    assert _kept_table(5, 3, cap=60).shape == (60, 3)
+        _kept_table(5, 3)
+    monkeypatch.setenv("PSTLAB_CAP", "60")
+    assert _kept_table(5, 3).shape == (60, 3)
 
 
 def line_path_dense(g):

@@ -127,12 +127,14 @@ def test_propagator_factorization(n, k, t):
     assert np.abs(evolve(eigh(cartesian_power(g, k)), t) - tensor).max() <= 1e-10
 
 
-def test_power_cap():
+def test_power_cap(monkeypatch):
     with pytest.raises(ResourceCapError):
         cartesian_power(weighted_path(10), 5)
+    monkeypatch.setenv("PSTLAB_CAP", "24")
     with pytest.raises(ResourceCapError):
-        cartesian_power(weighted_path(5), 2, cap=24)
-    assert cartesian_power(weighted_path(5), 2, cap=25).n == 25
+        cartesian_power(weighted_path(5), 2)
+    monkeypatch.setenv("PSTLAB_CAP", "25")
+    assert cartesian_power(weighted_path(5), 2).n == 25
 
 
 def test_power_k_validation():

@@ -167,7 +167,7 @@ def test_build_case_memory_holds_one_compound():
     # sorting, signing and copying the compound into a decomposition peaked at 45.7 MiB
     tracemalloc.start()
     try:
-        case = _build_case(13, 6, None)
+        case = _build_case(13, 6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -199,7 +199,7 @@ def test_run_case_gamma_is_first_mirror_amplitude(n, k):
     # the label (1, ..., k) transfers to its mirror, the last ascending label;
     # agreement of this U with the dense route is tested in test_tonks
     report = run_case(n, k)
-    case = _build_case(n, k, None)
+    case = _build_case(n, k)
     u = evolve(SpectralDecomposition(case.values, case.z), math.pi / 2.0)
     assert report.gamma_predicted == predicted_transfer_phase(n, k)
     assert abs(report.gamma_measured - u[-1, 0]) <= 1e-13
@@ -210,7 +210,7 @@ def test_minors_and_bounds_match_dense_route(n):
     # the dense route assembles U(t) from the Slater basis; its own rounding
     # exceeds the exact Hadamard bound by up to 6e-16, hence the 1e-14 slack
     for k in range(1, n):
-        case = _build_case(n, k, None)
+        case = _build_case(n, k)
         cols = np.arange(case.graph.n)
         spec = SpectralDecomposition(case.values, case.z)
         u_half, u_full = evolve(spec, math.pi / 2.0), evolve(spec, math.pi)
@@ -245,7 +245,7 @@ def _skew_checked_graph(monkeypatch):
     import pstlab.pst_verify
 
     real = pstlab.pst_verify.symmetric_power
-    monkeypatch.setattr(pstlab.pst_verify, "symmetric_power", lambda g, k, cap=None: real(_skewed(g), k, cap=cap))
+    monkeypatch.setattr(pstlab.pst_verify, "symmetric_power", lambda g, k: real(_skewed(g), k))
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (6, 3)])
@@ -322,7 +322,7 @@ def test_quotient_even_sector_matches_dense_route(n):
     from pstlab.pst_verify import _build_case, _lemma5_and_theorem2
 
     for k in range(1, n):
-        case = _build_case(n, k, None)
+        case = _build_case(n, k)
         part = orbit_partition(case.graph, case.mirror)
         pm = normalized_partition_matrix(case.graph, part)
         quot = _quotient_graph(case.graph, pm)
@@ -363,7 +363,7 @@ def test_lemma5_block_memory_holds_no_quotient_walk():
     # the complex m_q x m_q quotient walk and its distance from gamma I peaked at 63.3 MiB
     from pstlab.pst_verify import _lemma5_and_theorem2
 
-    case = _build_case(13, 6, None)
+    case = _build_case(13, 6)
     tracemalloc.start()
     try:
         checks = _lemma5_and_theorem2(case)
@@ -383,11 +383,12 @@ def test_run_case_outside_domain(n, k):
     assert report.error.startswith("PreconditionError")
 
 
-def test_run_case_refuses_before_allocating():
-    # the dense weighted_path(3000) alone would be about 69 MiB
+def test_run_case_refuses_before_allocating(monkeypatch):
+    # C(3000, 2) = 4498500 labels; the refusal comes before the path is built
+    monkeypatch.setenv("PSTLAB_CAP", "100")
     tracemalloc.start()
     try:
-        report = run_case(3000, 2, cap=100)
+        report = run_case(3000, 2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -408,8 +409,9 @@ def test_report_schema():
     json.dumps(doc)  # schema must be serializable as-is
 
 
-def test_report_error_capture():
-    report = run_case(6, 3, cap=10)
+def test_report_error_capture(monkeypatch):
+    monkeypatch.setenv("PSTLAB_CAP", "10")
+    report = run_case(6, 3)
     assert report.error is not None
     assert not report.ok
     assert report.checks == ()
@@ -451,7 +453,7 @@ def test_sweep_orders_and_skips():
     assert sweep((3, 4), (4, 6)) == ()
 
 
-def test_sweep_validation():
+def test_sweep_validation(monkeypatch):
     with pytest.raises(PreconditionError):
         sweep((5, 3), (1, 1))
     with pytest.raises(PreconditionError):
@@ -459,9 +461,11 @@ def test_sweep_validation():
     with pytest.raises(PreconditionError):
         sweep((3, 4), (0, 2))
     # every case at n has at least n vertices, so n beyond the cap is refused up front
+    monkeypatch.setenv("PSTLAB_CAP", "100")
     with pytest.raises(ResourceCapError):
-        sweep((3, 101), (1, 1), cap=100)
-    assert [(r.n, r.k) for r in sweep((3, 5), (1, 1), cap=5)] == [(3, 1), (4, 1), (5, 1)]
+        sweep((3, 101), (1, 1))
+    monkeypatch.setenv("PSTLAB_CAP", "5")
+    assert [(r.n, r.k) for r in sweep((3, 5), (1, 1))] == [(3, 1), (4, 1), (5, 1)]
 
 
 def test_three_way_amplitude_agreement():
@@ -537,16 +541,18 @@ def test_conjecture_probe_cycle_notes_components():
     assert doc["n"] == 4 and doc["k"] == 2
 
 
-def test_conjecture_probe_cap_reaches_the_component_check():
+def test_conjecture_probe_cap_reaches_the_component_check(monkeypatch):
     # the 9**5 power labels exceed the default cap but not the one given
-    report = conjecture_probe(cycle_graph(9), 5, cap=10**5)
+    monkeypatch.setenv("PSTLAB_CAP", str(10**5))
+    report = conjecture_probe(cycle_graph(9), 5)
     assert not any("size cap" in note for note in report.notes)
     assert any("expected 120 components for k=5, found 24" in note for note in report.notes)
 
 
-def test_conjecture_probe_notes_a_deleted_power_past_the_cap():
+def test_conjecture_probe_notes_a_deleted_power_past_the_cap(monkeypatch):
     # the C(8, 4) = 70 ascending labels fit the cap of 100, the 1680 kept labels do not
-    report = conjecture_probe(cycle_graph(8), 4, cap=100)
+    monkeypatch.setenv("PSTLAB_CAP", "100")
+    report = conjecture_probe(cycle_graph(8), 4)
     assert "deleted power graph exceeds the size cap; component structure unchecked" in report.notes
     assert report.times_scanned >= 64
 
@@ -726,7 +732,7 @@ def test_case_class_ids_follow_the_sorted_spectrum(n):
     # eigenvalues lie within the old class gap of 1e-6, the steps count up
     # the ladder, and each column lies within 1e-12 of its step's mean
     for k in range(1, n):
-        case = _build_case(n, k, None)
+        case = _build_case(n, k)
         ids, values = _ladder_steps(case.labels), case.values
         close = np.abs(values[:, None] - values[None, :]) <= 1e-6
         assert np.array_equal(ids[:, None] == ids[None, :], close), (n, k)
@@ -758,14 +764,14 @@ def _sign_law_value_projector_weights(case):
 def test_sign_law_matches_projector_weight_route(n):
     # the Cauchy-Binet minors regroup the per-class coefficients per mode
     for k in range(1, n):
-        case = _build_case(n, k, None)
+        case = _build_case(n, k)
         checks = {c.name: c for c in _theorem1(case)}
         assert abs(checks["expansion-sign-law"].value - _sign_law_value_projector_weights(case)) <= 1e-13, (n, k)
 
 
 def test_theorem1_memory_holds_no_m_by_m_array():
     # the m x m projector weights C_k(Z) * C_k(Z) peaked at 22.6 MiB here
-    case = _build_case(13, 6, None)
+    case = _build_case(13, 6)
     tracemalloc.start()
     try:
         checks = _theorem1(case)
@@ -792,7 +798,7 @@ def test_expansion_sign_law_fails_on_a_path_without_mirror_symmetry(monkeypatch,
         return WeightedGraph(n, a)
 
     monkeypatch.setattr(pstlab.pst_verify, "weighted_path", lopsided)
-    (check,) = [c for c in _theorem1(_build_case(n, k, None)) if c.name == "expansion-sign-law"]
+    (check,) = [c for c in _theorem1(_build_case(n, k)) if c.name == "expansion-sign-law"]
     assert not check.passed
     assert check.value > 1e-6
 
@@ -831,6 +837,6 @@ def test_thinning_bound_never_exceeds_frobenius_form():
 
     for n in range(2, 11):
         for k in range(1, n):
-            case = _build_case(n, k, None)
+            case = _build_case(n, k)
             checks = {c.name: c for c in _lemma5_and_theorem2(case)}
             assert checks["quotient-thinning-match"].value <= _thinning_value_frobenius(case), (n, k)

@@ -154,7 +154,7 @@ def dense_and_slater(n, k):
     # the dense route is the oracle: one eigensolve of the whole C(n, k)-vertex graph;
     # the Slater route is the compound basis in mode order, as a verify case reads it
     dense = eigh(symmetric_power(weighted_path(n), k))
-    case = _build_case(n, k, None)
+    case = _build_case(n, k)
     return dense, SpectralDecomposition(case.values, case.z)
 
 
@@ -189,7 +189,7 @@ def test_slater_matches_dense_route_random_time(data):
 
 def test_slater_decomposition_basis():
     # the basis a verify case reads: the compound, orthonormal, its eigenvalues the ladder as a multiset
-    case = _build_case(7, 3, None)
+    case = _build_case(7, 3)
     m = math.comb(7, 3)
     assert case.z.shape == (m, m) and case.values.shape == (m,)
     assert not case.z.flags.writeable
