@@ -23,6 +23,8 @@ import re
 import sys
 from typing import Sequence
 
+import numpy as np
+
 from .errors import (
     DegeneratePartitionError,
     FormatError,
@@ -39,14 +41,14 @@ from .graph_core import (
     simple_path,
     weighted_path,
 )
-from .hardcore import ascending_labels, symmetric_power
+from .hardcore import _ascending, symmetric_power
 from .partition import (
     _quotient_graph,
     check_equitable,
     load_partition,
     normalized_partition_matrix,
 )
-from .products import cartesian_power, label_of_index
+from .products import _digits, cartesian_power
 from .pst_verify import conjecture_probe, sweep
 from .spectral import PST_TOL, eigh, find_pst_pairs, is_periodic
 
@@ -167,14 +169,10 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def _print_legend(kind: str, n: int, k: int, size: int) -> None:
     """Vertex-to-label legend for power graphs, written to stderr."""
-    print(f"# vertex labels for {kind} (n={n}, k={k})", file=sys.stderr)
-    if kind == "cartesian-power":
-        labels = (label_of_index(i, n, k).sites for i in range(size))
-    else:
-        labels = ascending_labels(n, k)
-    for vid, sites in enumerate(labels, start=1):
-        rendered = ",".join(str(x) for x in sites)
-        print(f"# {vid}: ({rendered})", file=sys.stderr)
+    labels = _digits(np.arange(size), n, k) + 1 if kind == "cartesian-power" else _ascending(n, k) + 1
+    lines = [f"# vertex labels for {kind} (n={n}, k={k})"]
+    lines += [f"# {vid}: ({','.join(map(str, sites))})" for vid, sites in enumerate(labels.tolist(), start=1)]
+    sys.stderr.write("\n".join(lines) + "\n")
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:

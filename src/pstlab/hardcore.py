@@ -14,6 +14,12 @@ built as edge lists from one list of hops over their own labels, never from
 the n**k power, which ``cartesian_power``, ``apply_deletion`` and the
 ``DeletionMask`` keep as the paper's reference construction. The deleted graph
 lives on ``_kept_table``, its n!/(n-k)! labels. No builder reads a dense array.
+
+Both label families have closed-form lexicographic ranks, so a hop finds its
+target row with no sort or search: ascending labels by the combinatorial
+number system (``_rank_ascending``), k-permutations by their Lehmer code
+(``_rank_permutation``). The byte-key search ``_label_rows`` is left to the
+tables that are neither family.
 """
 
 from __future__ import annotations
@@ -43,7 +49,10 @@ def _label_rows(table: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """First row of ``table`` holding each row of ``labels``; PreconditionError if one is absent.
 
     Rows compare as whole byte strings of int64 sites: exact for any table,
-    where a base-n code would overflow once n**k reaches 2**63.
+    where a base-n code would overflow once n**k reaches 2**63. Tables of
+    ascending labels or k-permutations are ranked in closed form
+    (``_rank_ascending``, ``_rank_permutation``); this sort is left to
+    ``indistinguishability_partition`` and ``component_isomorphism_check``.
     """
     table, labels = (np.ascontiguousarray(x, dtype=np.int64) for x in (table, labels))
     row_key = np.dtype((np.void, table.itemsize * table.shape[1]))
@@ -53,6 +62,56 @@ def _label_rows(table: np.ndarray, labels: np.ndarray) -> np.ndarray:
     if (keys[rows] != wanted).any():
         raise PreconditionError(f"label {labels[keys[rows] != wanted][0].tolist()} is not in the label table")
     return rows
+
+
+def _refuse_flagged(sites: np.ndarray, bad: np.ndarray, family: str) -> None:
+    """PreconditionError naming the first label, a column of ``sites``, that ``bad`` flags."""
+    if bad.any():
+        raise PreconditionError(f"label {sites[:, np.argmax(bad)].tolist()} is not {family}")
+
+
+def _rank_ascending(labels: np.ndarray, n: int) -> np.ndarray:
+    """Row of each strictly ascending label of ``labels`` in ``_ascending(n, k)``.
+
+    The combinatorial number system, read on the mirrored sites: rank
+    ``C(n, k) - 1 - sum_i C(n - 1 - a_i, k - i)`` over the slots i = 0..k-1.
+    A label that does not ascend strictly or has a site outside 0..n-1
+    raises PreconditionError.
+    """
+    # One contiguous row per slot: the loops below read whole slots.
+    sites = np.asarray(labels, dtype=np.int64).T.copy()
+    k = sites.shape[0]
+    bad = (sites[0] < 0) | (sites[-1] >= n)
+    for low, high in zip(sites[:-1], sites[1:]):
+        bad |= high <= low
+    _refuse_flagged(sites, bad, f"an ascending label of range({n})")
+    rank = np.full(sites.shape[1], math.comb(n, k) - 1)
+    for i, site in enumerate(sites):
+        # Slot i holds a site a >= i, where C(n - 1 - a, k - i) <= C(n, k) cannot overflow.
+        rank -= np.array([0] * i + [math.comb(n - 1 - a, k - i) for a in range(i, n)])[site]
+    return rank
+
+
+def _rank_permutation(labels: np.ndarray, n: int) -> np.ndarray:
+    """Row of each k-permutation of ``labels`` in ``_kept_table(n, k)``.
+
+    The Lehmer code: rank ``sum_i c_i P(n - 1 - i, k - 1 - i)``, where the
+    digit c_i counts the sites below a_i that no earlier slot holds. A label
+    with a repeated site or a site outside 0..n-1 raises PreconditionError.
+    """
+    sites = np.asarray(labels, dtype=np.int64).T.copy()
+    k = sites.shape[0]
+    bad = np.zeros(sites.shape[1], dtype=bool)
+    rank = np.zeros(sites.shape[1], dtype=np.int64)
+    for i, site in enumerate(sites):
+        bad |= (site < 0) | (site >= n)
+        digit = site.copy()
+        for earlier in sites[:i]:
+            bad |= earlier == site
+            digit -= earlier < site
+        rank += digit * math.perm(n - 1 - i, k - 1 - i)
+    _refuse_flagged(sites, bad, f"a k-permutation of range({n})")
+    return rank
 
 
 def _hops(g: WeightedGraph, table: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -158,12 +217,13 @@ def _kept_graph(g: WeightedGraph, table: np.ndarray) -> WeightedGraph:
 def _hop_graph(g: WeightedGraph, table: np.ndarray, loops: np.ndarray, sort: bool) -> WeightedGraph:
     """Graph on the labels of ``table``: the hops of ``g`` as edges, ``loops`` on the diagonal.
 
-    With ``sort`` a hop reaches the row of its sorted label. Every hop also
-    appears from the other end, so only the one with ``row < col`` goes in.
+    ``table`` is ``_ascending(g.n, k)`` with ``sort``, where a hop reaches the
+    row of its sorted label, and ``_kept_table(g.n, k)`` without. Every hop
+    also appears from the other end, so only the one with ``row < col`` goes in.
     """
     rows, cols, weights = [np.arange(table.shape[0])], [np.arange(table.shape[0])], [loops]
     for row, moved, weight in _hops(g, table):
-        col = _label_rows(table, np.sort(moved, axis=1) if sort else moved)
+        col = _rank_ascending(np.sort(moved, axis=1), g.n) if sort else _rank_permutation(moved, g.n)
         upper = row < col
         rows.append(row[upper])
         cols.append(col[upper])
@@ -388,8 +448,7 @@ def c_operator(label: OccupationLabel) -> OccupationLabel:
 
 def _mirror_permutation(n: int, k: int) -> np.ndarray:
     """0-based index map of the mirror map on the ascending labels of (n, k)."""
-    table = _ascending(n, k) + 1
-    return _label_rows(table, n + 1 - table[:, ::-1])
+    return _rank_ascending(n - 1 - _ascending(n, k)[:, ::-1], n)
 
 
 def mirror_partition(g: WeightedGraph, n: int, k: int) -> Partition:

@@ -30,7 +30,7 @@ from .hardcore import (
     _ascending,
     _kept_graph,
     _kept_table,
-    _label_rows,
+    _rank_ascending,
     _sort_signs,
     decompose_components,
     symmetric_power,
@@ -67,8 +67,8 @@ def _compound(z: np.ndarray, k: int) -> np.ndarray:
     prev = z[k - 1 :]
     for j in range(2, k + 1):
         rows, cols = _ascending(n - k + j, j) + (k - j), _ascending(n, j)
-        tails = _label_rows(_ascending(n - k + j - 1, j - 1) + (k - j + 1), rows[:, 1:])
-        minors = [_label_rows(_ascending(n, j - 1), np.delete(cols, c, axis=1)) for c in range(j)]
+        tails = _rank_ascending(rows[:, 1:] - (k - j + 1), n - k + j - 1)
+        minors = [_rank_ascending(np.delete(cols, c, axis=1), n) for c in range(j)]
         level = np.empty((rows.shape[0], cols.shape[0]), dtype=z.dtype)
         step = max(1, _DET_BLOCK // (cols.shape[0] * j))
         for start in range(0, rows.shape[0], step):
@@ -125,7 +125,7 @@ def _projected_states(spec: SpectralDecomposition, table: np.ndarray, signed: Si
     every cell exactly when the component signs match the sort parity.
     """
     n, k = spec.n, table.shape[1]
-    cells = _label_rows(_ascending(n, k), np.sort(table, axis=1))
+    cells = _rank_ascending(np.sort(table, axis=1), n)
     agree = np.bincount(cells, weights=_sort_signs(table) * signed.signs, minlength=math.comb(n, k))
     return _compound(spec.eigenvectors, k) * (agree / math.factorial(k))[:, None]
 

@@ -84,6 +84,22 @@ def cycle_graph(n: int) -> WeightedGraph:
     return graph_from_edges(n, edges)
 
 
+def seeded_ring(n: int, seed: int) -> WeightedGraph:
+    """The ring C_n with edge weights drawn uniformly from [0.5, 1.5]."""
+    rng = np.random.default_rng(seed)
+    a = np.zeros((n, n))
+    for v in range(n):
+        a[v, (v + 1) % n] = a[(v + 1) % n, v] = rng.uniform(0.5, 1.5)
+    return WeightedGraph(n, a)
+
+
+def seeded_cube(dim: int, seed: int) -> WeightedGraph:
+    """The hypercube Q_dim with edge weights drawn uniformly from [0.5, 1.5]."""
+    rng = np.random.default_rng(seed)
+    weights = np.triu(rng.uniform(0.5, 1.5, size=(2**dim, 2**dim)), 1)
+    return WeightedGraph(2**dim, hypercube(dim).adjacency * (weights + weights.T))
+
+
 def hamming_partition(dim: int) -> Partition:
     """Cells of a hypercube's vertices grouped by binary weight."""
     cells = tuple(

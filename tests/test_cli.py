@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pstlab import load_graph, save_graph, simple_path, weighted_path
+from pstlab import ascending_labels, label_of_index, load_graph, save_graph, simple_path, weighted_path
 from pstlab.cli import main
 
 from conftest import graph_documents, graph_from_edges, hamming_partition, partition_documents
@@ -84,6 +84,21 @@ def test_build_cartesian_power_legend(capsys):
     lines = err.strip().splitlines()
     assert lines[0] == "# vertex labels for cartesian-power (n=3, k=2)"
     assert lines[1:] == [f"# {3 * (a - 1) + b}: ({a},{b})" for a in (1, 2, 3) for b in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("kind", ["cartesian-power", "symmetric-power"])
+def test_build_legend_matches_the_label_by_label_text(capsys, kind):
+    # oracle: one label_of_index call, or one ascending label, per printed line
+    n, k = 4, 3
+    code, _, err = run(capsys, "build", kind, "--n", str(n), "--k", str(k))
+    assert code == 0
+    if kind == "cartesian-power":
+        labels = [label_of_index(i, n, k).sites for i in range(n**k)]
+    else:
+        labels = ascending_labels(n, k)
+    expected = f"# vertex labels for {kind} (n={n}, k={k})\n"
+    expected += "".join(f"# {vid}: ({','.join(map(str, sites))})\n" for vid, sites in enumerate(labels, start=1))
+    assert err == expected
 
 
 def test_build_k_usage(capsys):

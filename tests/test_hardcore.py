@@ -23,6 +23,7 @@ from pstlab import (
     cartesian_power,
     commutator_check_antisymmetry,
     component_isomorphism_check,
+    conjecture_probe,
     decompose_components,
     deletion_mask,
     eigh,
@@ -33,8 +34,10 @@ from pstlab import (
     orbit_partition,
     simple_path,
     quotient,
+    run_case,
     symmetric_power,
     unit_antisymmetry,
+    verify_corollary1,
     weighted_path,
 )
 from pstlab.hardcore import (
@@ -45,11 +48,15 @@ from pstlab.hardcore import (
     _kept_table,
     _label_rows,
     _mirror_permutation,
+    _rank_ascending,
+    _rank_permutation,
 )
+from pstlab import hardcore, tonks
 from pstlab.partition import _components
 from pstlab.products import _digits
+from pstlab.tonks import _compound
 
-from conftest import cycle_graph
+from conftest import cycle_graph, seeded_cube, seeded_ring
 
 COMPONENT_GRID = [(4, 2), (5, 2), (6, 2), (7, 2), (5, 3), (6, 3), (7, 3), (6, 4)]
 
@@ -682,3 +689,133 @@ def test_symmetric_power_matches_label_loop_across_hop_blocks():
     upper = np.triu(np.random.default_rng(11).uniform(-1.0, 1.0, (n, n)))
     g = WeightedGraph(n, upper + np.triu(upper, 1).T)
     assert np.array_equal(symmetric_power(g, k, allow_non_path=True).adjacency, symmetric_power_loop(g, k))
+
+
+# The closed-form ranks against the byte-key search they replaced, which stays
+# here as their oracle: the row of each label in the whole label table.
+
+
+def rank_by_lookup_ascending(labels, n):
+    return _label_rows(_ascending(n, labels.shape[1]), labels)
+
+
+def rank_by_lookup_permutation(labels, n):
+    return _label_rows(_kept_table(n, labels.shape[1]), labels)
+
+
+def by_label_rows(monkeypatch, build):
+    """``build()`` with every closed-form rank replaced by its ``_label_rows`` oracle."""
+    with monkeypatch.context() as m:
+        m.setattr(hardcore, "_rank_ascending", rank_by_lookup_ascending)
+        m.setattr(hardcore, "_rank_permutation", rank_by_lookup_permutation)
+        m.setattr(tonks, "_rank_ascending", rank_by_lookup_ascending)
+        return build()
+
+
+def assert_same_bytes(built, oracle):
+    assert (built.dtype, built.shape, built.tobytes()) == (oracle.dtype, oracle.shape, oracle.tobytes())
+
+
+def assert_same_graph_bytes(built, oracle):
+    assert built.n == oracle.n
+    for name in ("_rows", "_cols", "_weights"):
+        assert_same_bytes(getattr(built, name), getattr(oracle, name))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_rank_ascending_matches_label_rows(n):
+    rng = np.random.default_rng(n)
+    for k in range(1, n + 1):
+        table = _ascending(n, k)
+        order = rng.permutation(table.shape[0])
+        assert np.array_equal(_rank_ascending(table, n), np.arange(table.shape[0]))
+        assert np.array_equal(_rank_ascending(table[order], n), order)
+        assert np.array_equal(_rank_ascending(table[order], n), _label_rows(table, table[order]))
+        # the tables _compound ranks at level j: tails of its offset rows, and columns less one slot
+        for j in range(2, k + 1):
+            rows, cols = _ascending(n - k + j, j) + (k - j), _ascending(n, j)
+            tails = _ascending(n - k + j - 1, j - 1) + (k - j + 1)
+            assert np.array_equal(
+                _rank_ascending(rows[:, 1:] - (k - j + 1), n - k + j - 1), _label_rows(tails, rows[:, 1:])
+            )
+            for c in range(j):
+                less = np.delete(cols, c, axis=1)[rng.permutation(cols.shape[0])]
+                assert np.array_equal(_rank_ascending(less, n), _label_rows(_ascending(n, j - 1), less))
+
+
+# Every k-permutation table with n <= 10 that the default size cap lets _kept_table list.
+PERMUTATION_GRID = [(n, k) for n in range(1, 11) for k in range(1, n + 1) if math.perm(n, k) <= 16384]
+
+
+@pytest.mark.parametrize("n,k", PERMUTATION_GRID)
+def test_rank_permutation_matches_label_rows(n, k):
+    table = _kept_table(n, k)
+    order = np.random.default_rng(n * 10 + k).permutation(table.shape[0])
+    assert np.array_equal(_rank_permutation(table, n), np.arange(table.shape[0]))
+    assert np.array_equal(_rank_permutation(table[order], n), order)
+    assert np.array_equal(_rank_permutation(table[order], n), _label_rows(table, table[order]))
+
+
+@pytest.mark.parametrize(
+    "rank,oracle,labels",
+    [
+        (_rank_ascending, rank_by_lookup_ascending, [[0, 1], [2, 1]]),
+        (_rank_ascending, rank_by_lookup_ascending, [[1, 1]]),
+        (_rank_ascending, rank_by_lookup_ascending, [[0, 2, 2]]),
+        (_rank_ascending, rank_by_lookup_ascending, [[-1, 2]]),
+        (_rank_ascending, rank_by_lookup_ascending, [[3, 5]]),
+        (_rank_ascending, rank_by_lookup_ascending, [[5]]),
+        (_rank_permutation, rank_by_lookup_permutation, [[0, 1], [1, 1]]),
+        (_rank_permutation, rank_by_lookup_permutation, [[2, 3, 2]]),
+        (_rank_permutation, rank_by_lookup_permutation, [[-1, 0]]),
+        (_rank_permutation, rank_by_lookup_permutation, [[4, 5]]),
+        (_rank_permutation, rank_by_lookup_permutation, [[-5]]),
+    ],
+)
+def test_ranks_refuse_labels_outside_their_family(rank, oracle, labels):
+    labels = np.array(labels)
+    with pytest.raises(PreconditionError):
+        rank(labels, 5)
+    with pytest.raises(PreconditionError):
+        oracle(labels, 5)
+
+
+PROBE_INPUTS = [
+    ("ring-C12", seeded_ring(12, 31)),
+    ("ring-C10", seeded_ring(10, 32)),
+    ("cube-Q4", seeded_cube(4, 33)),
+    *SEEDED,
+]
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_builders_match_the_label_rows_route_on_paths(monkeypatch, n):
+    g = weighted_path(n)
+    z = eigh(g).eigenvectors
+    for k in range(1, n + 1):
+        assert_same_graph_bytes(symmetric_power(g, k), by_label_rows(monkeypatch, lambda: symmetric_power(g, k)))
+        assert_same_bytes(_mirror_permutation(n, k), by_label_rows(monkeypatch, lambda: _mirror_permutation(n, k)))
+        assert_same_bytes(_compound(z, k), by_label_rows(monkeypatch, lambda: _compound(z, k)))
+        if math.perm(n, k) <= 16384:
+            table = _kept_table(n, k)
+            assert_same_graph_bytes(_kept_graph(g, table), by_label_rows(monkeypatch, lambda: _kept_graph(g, table)))
+
+
+@pytest.mark.parametrize("name,g", PROBE_INPUTS, ids=[name for name, _ in PROBE_INPUTS])
+def test_builders_match_the_label_rows_route_off_paths(monkeypatch, name, g):
+    for k in (1, 2, 3):
+        table = _kept_table(g.n, k)
+        assert_same_graph_bytes(_kept_graph(g, table), by_label_rows(monkeypatch, lambda: _kept_graph(g, table)))
+        built = symmetric_power(g, k, allow_non_path=True)
+        assert_same_graph_bytes(built, by_label_rows(monkeypatch, lambda: symmetric_power(g, k, allow_non_path=True)))
+
+
+def test_hot_paths_do_not_search_label_tables(monkeypatch):
+    def refuse(table, labels):
+        raise AssertionError("_label_rows called on a hot path")
+
+    monkeypatch.setattr(hardcore, "_label_rows", refuse)
+    monkeypatch.setattr(tonks, "_label_rows", refuse, raising=False)
+    assert verify_corollary1(9, 4) <= 1e-8
+    assert run_case(9, 3).ok
+    assert conjecture_probe(seeded_ring(10, 32), 3).pairs_total == math.comb(10, 3) * (math.comb(10, 3) - 1) // 2

@@ -18,7 +18,6 @@ from pstlab import (
     eigh,
     evolve,
     find_pst_pairs,
-    hypercube,
     predicted_period_phase,
     predicted_transfer_phase,
     reflection_permutation,
@@ -39,7 +38,7 @@ from pstlab.pst_verify import (
 from pstlab.spectral import PST_TOL, _PAIR_SLACK, _pair_scan
 from pstlab.tonks import _ladder_steps, _minors
 
-from conftest import cycle_graph
+from conftest import cycle_graph, seeded_cube, seeded_ring
 
 
 def test_predicted_transfer_phase_frozen():
@@ -542,8 +541,9 @@ def test_conjecture_probe_cycle_notes_components():
 
 
 def test_conjecture_probe_cap_reaches_the_component_check(monkeypatch):
-    # the 9**5 power labels exceed the default cap but not the one given
-    monkeypatch.setenv("PSTLAB_CAP", str(10**5))
+    # a cap of exactly the 9*8*7*6*5 = 15120 kept labels lets the component check run, though
+    # the 9**5 = 59049 power labels exceed it: the cap counts the kept labels, and reaching it is allowed
+    monkeypatch.setenv("PSTLAB_CAP", str(15120))
     report = conjecture_probe(cycle_graph(9), 5)
     assert not any("size cap" in note for note in report.notes)
     assert any("expected 120 components for k=5, found 24" in note for note in report.notes)
@@ -574,25 +574,11 @@ def test_conjecture_probe_refuses_walker_counts_outside_the_graph(k):
 # propagator per time, and a row-major argmax that keeps the earliest time.
 
 
-def _seeded_ring(n, seed):
-    rng = np.random.default_rng(seed)
-    a = np.zeros((n, n))
-    for v in range(n):
-        a[v, (v + 1) % n] = a[(v + 1) % n, v] = rng.uniform(0.5, 1.5)
-    return WeightedGraph(n, a)
-
-
-def _seeded_cube(dim, seed):
-    rng = np.random.default_rng(seed)
-    weights = np.triu(rng.uniform(0.5, 1.5, size=(2**dim, 2**dim)), 1)
-    return WeightedGraph(2**dim, hypercube(dim).adjacency * (weights + weights.T))
-
-
 PROBE_CASES = [
-    ("ring-C12", _seeded_ring(12, 31), 2),
-    ("ring-C10", _seeded_ring(10, 32), 3),
-    ("cube-Q4", _seeded_cube(4, 33), 2),
-    ("ring-C9", _seeded_ring(9, 34), 2),
+    ("ring-C12", seeded_ring(12, 31), 2),
+    ("ring-C10", seeded_ring(10, 32), 3),
+    ("cube-Q4", seeded_cube(4, 33), 2),
+    ("ring-C9", seeded_ring(9, 34), 2),
     *((f"path-{n}", weighted_path(n), 2) for n in range(5, 9)),
     ("cycle-4", cycle_graph(4), 2),
 ]
