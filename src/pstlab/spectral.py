@@ -5,19 +5,20 @@ form, then implicit-shift QL on the tridiagonal, with the eigenvectors
 accumulated through both stages. The QL recurrence records its plane
 rotations and applies them to the eigenvector rows in wavefronts: the
 rotation on rows (i, i + 1) of the s-th sweep runs in wave 2 s + (n - 1 - i),
-so rotations that share a row keep their order, and each wave updates its
-disjoint row pairs at once with the same elementwise formula as one rotation
-at a time. The bytes are those of the rotation-by-rotation loop; flushing the
-record every few thousand rotations bounds its memory and changes no byte.
-It is written with elementwise numpy products and reductions only, never a
-BLAS call, so its output bytes do not depend on the BLAS library or its
-thread count; eigenvector signs follow one fixed convention (see
-SpectralDecomposition). Propagators are assembled from
-the decomposition as U(t) = Z exp(-i t Lambda) Z^T, so unitarity holds to
-the accuracy of the decomposition itself and no matrix exponential routine
-is involved. The probe's scan (_pair_scan) takes the same amplitudes pair by
-pair, in blocks at every time at once, and skips the pairs that a time-free
-bound rules out.
+so rotations that share a row keep their order. A wave's rotations on rows
+i, i + 2, ..., i + 2K - 2 tile the contiguous rows i .. i + 2K - 1, which are
+rotated in place as one block with the same elementwise formula as one
+rotation at a time. The bytes are those of the rotation-by-rotation loop;
+flushing the record every few thousand rotations bounds its memory and
+changes no byte. It is written with elementwise numpy products, reductions
+and ``np.einsum`` without ``optimize``, never a BLAS call, so its output
+bytes do not depend on the BLAS library or its thread count; eigenvector
+signs follow one fixed convention (see SpectralDecomposition). Propagators
+are assembled from the decomposition as U(t) = Z exp(-i t Lambda) Z^T, so
+unitarity holds to the accuracy of the decomposition itself and no matrix
+exponential routine is involved. The probe's scan (_pair_scan) takes the
+same amplitudes pair by pair, in blocks at every time at once, and skips the
+pairs that a time-free bound rules out.
 """
 
 from __future__ import annotations
@@ -93,7 +94,9 @@ def _tridiagonalize(t: np.ndarray) -> np.ndarray:
     bit for bit. Nor does a column whose squares sum below ``_TINY_COLUMN``:
     its reflector would overflow, and leaving it changes ``T`` by less than
     2**-484, far under the solver's backward error for a ``t`` scaled to
-    norm about 1.
+    norm about 1. The dot products, the product of the trailing block with
+    ``v`` and the rows ``v^T Q`` of the accumulation are ``np.einsum`` calls,
+    which run no BLAS and form no elementwise temporary of the block.
     """
     n = t.shape[0]
     reflectors = []
@@ -101,25 +104,26 @@ def _tridiagonalize(t: np.ndarray) -> np.ndarray:
         x = t[k + 1 :, k]
         if not x[1:].any():
             continue
-        norm2 = float((x * x).sum())
+        norm2 = float(np.einsum("i,i", x, x))
         if norm2 < _TINY_COLUMN:
             continue
         alpha = -math.copysign(math.sqrt(norm2), x[0])
         v = x.copy()
         v[0] -= alpha
-        beta = 2.0 / float((v * v).sum())
+        beta = 2.0 / float(np.einsum("i,i", v, v))
         sub = t[k + 1 :, k + 1 :]
-        p = beta * (sub * v).sum(axis=1)
-        w = p - (0.5 * beta * float((p * v).sum())) * v
-        # The two outer products are added before the subtraction so that the
-        # block stays exactly symmetric.
-        sub -= v[:, None] * w[None, :] + w[:, None] * v[None, :]
+        p = beta * np.einsum("ij,j->i", sub, v)
+        w = p - (0.5 * beta * float(np.einsum("i,i", p, v))) * v
+        # v w^T plus its own transpose is v w^T + w v^T, added before the
+        # subtraction so that the block stays exactly symmetric.
+        vw = np.multiply.outer(v, w)
+        sub -= vw + vw.T
         t[k + 1, k] = alpha
         reflectors.append((k + 1, v, beta))
     q = np.eye(n)
     for j, v, beta in reversed(reflectors):
         block = q[j:, j:]
-        block -= (beta * v)[:, None] * (v[:, None] * block).sum(axis=0)[None, :]
+        block -= np.multiply.outer(beta * v, np.einsum("i,ij->j", v, block))
     return q
 
 
@@ -211,9 +215,20 @@ def _rotate_rows(zt: np.ndarray, sweeps: list[tuple[int, int]], cs: list[float],
     two rotations of one wave are at least two rows apart, so every row gets
     the same updates in the same order as rotation by rotation. Each update is
     ``(c z_i + z_i+1 (-s), c z_i+1 + z_i s)``, equal in IEEE arithmetic to
-    ``c z_i + (-z_i+1) s``, so the rows end with the same bytes. A wave is one
-    gather of its row pairs, two products, one sum and one scatter.
+    ``c z_i + (-z_i+1) s``, so the rows end with the same bytes.
+
+    In that order the rotations of one wave on rows ``i, i + 2, ..., i + 2K -
+    2`` follow each other, and their row pairs tile the contiguous rows ``i ..
+    i + 2K - 1``. The record is cut wherever the next row is not the previous
+    one plus 2, and each run updates the view ``zt[i : i + 2K]`` reshaped to
+    ``(K, 2, m)`` in place: one product into a temporary, one in-place product
+    and one in-place sum, with no gather or scatter. A run is part of one
+    wave, so every cut keeps the bytes. The reshape is a view only for a
+    C-contiguous ``zt``, and any other raises PreconditionError rather than
+    rotating a copy.
     """
+    if not zt.flags.c_contiguous:
+        raise PreconditionError("_rotate_rows needs a C-contiguous zt: a reshaped copy would drop the update")
     if not cs:
         return
     tops, counts = np.array(sweeps, dtype=np.intp).T
@@ -222,18 +237,19 @@ def _rotate_rows(zt: np.ndarray, sweeps: list[tuple[int, int]], cs: list[float],
     # The wave number less its constant n - 1, which changes no order.
     wave = np.repeat(2 * np.arange(counts.size), counts) - rows
     order = np.argsort(wave, kind="stable")
-    pairs = rows[order, None] + np.array([0, 1])
+    rows = rows[order]
     c = np.array(cs)[order, None, None]
     s = np.array(ss)[order]
     signed_s = np.stack([-s, s], axis=1)[:, :, None]
-    cuts = (np.flatnonzero(np.diff(wave[order])) + 1).tolist()
-    for lo, hi in zip([0, *cuts], [*cuts, len(cs)]):
-        pair = pairs[lo:hi]
-        z = zt[pair]
-        turned = z[:, ::-1] * signed_s[lo:hi]
-        z *= c[lo:hi]
-        z += turned
-        zt[pair] = z
+    # Rows two apart in this order belong to one wave (the rows of two
+    # neighbouring waves differ in parity), so a run's pairs are disjoint.
+    cuts = (np.flatnonzero(np.diff(rows) != 2) + 1).tolist()
+    width = zt.shape[1]
+    for top, lo, hi in zip(rows[[0, *cuts]].tolist(), [0, *cuts], [*cuts, len(cs)]):
+        block = zt[top : top + 2 * (hi - lo)].reshape(hi - lo, 2, width)
+        turned = block[:, ::-1] * signed_s[lo:hi]
+        block *= c[lo:hi]
+        block += turned
 
 
 def eigh_matrix(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -244,19 +260,21 @@ def eigh_matrix(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     symmetric; that is not checked. It is first scaled by a power of two,
     which is exact, so that no sum of squares can overflow. A tridiagonal
     input skips the Householder stage entirely. The QL plane rotations reach
-    the eigenvectors in wavefront batches of disjoint row pairs, flushed
-    every ``_ROTATION_BLOCK`` rotations (see ``_ql_implicit``); each row gets
-    the same updates in the same order as rotation by rotation, so the bytes
-    are those of the one-at-a-time loop.
+    the eigenvectors in wavefront batches, each applied in place to runs of
+    contiguous rows, flushed every ``_ROTATION_BLOCK`` rotations (see
+    ``_ql_implicit`` and ``_rotate_rows``); each row gets the same updates in
+    the same order as rotation by rotation, so the bytes are those of the
+    one-at-a-time loop.
 
-    Only elementwise products and numpy reductions are used, never a BLAS
-    call: repeated calls return identical bytes, and the bytes depend on the
-    input, the numpy build and the CPU, not on the BLAS library or its thread
-    count. Residual ``|A Z - Z Lambda|`` and orthogonality ``|Z^T Z - I|`` are
-    a small multiple of ``n * eps * ||A||_2`` (backward stability; the tests
-    hold them to ``10 n eps ||A||_2``). Raises ConvergenceError for a
-    non-finite input, when one eigenvalue needs more than 30 QL steps and
-    when an eigenvalue overflows a float.
+    Only elementwise products, numpy reductions and ``np.einsum`` without
+    ``optimize`` are used, never a BLAS call: repeated calls return identical
+    bytes, and the bytes depend on the input, the numpy build and the CPU,
+    not on the BLAS library or its thread count. Residual ``|A Z - Z
+    Lambda|`` and orthogonality ``|Z^T Z - I|`` are a small multiple of ``n *
+    eps * ||A||_2`` (backward stability; the tests hold them to ``10 n eps
+    ||A||_2``). Raises ConvergenceError for a non-finite input, when one
+    eigenvalue needs more than 30 QL steps and when an eigenvalue overflows a
+    float.
     """
     a = np.asarray(a, dtype=float)
     if not np.isfinite(a).all():

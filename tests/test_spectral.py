@@ -4,7 +4,11 @@ numpy.linalg serves as the independent oracle for eigenvalues; the package
 itself never calls it for decompositions.
 """
 
+import inspect
+import io
 import math
+import textwrap
+import tokenize
 import tracemalloc
 
 import numpy as np
@@ -322,6 +326,144 @@ def test_wave_rotations_span_several_flush_blocks(monkeypatch):
         assert_matches_oracle(a)
 
 
+def record_flushes(a):
+    """``(zt, sweeps, cs, ss)`` as each ``_rotate_rows`` flush of ``eigh_matrix(a)`` receives it."""
+    flushes = []
+    rotate = pstlab.spectral._rotate_rows
+
+    def spy(zt, sweeps, cs, ss):
+        flushes.append((zt.copy(), list(sweeps), list(cs), list(ss)))
+        rotate(zt, sweeps, cs, ss)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pstlab.spectral, "_rotate_rows", spy)
+        eigh_matrix(a)
+    return flushes
+
+
+def waves_and_runs(sweeps):
+    """Wave count and the count of runs of rows two apart, in the wave-sorted order of a record."""
+    keys = sorted((2 * k - (top - j), k, top - j) for k, (top, count) in enumerate(sweeps) for j in range(count))
+    rows = [row for _, _, row in keys]
+    return len({wave for wave, _, _ in keys}), 1 + sum(b - a != 2 for a, b in zip(rows, rows[1:]))
+
+
+def rotate_one_by_one(zt, sweeps, cs, ss):
+    """The recorded rotations applied in recorded order, with the oracle's update of a row pair."""
+    flip = np.array([[-1.0], [1.0]])
+    swapped = np.empty((2, zt.shape[1]))
+    rotation = 0
+    for top, count in sweeps:
+        for i in range(top, top - count, -1):
+            pair = zt[i : i + 2]
+            np.multiply(pair[::-1], flip, out=swapped)
+            swapped *= ss[rotation]
+            pair *= cs[rotation]
+            pair += swapped
+            rotation += 1
+
+
+def test_wave_split_into_row_runs_matches_oracle():
+    # the last flush of this ring has waves whose rows are not all two apart
+    a = probe_style_graph("ring", 10, 3, seed=21)
+    split = 0
+    for zt, sweeps, cs, ss in record_flushes(a):
+        waves, runs = waves_and_runs(sweeps)
+        split += runs > waves
+        batched, one_by_one = zt.copy(), zt.copy()
+        pstlab.spectral._rotate_rows(batched, sweeps, cs, ss)
+        rotate_one_by_one(one_by_one, sweeps, cs, ss)
+        assert batched.tobytes() == one_by_one.tobytes()
+    assert split > 0
+    assert_matches_oracle(a)
+
+
+def test_rotate_rows_refuses_a_zt_that_is_not_c_contiguous():
+    # a reshape of such a zt copies, and the rotations would land in the copy
+    sweeps, cs, ss = [(1, 2)], [0.6, 0.8], [0.8, 0.6]
+    for zt in (np.asfortranarray(np.arange(12.0).reshape(3, 4)), np.arange(15.0).reshape(3, 5)[:, :4]):
+        before = zt.copy()
+        with pytest.raises(PreconditionError, match="C-contiguous"):
+            pstlab.spectral._rotate_rows(zt, sweeps, cs, ss)
+        assert np.array_equal(zt, before)
+
+
+def householder_elementwise(t):
+    """Oracle for spectral._tridiagonalize: the same reflectors with elementwise products and sums."""
+    n = t.shape[0]
+    reflectors = []
+    for k in range(n - 2):
+        x = t[k + 1 :, k]
+        if not x[1:].any():
+            continue
+        norm2 = float((x * x).sum())
+        if norm2 < pstlab.spectral._TINY_COLUMN:
+            continue
+        alpha = -math.copysign(math.sqrt(norm2), x[0])
+        v = x.copy()
+        v[0] -= alpha
+        beta = 2.0 / float((v * v).sum())
+        sub = t[k + 1 :, k + 1 :]
+        p = beta * (sub * v).sum(axis=1)
+        w = p - (0.5 * beta * float((p * v).sum())) * v
+        sub -= v[:, None] * w[None, :] + w[:, None] * v[None, :]
+        t[k + 1, k] = alpha
+        reflectors.append((k + 1, v, beta))
+    q = np.eye(n)
+    for j, v, beta in reversed(reflectors):
+        block = q[j:, j:]
+        block -= (beta * v)[:, None] * (v[:, None] * block).sum(axis=0)[None, :]
+    return q
+
+
+def tridiagonal_part(t):
+    return np.diag(np.diag(t)) + np.diag(np.diag(t, -1), -1) + np.diag(np.diag(t, -1), 1)
+
+
+def assert_tridiagonalizes(a):
+    """Q orthogonal, Q T Q^T = A and the oracle's spectrum of T, each within 10 m eps ||A||_2.
+
+    T and Q are not compared entry by entry: a column that is exactly zero
+    below its subdiagonal in one route and roundoff in the other changes
+    which reflectors run. Returns the reduced ``t``.
+    """
+    m = a.shape[0]
+    bound = 10.0 * m * EPS * np.linalg.norm(a, 2)
+    t = a.copy()
+    q = pstlab.spectral._tridiagonalize(t)
+    oracle_t = a.copy()
+    householder_elementwise(oracle_t)
+    tri = tridiagonal_part(t)
+    assert np.abs(q.T @ q - np.eye(m)).max() <= 10.0 * m * EPS
+    assert np.abs(q @ tri @ q.T - a).max() <= bound
+    spectrum = np.linalg.eigvalsh(tri)
+    assert np.abs(spectrum - np.linalg.eigvalsh(tridiagonal_part(oracle_t))).max() <= bound
+    assert np.abs(spectrum - np.linalg.eigvalsh(a)).max() <= bound
+    return t
+
+
+@pytest.mark.parametrize("m", range(3, 131))
+def test_tridiagonalize_random(m):
+    assert_tridiagonalizes(random_symmetric(np.random.default_rng(3000 + m), m))
+
+
+def test_tridiagonalize_structured():
+    for kind, size, k in [("ring", 12, 2), ("ring", 10, 3), ("cube", 4, 2)]:
+        assert_tridiagonalizes(probe_style_graph(kind, size, k, seed=21))
+    # an exact zero eigenspace
+    assert_tridiagonalizes(symmetric_power(hypercube(4), 2, allow_non_path=True).adjacency)
+    rng = np.random.default_rng(17)
+    blocks = np.zeros((15, 15))
+    for lo, hi in ((0, 4), (4, 5), (5, 11), (11, 15)):
+        blocks[lo:hi, lo:hi] = random_symmetric(rng, hi - lo)
+    assert_tridiagonalizes(blocks)
+    # the first column's squares sum below _TINY_COLUMN, so it gets no reflector
+    tiny = random_symmetric(rng, 7)
+    tiny[1:, 0] = tiny[0, 1:] = 1e-150 * rng.normal(size=6)
+    assert float((tiny[1:, 0] ** 2).sum()) < pstlab.spectral._TINY_COLUMN
+    assert np.array_equal(assert_tridiagonalizes(tiny)[:, 0], tiny[:, 0])
+
+
 @pytest.mark.parametrize("cap", [0, 1])
 def test_iteration_budget_message_matches_oracle(monkeypatch, cap):
     monkeypatch.setattr(pstlab.spectral, "_QL_ITERATION_CAP", cap)
@@ -331,6 +473,28 @@ def test_iteration_budget_message_matches_oracle(monkeypatch, cap):
     with pytest.raises(ConvergenceError) as oracle:
         oracle_eigh_matrix(a)
     assert str(batched.value) == str(oracle.value)
+
+
+# Operators and names that reach BLAS (or let einsum pick a route that does).
+BLAS_TOKENS = {"@", "@=", "dot", "vdot", "matmul", "tensordot", "inner", "linalg", "optimize"}
+
+
+def blas_tokens(func):
+    """The BLAS_TOKENS in the code of func, its docstring, comments and strings left out."""
+    source = textwrap.dedent(inspect.getsource(func))
+    return {
+        token.string
+        for token in tokenize.generate_tokens(io.StringIO(source).readline)
+        if token.type in (tokenize.OP, tokenize.NAME) and token.string in BLAS_TOKENS
+    }
+
+
+def test_eigensolver_code_calls_no_blas():
+    # the README's determinism promise: the bytes do not depend on the BLAS library or its threads
+    spectral = pstlab.spectral
+    for func in (spectral._tridiagonalize, spectral._ql_implicit, spectral._rotate_rows, spectral.eigh_matrix):
+        assert blas_tokens(func) == set(), func.__name__
+    assert blas_tokens(spectral.evolve) == {"@"}  # the guard sees a product that is there
 
 
 def test_eigh_matrix_memory_is_bounded():
