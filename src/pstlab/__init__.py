@@ -59,14 +59,12 @@ from .partition import (
     qqt_eigenvalue_check,
     quotient,
     quotient_spectrum_subset,
-    save_partition,
     singleton_evolution_check,
     verify_theorem_equivalences,
 )
 from .products import (
     OccupationLabel,
     cartesian_power,
-    label_of_index,
 )
 from .pst_verify import (
     CheckResult,

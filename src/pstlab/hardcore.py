@@ -115,31 +115,34 @@ def _rank_permutation(labels: np.ndarray, n: int) -> np.ndarray:
 
 
 def _hops(g: WeightedGraph, table: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Every hop of one walker to a free site, over the stored entries of ``g``.
+    """Every hop of one walker to a free higher site, over the stored entries of ``g`` above the diagonal.
 
     ``table`` lists labels with distinct 0-based sites, one per row. Yields,
     a block of rows at a time, the row each hop leaves, the label it reaches
     (the walker keeps its slot) and its weight ``A[site, target]``; blocks
-    keep the temporaries near 2**22 entries. Self-loops are not hops.
+    keep the temporaries near 2**22 entries. Each edge is thus read once, from
+    its lower end; self-loops are not hops.
     """
-    start = np.searchsorted(g._rows, np.arange(g.n + 1))
+    upper = g._rows < g._cols
+    cols, weights = g._cols[upper], g._weights[upper]
+    start = np.searchsorted(g._rows[upper], np.arange(g.n + 1))
     degree = np.diff(start)
     k = table.shape[1]
     step = max(1, 2**22 // (k * k * max(1, int(degree.max()))))
     for first in range(0, table.shape[0], step):
         block = table[first : first + step]
-        # One candidate per (row, slot, stored entry leaving the slot's site).
+        # One candidate per (row, slot, stored entry leaving the slot's site upward).
         count = degree[block].ravel()
         row, slot = np.divmod(np.repeat(np.arange(block.size), count), k)
         entry = np.arange(row.size) + np.repeat(start[block].ravel() - (np.cumsum(count) - count), count)
-        target = g._cols[entry]
+        target = cols[entry]
         free = np.ones(row.size, dtype=bool)
         for site in block.T:
             free &= site[row] != target
         row, slot, target, entry = row[free], slot[free], target[free], entry[free]
         moved = block[row]
         moved[np.arange(row.size), slot] = target
-        yield first + row, moved, g._weights[entry]
+        yield first + row, moved, weights[entry]
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,16 +221,16 @@ def _hop_graph(g: WeightedGraph, table: np.ndarray, loops: np.ndarray, sort: boo
     """Graph on the labels of ``table``: the hops of ``g`` as edges, ``loops`` on the diagonal.
 
     ``table`` is ``_ascending(g.n, k)`` with ``sort``, where a hop reaches the
-    row of its sorted label, and ``_kept_table(g.n, k)`` without. Every hop
-    also appears from the other end, so only the one with ``row < col`` goes in.
+    row of its sorted label, and ``_kept_table(g.n, k)`` without. A hop to a
+    higher site always reaches a later row: the sorted label grows at the
+    moved walker's slot, and a kept label changes only there and grows. So
+    every hop ``_hops`` yields is the upper slot ``row < col`` of its edge.
     """
     rows, cols, weights = [np.arange(table.shape[0])], [np.arange(table.shape[0])], [loops]
     for row, moved, weight in _hops(g, table):
-        col = _rank_ascending(np.sort(moved, axis=1), g.n) if sort else _rank_permutation(moved, g.n)
-        upper = row < col
-        rows.append(row[upper])
-        cols.append(col[upper])
-        weights.append(weight[upper])
+        rows.append(row)
+        cols.append(_rank_ascending(np.sort(moved, axis=1), g.n) if sort else _rank_permutation(moved, g.n))
+        weights.append(weight)
     return WeightedGraph._from_slots(table.shape[0], *map(np.concatenate, (rows, cols, weights)))
 
 
@@ -387,11 +390,6 @@ def indistinguishability_partition(mask: DeletionMask, n: int, k: int) -> Partit
     return Partition(indices.size, tuple(tuple(cell.tolist()) for cell in cells))
 
 
-def _is_line_path(g: WeightedGraph) -> bool:
-    """True for a loop-free path along vertex order: 2(n - 1) stored nonzeros, all with |row - col| = 1."""
-    return g.n >= 2 and g._weights.size == 2 * (g.n - 1) and bool(np.all(np.abs(g._rows - g._cols) == 1))
-
-
 def _sort_signs(labels: np.ndarray) -> np.ndarray:
     """Sign (+1 or -1) of the permutation that sorts each row of ``labels`` (distinct entries)."""
     # Inversions: slot pairs i < j whose sites are out of order.
@@ -412,22 +410,19 @@ def ascending_labels(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, (_ascending(n, k) + 1).tolist()))
 
 
-def symmetric_power(g: WeightedGraph, k: int, allow_non_path: bool = False) -> WeightedGraph:
-    """Hard-core adjacency on ascending k-subsets of the vertex set.
+def symmetric_power(g: WeightedGraph, k: int) -> WeightedGraph:
+    """Hard-core adjacency on ascending k-subsets of the vertex set: the symmetric power of any graph.
 
     Vertices are the C(n, k) strictly ascending labels in lexicographic
     order; moving one walker from site a to an unoccupied adjacent site b
-    contributes weight A[a, b]. For path-family inputs this equals the
-    canonical component of the deleted power. Inputs whose vertices do not
-    form a path along vertex order need ``allow_non_path=True``; the result
-    is then exploratory and the canonical-component equivalence may fail.
+    contributes weight A[a, b], and a label's self-loop is the sum of its
+    sites' loops. For a path along vertex order the result equals the
+    canonical component of the deleted power, the equivalence that
+    ``decompose_components`` and ``component_isomorphism_check`` check; on
+    other graphs it may fail.
     """
     if not isinstance(k, int) or not 1 <= k <= g.n:
         raise InvalidSizeError(f"symmetric_power needs 1 <= k <= {g.n}, got {k!r}")
-    if not allow_non_path and not _is_line_path(g):
-        raise PreconditionError(
-            "input is not a path along vertex order; pass allow_non_path=True to build anyway"
-        )
     m = math.comb(g.n, k)
     _check_cap(m, f"symmetric power has {m} vertices")
     table = _ascending(g.n, k)

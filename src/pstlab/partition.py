@@ -23,7 +23,6 @@ documents, an ``n`` above the size cap is refused with ResourceCapError.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -114,7 +113,7 @@ class Partition:
 
 @dataclass(frozen=True, eq=False)
 class PartitionMatrix:
-    """Normalized partition matrix Q with the weights that built it.
+    """Normalized partition matrix Q of a partition.
 
     Q has one column per cell; entry (v, i) is omega(v) / omega(C_i) for v in
     cell i and zero elsewhere, so Q^T Q = I.
@@ -122,20 +121,13 @@ class PartitionMatrix:
 
     partition: Partition
     q: np.ndarray
-    vertex_weights: np.ndarray
-    cell_weights: np.ndarray
 
     def __post_init__(self) -> None:
         q = np.array(self.q, dtype=float)
-        vw = np.array(self.vertex_weights, dtype=float)
-        cw = np.array(self.cell_weights, dtype=float)
         if q.shape != (self.partition.n, self.partition.m):
             raise PreconditionError("partition matrix shape mismatch")
-        for arr in (q, vw, cw):
-            arr.flags.writeable = False
+        q.flags.writeable = False
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "vertex_weights", vw)
-        object.__setattr__(self, "cell_weights", cw)
 
     @property
     def n(self) -> int:
@@ -235,11 +227,14 @@ def _strength(g: WeightedGraph, cells: np.ndarray, m: int, x: np.ndarray) -> np.
 
 
 def normalized_partition_matrix(g: WeightedGraph, p: Partition) -> PartitionMatrix:
-    """Build Q from the vertex weights; rejects cells of total weight zero."""
+    """Build Q from the vertex weights; rejects cells of total weight zero.
+
+    Q is a ratio of weights, so the weights are taken scaled by
+    ``2**-_weight_shift(g)`` and never unscaled.
+    """
     if p.n != g.n:
         raise PreconditionError(f"partition is over {p.n} vertices, graph has {g.n}")
-    shift = _weight_shift(g)
-    w = _omega(g, shift)
+    w = _omega(g, _weight_shift(g))
     cells = p.cell_index
     cell_weights = np.sqrt(np.bincount(cells, weights=w * w, minlength=p.m))
     empty = np.flatnonzero(cell_weights == 0.0)
@@ -249,9 +244,7 @@ def normalized_partition_matrix(g: WeightedGraph, p: Partition) -> PartitionMatr
         )
     q = np.zeros((g.n, p.m))
     q[np.arange(g.n), cells] = w / cell_weights[cells]
-    # Undo the scaling; a weight past the float range becomes inf.
-    with np.errstate(over="ignore"):
-        return PartitionMatrix(p, q, np.ldexp(w, shift), np.ldexp(cell_weights, shift))
+    return PartitionMatrix(p, q)
 
 
 def check_equitable(g: WeightedGraph, p: Partition) -> EquitabilityReport:
@@ -525,7 +518,3 @@ def load_partition(text: str) -> Partition:
         return Partition(n, tuple(tuple(c) for c in cells))
     except (PreconditionError, InvalidSizeError) as exc:
         raise FormatError(str(exc)) from exc
-
-
-def save_partition(p: Partition) -> str:
-    return json.dumps({"n": p.n, "cells": [list(cell) for cell in p.cells]})

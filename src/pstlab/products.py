@@ -51,7 +51,7 @@ class OccupationLabel:
 def _digits(indices: np.ndarray, n: int, k: int) -> np.ndarray:
     """Mixed-radix digits (0-based sites) of flat power indices, shape (len, k).
 
-    Inverts ``OccupationLabel.index``; an object array of ints decodes exactly past int64.
+    Inverts ``OccupationLabel.index`` on every index of the n**k power.
     """
     rem = np.array(indices)
     out = np.empty((rem.size, k), dtype=rem.dtype)
@@ -59,18 +59,6 @@ def _digits(indices: np.ndarray, n: int, k: int) -> np.ndarray:
         out[:, pos] = rem % n
         rem //= n
     return out
-
-
-def label_of_index(i: int, n: int, k: int) -> OccupationLabel:
-    """Inverse of ``OccupationLabel.index`` for k walkers on n sites."""
-    if not isinstance(k, int) or k < 1:
-        raise InvalidSizeError(f"need k >= 1, got {k!r}")
-    if not isinstance(n, int) or n < 1:
-        raise InvalidSizeError(f"need n >= 1, got {n!r}")
-    size = n**k
-    if not isinstance(i, int) or not 0 <= i < size:
-        raise InvalidSizeError(f"index {i!r} outside 0..{size - 1}")
-    return OccupationLabel(tuple(_digits(np.array([i], dtype=object), n, k)[0] + 1), n)
 
 
 def cartesian_power(g: WeightedGraph, k: int) -> WeightedGraph:

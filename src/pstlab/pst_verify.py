@@ -541,7 +541,8 @@ def conjecture_probe(g: WeightedGraph, k: int, pst_time: float | None = None) ->
     The single walker's transfer times come from the same scan of its vertex
     pairs. Ties go to the largest modulus, then the earliest time, then the
     smallest ``(i, j)``; the report names ``labels[i]`` the target and
-    ``labels[j]`` the source.
+    ``labels[j]`` the source. With no positive amplitude, as with no edge or
+    no pair of labels, both are empty and ``best_time`` is 0.
     """
     notes: list[str] = []
     candidates = _probe_grid()
@@ -554,7 +555,7 @@ def conjecture_probe(g: WeightedGraph, k: int, pst_time: float | None = None) ->
         notes.append("no single-walker transfer found on the probe grid")
 
     # Validates k before the kept labels are listed.
-    identical = symmetric_power(g, k, allow_non_path=True)
+    identical = symmetric_power(g, k)
     try:
         decompose_components(_kept_graph(g, _kept_table(g.n, k)), g.n, k)
     except ResourceCapError:
@@ -564,15 +565,16 @@ def conjecture_probe(g: WeightedGraph, k: int, pst_time: float | None = None) ->
 
     labels = ascending_labels(g.n, k)
     _, (modulus, when, i, j), scanned = _pair_scan(eigh(identical), times)
+    found = when >= 0
     return ProbeReport(
         n=g.n,
         k=k,
         single_pst_times=tuple(single_times),
         times_scanned=len(candidates),
         best_modulus=modulus,
-        best_time=candidates[when] if when >= 0 else 0.0,
-        best_source=labels[j],
-        best_target=labels[i],
+        best_time=candidates[when] if found else 0.0,
+        best_source=labels[j] if found else (),
+        best_target=labels[i] if found else (),
         achieves_transfer=modulus >= 1.0 - PST_TOL,
         pairs_scanned=scanned,
         pairs_total=identical.n * (identical.n - 1) // 2,

@@ -357,7 +357,7 @@ def transfer_amplitude(spec: SpectralDecomposition, u: int, v: int, t: float) ->
     t = _check_time(t)
     _check_vertex(spec.n, u)
     _check_vertex(spec.n, v)
-    phases = np.exp(-1j * t * spec.eigenvalues)
+    phases = np.exp(-1j * _angles(spec.eigenvalues, t))
     weights = spec.eigenvectors[v - 1] * spec.eigenvectors[u - 1]
     return complex(weights @ phases)
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pstlab import ascending_labels, label_of_index, load_graph, save_graph, simple_path, weighted_path
+from pstlab import ascending_labels, load_graph, save_graph, simple_path, weighted_path
 from pstlab.cli import main
 
 from conftest import graph_documents, graph_from_edges, hamming_partition, partition_documents
@@ -31,12 +31,24 @@ def write_graph(tmp_path, g, name="g.json"):
     return str(path)
 
 
-def write_partition(tmp_path, p, name="p.json"):
-    from pstlab import save_partition
+def save_partition(p):
+    """A partition document, as the format in ``pstlab.partition`` defines it."""
+    return json.dumps({"n": p.n, "cells": [list(cell) for cell in p.cells]})
 
+
+def write_partition(tmp_path, p, name="p.json"):
     path = tmp_path / name
     path.write_text(save_partition(p))
     return str(path)
+
+
+def label_of_index(i, n, k):
+    """Oracle: the 1-based sites of row-major flat index ``i`` of the n**k power labels."""
+    sites = []
+    for _ in range(k):
+        i, site = divmod(i, n)
+        sites.append(site + 1)
+    return tuple(reversed(sites))
 
 
 def test_build_weighted_path(capsys):
@@ -93,7 +105,7 @@ def test_build_legend_matches_the_label_by_label_text(capsys, kind):
     code, _, err = run(capsys, "build", kind, "--n", str(n), "--k", str(k))
     assert code == 0
     if kind == "cartesian-power":
-        labels = [label_of_index(i, n, k).sites for i in range(n**k)]
+        labels = [label_of_index(i, n, k) for i in range(n**k)]
     else:
         labels = ascending_labels(n, k)
     expected = f"# vertex labels for {kind} (n={n}, k={k})\n"
@@ -583,6 +595,22 @@ def test_probe(tmp_path, capsys):
     # the 10 labels make 45 pairs; the mirror pairs reach the bound and all are scanned
     assert doc["pairs_total"] == 45
     assert 1 <= doc["pairs_scanned"] <= 45
+
+
+@pytest.mark.parametrize(
+    "doc, k, pairs",
+    [('{"n": 3, "edges": []}', 1, 3), ('{"n": 3, "edges": [[1, 2, 1.0], [2, 3, 1.0]]}', 3, 0)],
+    ids=["no-edges", "one-label"],
+)
+def test_probe_without_a_positive_amplitude_names_no_pair(tmp_path, capsys, doc, k, pairs):
+    path = tmp_path / "g.json"
+    path.write_text(doc)
+    code, out, _ = run(capsys, "probe", "--in", str(path), "--k", str(k))
+    assert code == 0
+    report = json.loads(out)
+    assert (report["best_modulus"], report["best_time"]) == (0.0, 0.0)
+    assert report["best_source"] == report["best_target"] == []
+    assert report["pairs_total"] == pairs
 
 
 def test_single_range_form(capsys):

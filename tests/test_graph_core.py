@@ -154,7 +154,7 @@ def test_save_graph_matches_loop_serializer():
         WeightedGraph(12, a),
         weighted_path(9),
         hypercube(5),
-        symmetric_power(hypercube(4), 2, allow_non_path=True),
+        symmetric_power(hypercube(4), 2),
         WeightedGraph(1, np.zeros((1, 1))),
     ]
     for g in graphs:

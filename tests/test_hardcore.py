@@ -43,7 +43,6 @@ from pstlab import (
 from pstlab.hardcore import (
     _EDGE_THRESHOLD,
     _ascending,
-    _is_line_path,
     _kept_graph,
     _kept_table,
     _label_rows,
@@ -52,6 +51,7 @@ from pstlab.hardcore import (
     _rank_permutation,
 )
 from pstlab import hardcore, tonks
+from pstlab.graph_core import _loops
 from pstlab.partition import _components
 from pstlab.products import _digits
 from pstlab.tonks import _compound
@@ -189,10 +189,8 @@ def test_symmetric_power_equals_quotient_routes():
     assert np.abs(b.adjacency - direct.adjacency).max() <= 1e-12
 
 
-def test_symmetric_power_requires_line_path():
-    with pytest.raises(PreconditionError):
-        symmetric_power(cycle_graph(4), 2)
-    sg = symmetric_power(cycle_graph(4), 2, allow_non_path=True)
+def test_symmetric_power_builds_off_paths():
+    sg = symmetric_power(cycle_graph(4), 2)
     assert sg.n == 6
 
 
@@ -313,7 +311,7 @@ def test_symmetric_power_matches_label_loop_on_paths(n):
 def test_symmetric_power_matches_label_loop_off_paths(name, g):
     assert np.any(np.diagonal(g.adjacency) != 0.0) and np.any(g.adjacency < 0.0)
     for k in (1, 2, 3):
-        built = symmetric_power(g, k, allow_non_path=True).adjacency
+        built = symmetric_power(g, k).adjacency
         assert np.array_equal(built, symmetric_power_loop(g, k))
 
 
@@ -325,7 +323,7 @@ def test_symmetric_power_matches_label_loop_off_paths(name, g):
 def test_symmetric_power_equals_dense_build(name, g):
     for k in range(1, min(g.n, 4) + 1):
         dense = symmetric_power_loop(g, k)
-        assert_same_graph(symmetric_power(g, k, allow_non_path=True), WeightedGraph(dense.shape[0], dense))
+        assert_same_graph(symmetric_power(g, k), WeightedGraph(dense.shape[0], dense))
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -410,41 +408,6 @@ def test_kept_table_caps_the_kept_count_not_the_power(monkeypatch):
         _kept_table(5, 3)
     monkeypatch.setenv("PSTLAB_CAP", "60")
     assert _kept_table(5, 3).shape == (60, 3)
-
-
-def line_path_dense(g):
-    """Oracle: the path test as it read the dense adjacency."""
-    if g.n < 2:
-        return False
-    a = g.adjacency
-    return np.count_nonzero(a) == 2 * (g.n - 1) and bool(np.all(np.diagonal(a, offset=1) != 0.0))
-
-
-def path_variants():
-    """Paths along vertex order and near misses: a loop, a missing edge, a chord, a shuffle, signed zeros."""
-    graphs = [WeightedGraph(1, np.zeros((1, 1))), WeightedGraph(1, np.ones((1, 1))), cycle_graph(4)]
-    for n in range(2, 7):
-        a = weighted_path(n).adjacency.copy()
-        graphs.append(WeightedGraph(n, a))
-        loop = a.copy()
-        loop[n // 2, n // 2] = 0.5
-        graphs.append(WeightedGraph(n, loop))
-        cut = a.copy()
-        cut[0, 1] = cut[1, 0] = -0.0
-        graphs.append(WeightedGraph(n, cut))
-        chord = a.copy()
-        chord[0, n - 1] = chord[n - 1, 0] = 1.0
-        graphs.append(WeightedGraph(n, chord))
-        perm = np.roll(np.arange(n), 1)
-        graphs.append(WeightedGraph(n, a[np.ix_(perm, perm)]))
-    return graphs + [g for _, g in SEEDED]
-
-
-def test_line_path_reads_the_edges_like_the_dense_test():
-    graphs = path_variants()
-    assert [_is_line_path(g) for g in graphs] == [line_path_dense(g) for g in graphs]
-    # the five weighted paths, and at n = 2 the chord and the shuffle, which are paths again
-    assert sum(_is_line_path(g) for g in graphs) == 7
 
 
 @pytest.mark.parametrize("name,g", SEEDED + [("path6", weighted_path(6))], ids=[name for name, _ in SEEDED] + ["path6"])
@@ -685,10 +648,10 @@ def test_unit_antisymmetry_matches_inversion_count(n, k):
 def test_symmetric_power_matches_label_loop_across_hop_blocks():
     # dense weights with k close to n: the hop temporaries are split over several row blocks
     n, k = 36, 34
-    assert 2**22 // (k * k * n) < math.comb(n, k)
+    assert 2**22 // (k * k * (n - 1)) < math.comb(n, k)
     upper = np.triu(np.random.default_rng(11).uniform(-1.0, 1.0, (n, n)))
     g = WeightedGraph(n, upper + np.triu(upper, 1).T)
-    assert np.array_equal(symmetric_power(g, k, allow_non_path=True).adjacency, symmetric_power_loop(g, k))
+    assert np.array_equal(symmetric_power(g, k).adjacency, symmetric_power_loop(g, k))
 
 
 # The closed-form ranks against the byte-key search they replaced, which stays
@@ -806,8 +769,8 @@ def test_builders_match_the_label_rows_route_off_paths(monkeypatch, name, g):
     for k in (1, 2, 3):
         table = _kept_table(g.n, k)
         assert_same_graph_bytes(_kept_graph(g, table), by_label_rows(monkeypatch, lambda: _kept_graph(g, table)))
-        built = symmetric_power(g, k, allow_non_path=True)
-        assert_same_graph_bytes(built, by_label_rows(monkeypatch, lambda: symmetric_power(g, k, allow_non_path=True)))
+        built = symmetric_power(g, k)
+        assert_same_graph_bytes(built, by_label_rows(monkeypatch, lambda: symmetric_power(g, k)))
 
 
 def test_hot_paths_do_not_search_label_tables(monkeypatch):
@@ -819,3 +782,114 @@ def test_hot_paths_do_not_search_label_tables(monkeypatch):
     assert verify_corollary1(9, 4) <= 1e-8
     assert run_case(9, 3).ok
     assert conjecture_probe(seeded_ring(10, 32), 3).pairs_total == math.comb(10, 3) * (math.comb(10, 3) - 1) // 2
+
+
+# The two-ended hop builder the hop graphs replaced, kept as their oracle: every
+# stored entry leaving a walker's site is a hop, both ends of each edge are
+# ranked, and only the hop with row < col goes in.
+
+
+def hops_both_ends(g, table):
+    start = np.searchsorted(g._rows, np.arange(g.n + 1))
+    degree = np.diff(start)
+    k = table.shape[1]
+    step = max(1, 2**22 // (k * k * max(1, int(degree.max()))))
+    for first in range(0, table.shape[0], step):
+        block = table[first : first + step]
+        count = degree[block].ravel()
+        row, slot = np.divmod(np.repeat(np.arange(block.size), count), k)
+        entry = np.arange(row.size) + np.repeat(start[block].ravel() - (np.cumsum(count) - count), count)
+        target = g._cols[entry]
+        free = np.ones(row.size, dtype=bool)
+        for site in block.T:
+            free &= site[row] != target
+        row, slot, target, entry = row[free], slot[free], target[free], entry[free]
+        moved = block[row]
+        moved[np.arange(row.size), slot] = target
+        yield first + row, moved, g._weights[entry]
+
+
+def ranked_slots(g, hops, sort):
+    """Slots (row, col, weight) of ``hops``, in their order, each target ranked in its table."""
+    slots = [
+        (row, _rank_ascending(np.sort(moved, axis=1), g.n) if sort else _rank_permutation(moved, g.n), weight)
+        for row, moved, weight in hops
+    ]
+    return [np.concatenate(x) for x in zip(*slots)]
+
+
+def hop_slots_both_ends(g, table, sort):
+    rows, cols, weights = ranked_slots(g, hops_both_ends(g, table), sort)
+    upper = rows < cols
+    return rows[upper], cols[upper], weights[upper]
+
+
+def hop_slots(g, table, sort):
+    return ranked_slots(g, hardcore._hops(g, table), sort)
+
+
+def hop_graph_both_ends(g, table, loops, sort):
+    every = np.arange(table.shape[0])
+    rows, cols, weights = hop_slots_both_ends(g, table, sort)
+    slots = ((every, rows), (every, cols), (loops, weights))
+    return WeightedGraph._from_slots(table.shape[0], *map(np.concatenate, slots))
+
+
+def assert_same_hops(g, table, sort):
+    # every hop lands above the diagonal, so none is dropped; the graph alone would
+    # not tell, since an edge built from its lower slot is stored the same
+    for built, oracle in zip(hop_slots(g, table, sort), hop_slots_both_ends(g, table, sort)):
+        assert_same_bytes(built, oracle)
+
+
+def symmetric_power_both_ends(g, k):
+    table = _ascending(g.n, k)
+    return hop_graph_both_ends(g, table, _loops(g)[table].sum(axis=1), sort=True)
+
+
+def kept_graph_both_ends(g, table):
+    return hop_graph_both_ends(g, table, np.add.accumulate(_loops(g)[table], axis=1)[:, -1], sort=False)
+
+
+def hop_oracle_inputs():
+    """Weighted, simple and looped paths, and dense random graphs with self-loops and signed weights."""
+    rng = np.random.default_rng(20261020)
+    graphs = []
+    for n in range(2, 10):
+        graphs += [(f"weighted{n}", weighted_path(n)), (f"simple{n}", simple_path(n))]
+        looped = weighted_path(n).adjacency + np.diag(rng.uniform(-1.0, 1.0, n))
+        graphs.append((f"looped{n}", WeightedGraph(n, looped)))
+    for n in (5, 7, 8):
+        upper = np.triu(rng.uniform(-2.0, 2.0, (n, n)) * (rng.random((n, n)) < 0.8))
+        graphs.append((f"dense{n}", WeightedGraph(n, upper + np.triu(upper, 1).T)))
+    return graphs
+
+
+HOP_INPUTS = hop_oracle_inputs() + SEEDED
+
+
+@pytest.mark.parametrize("name,g", HOP_INPUTS, ids=[name for name, _ in HOP_INPUTS])
+def test_hop_graphs_match_the_two_ended_builder(name, g):
+    for k in range(1, g.n + 1):
+        assert_same_hops(g, _ascending(g.n, k), sort=True)
+        assert_same_graph_bytes(symmetric_power(g, k), symmetric_power_both_ends(g, k))
+        if math.perm(g.n, k) <= 16384:
+            table = _kept_table(g.n, k)
+            assert_same_hops(g, table, sort=False)
+            assert_same_graph_bytes(_kept_graph(g, table), kept_graph_both_ends(g, table))
+
+
+def test_hop_graphs_match_the_two_ended_builder_on_q4_and_across_blocks():
+    g, table = hypercube(4), _kept_table(16, 2)
+    assert_same_hops(g, _ascending(16, 2), sort=True)
+    assert_same_hops(g, table, sort=False)
+    assert_same_graph_bytes(symmetric_power(g, 2), symmetric_power_both_ends(g, 2))
+    assert_same_graph_bytes(_kept_graph(g, table), kept_graph_both_ends(g, table))
+    # dense weights with k close to n: the hops toward higher sites still span several row blocks
+    n, k = 36, 34
+    upper = np.triu(np.random.default_rng(11).uniform(-1.0, 1.0, (n, n)))
+    g = WeightedGraph(n, upper + np.triu(upper, 1).T)
+    upper_degree = int(np.bincount(g._rows[g._rows < g._cols]).max())
+    assert 2**22 // (k * k * upper_degree) < math.comb(n, k)
+    assert_same_hops(g, _ascending(n, k), sort=True)
+    assert_same_graph_bytes(symmetric_power(g, k), symmetric_power_both_ends(g, k))

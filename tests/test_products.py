@@ -16,10 +16,10 @@ from pstlab import (
     eigh,
     evolve,
     hypercube,
-    label_of_index,
     simple_path,
     weighted_path,
 )
+from pstlab.products import _digits
 
 
 def kron_sum(a, b):
@@ -28,28 +28,23 @@ def kron_sum(a, b):
 
 
 def test_label_index_examples():
-    assert label_of_index(0, 4, 2).sites == (1, 1)
-    assert label_of_index(1, 4, 2).sites == (1, 2)
+    assert _digits(np.array([0, 1, 4]), 4, 2).tolist() == [[0, 0], [0, 1], [1, 0]]
     # first coordinate is the most significant digit
-    assert label_of_index(4, 4, 2).sites == (2, 1)
     assert OccupationLabel((1, 2), 4).index == 1
+    assert OccupationLabel((2, 1), 4).index == 4
     assert OccupationLabel((3, 1, 4), 4).index == 2 * 16 + 0 * 4 + 3
 
 
 def test_label_of_index_exact_past_int64():
-    big = 3**50 - 2
-    label = label_of_index(big, 3, 50)
-    assert label.index == big
-    assert label.sites[-2:] == (3, 2) and set(label.sites[:-2]) == {3}
+    # the flat index is a Python int, exact where 3**50 passes int64
+    assert OccupationLabel((3,) * 49 + (2,), 3).index == 3**50 - 2
 
 
 def test_label_round_trip():
     n, k = 3, 3
-    for i in range(n**k):
-        lab = label_of_index(i, n, k)
-        assert lab.index == i
-    seen = {label_of_index(i, n, k).sites for i in range(n**k)}
-    assert seen == set(itertools.product(range(1, n + 1), repeat=k))
+    labels = _digits(np.arange(n**k), n, k) + 1
+    assert [OccupationLabel(tuple(lab), n).index for lab in labels.tolist()] == list(range(n**k))
+    assert set(map(tuple, labels.tolist())) == set(itertools.product(range(1, n + 1), repeat=k))
 
 
 def test_label_predicates():
@@ -63,10 +58,6 @@ def test_label_validation():
         OccupationLabel((1, 4), 3)
     with pytest.raises(InvalidSizeError):
         OccupationLabel((), 3)
-    with pytest.raises(InvalidSizeError):
-        label_of_index(9, 3, 2)
-    with pytest.raises(InvalidSizeError):
-        label_of_index(-1, 3, 2)
 
 
 def test_product_neighbor_weights():
@@ -145,5 +136,6 @@ def test_power_k_validation():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=2, max_value=4), st.integers(min_value=1, max_value=3))
 def test_label_round_trip_property(n, k):
-    for i in range(0, n**k, max(1, n**k // 7)):
-        assert label_of_index(i, n, k).index == i
+    indices = np.arange(0, n**k, max(1, n**k // 7))
+    for i, sites in zip(indices.tolist(), (_digits(indices, n, k) + 1).tolist()):
+        assert OccupationLabel(tuple(sites), n).index == i

@@ -594,7 +594,7 @@ def _probe_oracle(g, k, pst_time):
     times = _probe_times(pst_time)
     spec_single = eigh(g)
     single = tuple(t for t in times if find_pst_pairs(spec_single, t))
-    spec = eigh(symmetric_power(g, k, allow_non_path=True))
+    spec = eigh(symmetric_power(g, k))
     best = (0.0, 0.0, 0, 0)
     per_pair = []
     upper = np.triu_indices(spec.n, 1)
@@ -663,7 +663,7 @@ def test_conjecture_probe_assembles_no_propagator(monkeypatch):
 def test_pair_bound_and_slack_cover_every_propagator_modulus(name, g, k):
     # sum_l |z_il| |z_jl| bounds |U_ij(t)| at every t, and the slack covers the rounding:
     # on the weighted paths the transfer amplitudes reach their bound of 1 to the last bits
-    spec = eigh(symmetric_power(g, k, allow_non_path=True))
+    spec = eigh(symmetric_power(g, k))
     size = np.abs(spec.eigenvectors)
     bound = size @ size.T + _PAIR_SLACK * spec.n * np.finfo(float).eps
     for t in _probe_grid():
@@ -674,7 +674,7 @@ def test_pair_bound_and_slack_cover_every_propagator_modulus(name, g, k):
 def test_pair_scan_stops_at_the_first_block_the_bound_rules_out(name, g, k):
     # every pair whose bound reaches min(best, 1 - PST_TOL) is scanned, and no whole block
     # past the pairs whose bound reaches it less twice the slack
-    spec = eigh(symmetric_power(g, k, allow_non_path=True))
+    spec = eigh(symmetric_power(g, k))
     _, (modulus, _, _, _), scanned = _pair_scan(spec, np.array(_probe_grid()))
     size = np.abs(spec.eigenvectors)
     pairs = (size @ size.T)[np.triu_indices(spec.n, 1)]

@@ -161,7 +161,7 @@ def test_eigh_matrix_tridiagonal_input(n, seed):
 @pytest.mark.parametrize("dim,k", [(2, 2), (3, 2), (3, 3), (4, 2)])
 def test_eigh_matrix_hardcore_hypercubes(dim, k):
     # large, exactly degenerate zero eigenspaces
-    assert_eigh_accurate(symmetric_power(hypercube(dim), k, allow_non_path=True).adjacency)
+    assert_eigh_accurate(symmetric_power(hypercube(dim), k).adjacency)
 
 
 def test_eigh_matrix_small_and_trivial_inputs():
@@ -290,7 +290,7 @@ def probe_style_graph(kind, size, k, seed):
     a = np.zeros((n, n))
     for u, v in pairs:
         a[u, v] = a[v, u] = rng.uniform(0.5, 1.5)
-    return symmetric_power(WeightedGraph(n, a), k, allow_non_path=True).adjacency
+    return symmetric_power(WeightedGraph(n, a), k).adjacency
 
 
 @pytest.mark.parametrize("m", range(1, 131))
@@ -305,7 +305,7 @@ def test_wave_rotations_match_oracle_probe_graphs(kind, size, k):
 
 def test_wave_rotations_match_oracle_structured():
     # the exact zero eigenspace of the cube's hard-core power, weighted paths, the zero matrix
-    assert_matches_oracle(symmetric_power(hypercube(4), 2, allow_non_path=True).adjacency)
+    assert_matches_oracle(symmetric_power(hypercube(4), 2).adjacency)
     for n in range(2, 21):
         assert_matches_oracle(weighted_path(n).adjacency)
     assert_matches_oracle(np.zeros((5, 5)))
@@ -451,7 +451,7 @@ def test_tridiagonalize_structured():
     for kind, size, k in [("ring", 12, 2), ("ring", 10, 3), ("cube", 4, 2)]:
         assert_tridiagonalizes(probe_style_graph(kind, size, k, seed=21))
     # an exact zero eigenspace
-    assert_tridiagonalizes(symmetric_power(hypercube(4), 2, allow_non_path=True).adjacency)
+    assert_tridiagonalizes(symmetric_power(hypercube(4), 2).adjacency)
     rng = np.random.default_rng(17)
     blocks = np.zeros((15, 15))
     for lo, hi in ((0, 4), (4, 5), (5, 11), (11, 15)):
@@ -562,6 +562,24 @@ def test_transfer_amplitude_examples():
     spec4 = eigh(weighted_path(4))
     # odd-distance targets get no amplitude at the transfer time
     assert abs(transfer_amplitude(spec4, 1, 3, math.pi / 2.0)) <= 1e-12
+
+
+def test_transfer_amplitude_refuses_a_time_past_the_float_range():
+    spec = eigh(weighted_path(3))
+    with pytest.raises(PreconditionError, match="^a time times an eigenvalue overflows a float$"):
+        transfer_amplitude(spec, 1, 3, 1e308)
+
+
+def test_transfer_amplitude_keeps_its_phases_on_finite_times():
+    # the guarded angles give the bytes of the unguarded exp(-1j * t * lambda)
+    rng = np.random.default_rng(5)
+    for n in (2, 5, 9):
+        spec = eigh(weighted_path(n))
+        z = spec.eigenvectors
+        for t in rng.uniform(-50.0, 50.0, 20):
+            u, v = (int(x) for x in rng.integers(1, n + 1, 2))
+            expected = complex((z[v - 1] * z[u - 1]) @ np.exp(-1j * t * spec.eigenvalues))
+            assert transfer_amplitude(spec, u, v, t) == expected
 
 
 def test_transfer_amplitude_validates_vertices():
