@@ -50,6 +50,7 @@ from .errors import (
     FormatError,
     InvalidSizeError,
     NonFiniteWeightError,
+    PreconditionError,
     ResourceCapError,
 )
 
@@ -120,15 +121,26 @@ class WeightedGraph:
 
         Zero weights of either sign are no edge. The result equals
         ``WeightedGraph(n, dense)`` array for array, without the dense array.
+        A slot with ``u > v``, or an edge listed twice, raises
+        PreconditionError: its entries would be stored twice.
         """
         u, v, w = np.asarray(u, dtype=np.intp), np.asarray(v, dtype=np.intp), np.asarray(w, dtype=float)
+        if (u > v).any():
+            j = int(np.argmax(u > v))
+            raise PreconditionError(f"slot ({u[j]}, {v[j]}) has u > v")
         edge = w != 0.0
         u, v, w = u[edge], v[edge], w[edge]
         off = u != v
         rows, cols = np.concatenate([u, v[off]]), np.concatenate([v, u[off]])
         order = np.lexsort((cols, rows))
+        rows, cols = rows[order], cols[order]
+        # A repeated edge sorts next to its twin, and the first such pair is an upper slot.
+        step = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        if not step.all():
+            j = int(np.argmin(step))
+            raise PreconditionError(f"edge ({rows[j]}, {cols[j]}) listed twice")
         g = object.__new__(cls)
-        g._freeze(n, rows[order], cols[order], np.concatenate([w, w[off]])[order], None)
+        g._freeze(n, rows, cols, np.concatenate([w, w[off]])[order], None)
         return g
 
     def _freeze(
@@ -171,6 +183,26 @@ def _loops(g: WeightedGraph) -> np.ndarray:
     """Self-loop weight of every vertex, from the stored diagonal; 0.0 where none is stored."""
     on = g._rows == g._cols
     return np.bincount(g._rows[on], weights=g._weights[on], minlength=g.n)
+
+
+def _components(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Connected component of each of ``n`` vertices over the edges ``rows[i] - cols[i]``.
+
+    Components are numbered 0, 1, ... in the order of their smallest vertex.
+    Edges must come in both directions, as in a ``WeightedGraph``. Each round
+    hooks every root onto the smallest root across its edges, then flattens
+    the forest by pointer jumping; at the fixed point every vertex points to
+    the smallest vertex of its component.
+    """
+    root = np.arange(n)
+    while True:
+        hooked = root.copy()
+        np.minimum.at(hooked, root[rows], root[cols])
+        while not np.array_equal(flat := hooked[hooked], hooked):
+            hooked = flat
+        if np.array_equal(hooked, root):
+            return np.unique(root, return_inverse=True)[1]
+        root = hooked
 
 
 def _check_vertex(n: int, v: int) -> None:

@@ -36,8 +36,8 @@ from .errors import (
     InvariantViolationError,
     PreconditionError,
 )
-from .graph_core import WeightedGraph, _check_cap, _loops
-from .partition import Partition, _components, _slot_deviation, orbit_partition
+from .graph_core import WeightedGraph, _check_cap, _components, _loops
+from .partition import Partition, _slot_deviation, orbit_partition
 from .products import OccupationLabel, _digits
 
 # Entries at or below this magnitude do not count as edges when walking

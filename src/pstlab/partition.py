@@ -36,7 +36,7 @@ from .errors import (
     NotEquitableError,
     PreconditionError,
 )
-from .graph_core import WeightedGraph, _check_cap, _check_vertex, _parse_json
+from .graph_core import WeightedGraph, _check_cap, _check_vertex, _components, _parse_json
 from .spectral import eigh, eigh_matrix, evolve
 
 TOL_EQ = 1e-10
@@ -380,26 +380,6 @@ def quotient_spectrum_subset(g: WeightedGraph, pm: PartitionMatrix) -> bool:
             return False
         parent_vals.pop(best)
     return True
-
-
-def _components(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Connected component of each of ``n`` vertices over the edges ``rows[i] - cols[i]``.
-
-    Components are numbered 0, 1, ... in the order of their smallest vertex.
-    Edges must come in both directions, as in a ``WeightedGraph``. Each round
-    hooks every root onto the smallest root across its edges, then flattens
-    the forest by pointer jumping; at the fixed point every vertex points to
-    the smallest vertex of its component.
-    """
-    root = np.arange(n)
-    while True:
-        hooked = root.copy()
-        np.minimum.at(hooked, root[rows], root[cols])
-        while not np.array_equal(flat := hooked[hooked], hooked):
-            hooked = flat
-        if np.array_equal(hooked, root):
-            return np.unique(root, return_inverse=True)[1]
-        root = hooked
 
 
 def max_eigenvalue_preservation(g: WeightedGraph, pm: PartitionMatrix) -> bool:

@@ -1,20 +1,31 @@
 """Symmetric eigendecomposition and continuous-time walk dynamics.
 
-The eigensolver is the package's own: Householder reduction to tridiagonal
-form, then implicit-shift QL on the tridiagonal, with the eigenvectors
-accumulated through both stages. The QL recurrence records its plane
-rotations and applies them to the eigenvector rows in wavefronts: the
-rotation on rows (i, i + 1) of the s-th sweep runs in wave 2 s + (n - 1 - i),
-so rotations that share a row keep their order. A wave's rotations on rows
-i, i + 2, ..., i + 2K - 2 tile the contiguous rows i .. i + 2K - 1, which are
-rotated in place as one block with the same elementwise formula as one
-rotation at a time. The bytes are those of the rotation-by-rotation loop;
-flushing the record every few thousand rotations bounds its memory and
-changes no byte. It is written with elementwise numpy products, reductions
-and ``np.einsum`` without ``optimize``, never a BLAS call, so its output
-bytes do not depend on the BLAS library or its thread count; eigenvector
-signs follow one fixed convention (see SpectralDecomposition). Propagators
-are assembled from the decomposition as U(t) = Z exp(-i t Lambda) Z^T, so
+The eigensolver is the package's own, with two routes. ``eigh_matrix`` is
+the general dense one: Householder reduction to tridiagonal form, then
+implicit-shift QL on the tridiagonal, with the eigenvectors accumulated
+through both stages. The QL recurrence records its plane rotations and
+applies them to the eigenvector rows in wavefronts: the rotation on rows
+(i, i + 1) of the s-th sweep runs in wave 2 s + (n - 1 - i), so rotations
+that share a row keep their order. A wave's rotations on rows i, i + 2, ...,
+i + 2K - 2 tile the contiguous rows i .. i + 2K - 1, which are rotated in
+place as one block with the same elementwise formula as one rotation at a
+time. The bytes are those of the rotation-by-rotation loop; flushing the
+record every few thousand rotations bounds its memory and changes no byte.
+
+``eigh`` of a bipartite graph (no odd cycle, no self-loop) with at least
+``_BIPARTITE_MIN`` vertices takes the second route instead. Its adjacency is
+``[[0, B], [B^T, 0]]`` once the larger side comes first, and the singular
+value decomposition of the half-size block ``B`` gives every eigenpair:
+Householder bidiagonalization of ``B``, then shifted implicit QR on the
+bidiagonal (Golub and Kahan), whose rotations reach the singular vectors
+through the same wavefront batches. Every other graph, and every matrix
+given to ``eigh_matrix``, takes the dense route.
+
+Both routes are written with elementwise numpy products, reductions and
+``np.einsum`` without ``optimize``, never a BLAS call, so their output bytes
+do not depend on the BLAS library or its thread count; eigenvector signs
+follow one fixed convention (see SpectralDecomposition). Propagators are
+assembled from the decomposition as U(t) = Z exp(-i t Lambda) Z^T, so
 unitarity holds to the accuracy of the decomposition itself and no matrix
 exponential routine is involved. The probe's scan (_pair_scan) takes the
 same amplitudes pair by pair, in blocks at every time at once, and skips the
@@ -30,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, PreconditionError
-from .graph_core import WeightedGraph, _check_vertex
+from .graph_core import WeightedGraph, _check_vertex, _components
 
 PST_TOL = 1e-9
 
@@ -43,8 +54,15 @@ _EPS = float(np.finfo(float).eps)
 # rows: bounds the record's memory, and the flush point changes no byte.
 _ROTATION_BLOCK = 4096
 
-# _tridiagonalize leaves a column whose squares sum below this (see there).
+# _reflector leaves a column whose squares sum below this (see there).
 _TINY_COLUMN = 2.0**-968
+
+# eigh takes the bipartite route (_eigh_bipartite) from this many vertices on.
+# Below it a weighted or simple path, whose tridiagonal adjacency skips the
+# Householder stage of eigh_matrix, solves faster there: medians of 61
+# alternating calls put the bipartite route at 1.5x at 8 vertices, 1.0x at
+# 32 and 0.95x at 36; a bipartite graph with a 30% dense block wins from 8.
+_BIPARTITE_MIN = 36
 
 # _pair_scan prunes pairs whose bound lies this many n eps below its target (see there).
 _PAIR_SLACK = 64
@@ -83,34 +101,58 @@ class PstPair(NamedTuple):
     phase: complex
 
 
+def _reflector(x: np.ndarray) -> tuple[float, np.ndarray, float] | None:
+    """Householder reflector ``I - beta v v^T`` that maps ``x`` to ``alpha e_1``, as ``(alpha, v, beta)``.
+
+    Returns None when ``x`` is already zero below its first entry, and when
+    its squares sum below ``_TINY_COLUMN``: that reflector's ``beta`` would
+    overflow, and leaving the column changes the matrix by less than
+    2**-484, far under the solver's backward error for a matrix scaled to
+    norm about 1. The dot products are ``np.einsum`` calls, which run no BLAS.
+    """
+    if not x[1:].any():
+        return None
+    norm2 = float(np.einsum("i,i", x, x))
+    if norm2 < _TINY_COLUMN:
+        return None
+    alpha = -math.copysign(math.sqrt(norm2), x[0])
+    v = x.copy()
+    v[0] -= alpha
+    return alpha, v, 2.0 / float(np.einsum("i,i", v, v))
+
+
+def _accumulate(n: int, reflectors: list[tuple[int, np.ndarray, float]]) -> np.ndarray:
+    """The ``n x n`` product of the reflectors ``(j, v, beta)``, each acting on indices ``j:``, in list order.
+
+    Backward accumulation: the last reflector is applied first, to the
+    identity, so each one touches only its trailing block.
+    """
+    q = np.eye(n)
+    for j, v, beta in reversed(reflectors):
+        block = q[j:, j:]
+        block -= np.multiply.outer(beta * v, np.einsum("i,ij->j", v, block))
+    return q
+
+
 def _tridiagonalize(t: np.ndarray) -> np.ndarray:
     """Householder reduction of the symmetric ``t`` in place to tridiagonal form.
 
     On return the diagonal and first subdiagonal of ``t`` hold the tridiagonal
     matrix ``T`` (entries further from the diagonal are stale), and the
     returned orthogonal ``Q`` satisfies ``A = Q T Q^T`` (Golub and Van Loan,
-    Matrix Computations, Algorithm 8.3.1). A column that is already zero below
-    its subdiagonal gets no reflector, so tridiagonal input passes through
-    bit for bit. Nor does a column whose squares sum below ``_TINY_COLUMN``:
-    its reflector would overflow, and leaving it changes ``T`` by less than
-    2**-484, far under the solver's backward error for a ``t`` scaled to
-    norm about 1. The dot products, the product of the trailing block with
-    ``v`` and the rows ``v^T Q`` of the accumulation are ``np.einsum`` calls,
-    which run no BLAS and form no elementwise temporary of the block.
+    Matrix Computations, Algorithm 8.3.1). A column that ``_reflector``
+    leaves gets no reflector, so tridiagonal input passes through bit for
+    bit. The product of the trailing block with ``v`` and the rows ``v^T Q``
+    of the accumulation are ``np.einsum`` calls, which run no BLAS and form
+    no elementwise temporary of the block.
     """
     n = t.shape[0]
     reflectors = []
     for k in range(n - 2):
-        x = t[k + 1 :, k]
-        if not x[1:].any():
+        reflector = _reflector(t[k + 1 :, k])
+        if reflector is None:
             continue
-        norm2 = float(np.einsum("i,i", x, x))
-        if norm2 < _TINY_COLUMN:
-            continue
-        alpha = -math.copysign(math.sqrt(norm2), x[0])
-        v = x.copy()
-        v[0] -= alpha
-        beta = 2.0 / float(np.einsum("i,i", v, v))
+        alpha, v, beta = reflector
         sub = t[k + 1 :, k + 1 :]
         p = beta * np.einsum("ij,j->i", sub, v)
         w = p - (0.5 * beta * float(np.einsum("i,i", p, v))) * v
@@ -120,11 +162,7 @@ def _tridiagonalize(t: np.ndarray) -> np.ndarray:
         sub -= vw + vw.T
         t[k + 1, k] = alpha
         reflectors.append((k + 1, v, beta))
-    q = np.eye(n)
-    for j, v, beta in reversed(reflectors):
-        block = q[j:, j:]
-        block -= np.multiply.outer(beta * v, np.einsum("i,ij->j", v, block))
-    return q
+    return _accumulate(n, reflectors)
 
 
 def _ql_implicit(d: list[float], e: list[float], zt: np.ndarray, tol: float) -> None:
@@ -255,8 +293,10 @@ def _rotate_rows(zt: np.ndarray, sweeps: list[tuple[int, int]], cs: list[float],
 def eigh_matrix(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Householder tridiagonalization plus implicit-shift QL for a symmetric matrix.
 
-    Returns ascending eigenvalues (stable order) and the matching orthonormal
-    eigenvector columns, without any sign normalization. The input must be
+    The general dense route, taken by ``eigh`` for every graph that is not
+    bipartite or is smaller than ``_BIPARTITE_MIN``. Returns ascending
+    eigenvalues (stable order) and the matching orthonormal eigenvector
+    columns, without any sign normalization. The input must be
     symmetric; that is not checked. It is first scaled by a power of two,
     which is exact, so that no sum of squares can overflow. A tridiagonal
     input skips the Householder stage entirely. The QL plane rotations reach
@@ -301,6 +341,262 @@ def eigh_matrix(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals[order], zt[order].T
 
 
+def _bidiagonalize(b: np.ndarray) -> tuple[list[float], list[float], np.ndarray, np.ndarray]:
+    """Householder reduction of the ``p x q`` matrix ``b`` (``p >= q``) in place to upper bidiagonal form.
+
+    Returns the diagonal ``d`` and superdiagonal ``e`` of the bidiagonal
+    ``Bd`` and the orthogonal ``U`` (``p x p``) and ``V`` (``q x q``) with
+    ``b = U [Bd; 0] V^T`` (Golub and Kahan, SIAM J. Numer. Anal. B 2:205,
+    1965; Golub and Van Loan, Algorithm 5.4.2). Column ``k`` gets a left
+    reflector on rows ``k:``, then row ``k`` a right reflector on columns
+    ``k + 1:``; ``_reflector`` leaves out one that is not needed, so a ``b``
+    that is already bidiagonal keeps its entries. The block updates are
+    ``np.einsum`` products; entries of ``b`` outside the trailing block are
+    left stale.
+    """
+    p, q = b.shape
+    d: list[float] = []
+    e: list[float] = []
+    left: list[tuple[int, np.ndarray, float]] = []
+    right: list[tuple[int, np.ndarray, float]] = []
+    for k in range(q):
+        x = b[k:, k]
+        reflector = _reflector(x)
+        if reflector is None:
+            d.append(float(x[0]))
+        else:
+            alpha, v, beta = reflector
+            block = b[k:, k + 1 :]
+            block -= np.multiply.outer(beta * v, np.einsum("i,ij->j", v, block))
+            d.append(alpha)
+            left.append((k, v, beta))
+        if k == q - 1:
+            break
+        x = b[k, k + 1 :]
+        reflector = _reflector(x)
+        if reflector is None:
+            e.append(float(x[0]))
+        else:
+            alpha, v, beta = reflector
+            block = b[k + 1 :, k + 1 :]
+            block -= np.multiply.outer(np.einsum("ij,j->i", block, v), beta * v)
+            e.append(alpha)
+            right.append((k + 1, v, beta))
+    return d, e, _accumulate(p, left), _accumulate(q, right)
+
+
+def _turn(z: np.ndarray, a: int, b: int, c: float, s: float) -> None:
+    """Rows ``a < b`` of ``z`` become ``(c z_a - s z_b, c z_b + s z_a)``, with the arithmetic of ``_rotate_rows``."""
+    pair = z[a : b + 1 : b - a]
+    turned = pair[::-1] * np.array([[-s], [s]])
+    pair *= c
+    pair += turned
+
+
+def _bidiagonal_qr(d: list[float], e: list[float], ut: np.ndarray, vt: np.ndarray, tol: float) -> None:
+    """Diagonalize the upper bidiagonal (d, e) in place by shifted implicit QR.
+
+    ``e[i]`` couples ``d[i]`` and ``d[i + 1]`` and counts as zero once
+    ``|e[i]| <= tol``; on return ``d`` holds the singular values, some
+    perhaps negative. Every rotation of rows of the bidiagonal also turns the
+    same rows of ``ut`` and every rotation of its columns those rows of
+    ``vt``, so a ``ut`` and ``vt`` that start as the first ``q`` rows of
+    ``U^T`` and ``V^T`` of ``b = U [Bd; 0] V^T`` end with the singular vectors
+    of ``b`` as rows: ``b^T ut[i] = d[i] vt[i]`` and ``b vt[i] = d[i] ut[i]``.
+    Each step is Golub and Kahan's, with Wilkinson's shift from the trailing
+    ``2 x 2`` of ``Bd^T Bd`` (Golub and Van Loan, Algorithms 8.6.1 and 8.6.2),
+    and each singular value gets at most ``_QL_ITERATION_CAP`` steps before
+    ConvergenceError.
+
+    A rotation ``(c, s)`` of rows ``i < j`` makes them ``(c z_i + s z_j, c
+    z_j - s z_i)``. A step chases its bulge down from row ``lo`` to row
+    ``hi``, turning the rows ``(k, k + 1)`` for ``k = lo, ..., hi - 1``, of
+    ``vt`` and then of ``ut``. In copies of ``ut`` and ``vt`` with their rows
+    reversed, those are the rows ``(q - 2 - k, q - 1 - k)`` counting down from
+    ``q - 2 - lo``, a sweep as ``_ql_implicit`` records one, and the update is
+    that of ``_rotate_rows`` with the same ``(c, s)``. So the recurrence
+    records each step once for both copies and flushes the record as
+    ``_ql_implicit`` does. A diagonal entry with ``|d[i]| <= tol`` is set to
+    zero, and its row (or, at ``hi``, its column) is split off by rotations of
+    the rows ``(i, j)`` for each ``j`` past ``i`` (or ``(j, hi)`` for each
+    ``j`` before ``hi``). Those rows are not adjacent, so the record is flushed
+    first and ``_turn`` applies the rotations one at a time.
+    """
+    n = len(d)
+    ur, vr = ut[::-1].copy(), vt[::-1].copy()
+    sweeps: list[tuple[int, int]] = []  # (top row, rotation count) of each recorded step
+    cu: list[float] = []
+    su: list[float] = []
+    cv: list[float] = []
+    sv: list[float] = []
+
+    def flush() -> None:
+        _rotate_rows(ur, sweeps, cu, su)
+        _rotate_rows(vr, sweeps, cv, sv)
+        for record in (sweeps, cu, su, cv, sv):
+            record.clear()
+
+    hi = n - 1
+    steps = 0
+    while hi > 0:
+        if abs(e[hi - 1]) <= tol:
+            hi -= 1
+            steps = 0
+            continue
+        lo = hi - 1
+        while lo > 0 and abs(e[lo - 1]) > tol:
+            lo -= 1
+        zero = next((i for i in range(lo, hi + 1) if abs(d[i]) <= tol), None)
+        if zero is not None:
+            flush()
+            d[zero] = 0.0
+            if zero < hi:
+                # Row rotations (zero, j) push e[zero] along the row to column hi.
+                x, e[zero] = e[zero], 0.0
+                for j in range(zero + 1, hi + 1):
+                    if x == 0.0:
+                        break
+                    r = math.hypot(d[j], x)
+                    c, s = d[j] / r, -x / r
+                    d[j] = r
+                    _turn(ur, n - 1 - j, n - 1 - zero, c, s)
+                    if j < hi:
+                        x = s * e[j]
+                        e[j] *= c
+            else:
+                # Column rotations (j, hi) push e[hi - 1] up the column to row lo.
+                x, e[hi - 1] = e[hi - 1], 0.0
+                for j in range(hi - 1, lo - 1, -1):
+                    if x == 0.0:
+                        break
+                    r = math.hypot(d[j], x)
+                    c, s = d[j] / r, x / r
+                    d[j] = r
+                    _turn(vr, n - 1 - hi, n - 1 - j, c, s)
+                    if j > lo:
+                        x = -s * e[j - 1]
+                        e[j - 1] *= c
+            continue
+        if steps == _QL_ITERATION_CAP:
+            raise ConvergenceError(
+                f"bidiagonal QR left superdiagonal {abs(e[hi - 1]):.3e} at index {hi - 1} after "
+                f"{_QL_ITERATION_CAP} steps"
+            )
+        steps += 1
+        # Wilkinson's shift: the eigenvalue of the trailing 2 x 2 of Bd^T Bd nearer its last entry.
+        f = e[hi - 2] if hi - 1 > lo else 0.0
+        t11 = d[hi - 1] * d[hi - 1] + f * f
+        t12 = d[hi - 1] * e[hi - 1]
+        t22 = d[hi] * d[hi] + e[hi - 1] * e[hi - 1]
+        delta = 0.5 * (t11 - t22)
+        y = d[lo] * d[lo] - t22 + t12 * t12 / (delta + math.copysign(math.hypot(delta, t12), delta))
+        z = d[lo] * e[lo]
+        for k in range(lo, hi):
+            # Columns (k, k + 1): zero z against y, which is row k - 1's bulge past the first step.
+            r = math.hypot(y, z)
+            if r == 0.0:
+                c, s = 1.0, 0.0
+            else:
+                c, s = y / r, z / r
+            if k > lo:
+                e[k - 1] = r
+            y = c * d[k] + s * e[k]
+            ek = c * e[k] - s * d[k]
+            z = s * d[k + 1]
+            dk = c * d[k + 1]
+            cv.append(c)
+            sv.append(s)
+            # Rows (k, k + 1): zero the entry below the diagonal, z, against y.
+            r = math.hypot(y, z)
+            if r == 0.0:
+                c, s = 1.0, 0.0
+            else:
+                c, s = y / r, z / r
+            d[k] = r
+            y = c * ek + s * dk
+            d[k + 1] = c * dk - s * ek
+            if k < hi - 1:
+                z = s * e[k + 1]
+                e[k + 1] *= c
+            cu.append(c)
+            su.append(s)
+        e[hi - 1] = y
+        sweeps.append((n - 2 - lo, hi - lo))
+        if len(cu) >= _ROTATION_BLOCK:
+            flush()
+    flush()
+    ut[...] = ur[::-1]
+    vt[...] = vr[::-1]
+
+
+def _bipartition(g: WeightedGraph) -> np.ndarray | None:
+    """One side of a 2-colouring of ``g`` as a boolean mask, or None when ``g`` has an odd cycle or a self-loop.
+
+    The bipartite double cover has vertices ``u`` and ``u + n`` for each
+    vertex ``u``, and each stored entry ``(u, v)`` joins ``u`` to ``v + n``
+    and ``u + n`` to ``v``. ``g`` is bipartite exactly when no ``u`` shares a
+    component with ``u + n`` (a self-loop joins them at once). The mask is
+    true where the component of ``u`` is numbered after that of ``u + n``, so
+    the smallest vertex of each component of ``g`` is on the false side.
+    """
+    n = g.n
+    comp = _components(2 * n, np.concatenate([g._rows, g._rows + n]), np.concatenate([g._cols + n, g._cols]))
+    if (comp[:n] == comp[n:]).any():
+        return None
+    return comp[:n] > comp[n:]
+
+
+def _eigh_bipartite(g: WeightedGraph, side: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh_matrix(g.adjacency)``'s eigenpairs for a graph with the 2-colouring ``side``, from a half-size SVD.
+
+    With the larger side's ``p`` vertices first, the adjacency is ``[[0, B],
+    [B^T, 0]]`` for the ``p x q`` block ``B``, read from the stored entries
+    and scaled by a power of two as in ``eigh_matrix``. Each singular triple
+    ``(sigma, u, v)`` of ``B`` gives the eigenpairs ``-sigma, (u, -v) / sqrt 2``
+    and ``sigma, (u, v) / sqrt 2``, and the last ``p - q`` columns of ``U``
+    are eigenvectors ``(u, 0)`` of 0. Returns the eigenvalues in ascending
+    (stable) order and the eigenvector columns in vertex order, unsigned;
+    ConvergenceError when the QR recurrence runs out of steps or an
+    eigenvalue overflows a float.
+    """
+    if 2 * int(side.sum()) > g.n:
+        side = ~side
+    rows, cols = np.flatnonzero(~side), np.flatnonzero(side)
+    p, q = rows.size, cols.size
+    pos = np.empty(g.n, dtype=np.intp)
+    pos[rows] = np.arange(p)
+    pos[cols] = np.arange(q)
+    # Every stored entry joins the two sides; keep those with their row on the larger one.
+    first = ~side[g._rows]
+    exponent = math.frexp(float(np.abs(g._weights).max(initial=0.0)))[1]
+    b = np.zeros((p, q))
+    b[pos[g._rows[first]], pos[g._cols[first]]] = np.ldexp(g._weights[first], -exponent)
+    d, e, u, v = _bidiagonalize(b)
+    # Deflating at eps * max(||Bd||_1, ||Bd||_inf), as eigh_matrix does at eps * ||T||_inf.
+    diag, sup = np.abs(d), np.abs(e)
+    across, down = diag.copy(), diag
+    across[:-1] += sup
+    down[1:] += sup
+    tol = _EPS * float(max(across.max(initial=0.0), down.max(initial=0.0)))
+    ut, vt = np.ascontiguousarray(u.T), np.ascontiguousarray(v.T)
+    _bidiagonal_qr(d, e, ut[:q], vt, tol)
+    sigma = np.array(d)
+    vt[sigma < 0.0] *= -1.0
+    sigma = np.abs(sigma)
+    half = math.sqrt(0.5)
+    zt = np.zeros((p + q, p + q))
+    zt[:q, rows] = zt[p:, rows] = ut[:q] * half
+    zt[p:, cols] = vt * half
+    zt[:q, cols] = -zt[p:, cols]
+    zt[q:p, rows] = ut[q:]
+    with np.errstate(over="ignore"):
+        vals = np.ldexp(np.concatenate([0.0 - sigma, np.zeros(p - q), sigma]), exponent)
+    if not np.isfinite(vals).all():
+        raise ConvergenceError("eigenvalues overflow a float")
+    order = np.argsort(vals, kind="stable")
+    return vals[order], zt[order].T
+
+
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     cols = np.arange(vecs.shape[1])
     lead = np.argmax(np.abs(vecs), axis=0)
@@ -310,8 +606,20 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
 
 
 def eigh(g: WeightedGraph) -> SpectralDecomposition:
-    """Spectral decomposition of a graph's adjacency matrix."""
-    vals, vecs = eigh_matrix(g.adjacency)
+    """Spectral decomposition of a graph's adjacency matrix.
+
+    A bipartite graph with at least ``_BIPARTITE_MIN`` vertices is coloured
+    from its stored entries (``_bipartition``) and solved by the half-size
+    SVD of ``_eigh_bipartite``, without its dense adjacency; any other graph
+    by ``eigh_matrix(g.adjacency)``. Both meet the same accuracy bounds and
+    the same determinism promise, and both results get the sign convention
+    of SpectralDecomposition.
+    """
+    side = _bipartition(g) if g.n >= _BIPARTITE_MIN else None
+    if side is None:
+        vals, vecs = eigh_matrix(g.adjacency)
+    else:
+        vals, vecs = _eigh_bipartite(g, side)
     return SpectralDecomposition(vals, _fix_signs(vecs))
 
 

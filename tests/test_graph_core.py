@@ -14,6 +14,7 @@ from pstlab import (
     FormatError,
     InvalidSizeError,
     NonFiniteWeightError,
+    PreconditionError,
     ResourceCapError,
     WeightedGraph,
     hypercube,
@@ -309,6 +310,19 @@ def test_edge_built_graph_equals_dense_built():
         seen["zero"] += int(np.count_nonzero(w == 0.0))
         seen["isolated"] += n - np.unique(np.concatenate([u[w != 0.0], v[w != 0.0]])).size
     assert min(seen.values()) > 0, seen
+
+
+def test_from_slots_refuses_a_lower_slot_or_a_repeated_edge():
+    # the slot (0, 1) in both orders would be stored twice, while adjacency shows one 1.0
+    with pytest.raises(PreconditionError, match=r"^slot \(1, 0\) has u > v$"):
+        WeightedGraph._from_slots(2, [0, 1], [1, 0], [1.0, 1.0])
+    with pytest.raises(PreconditionError, match=r"^edge \(0, 1\) listed twice$"):
+        WeightedGraph._from_slots(2, [0, 0], [1, 1], [1.0, 2.0])
+    with pytest.raises(PreconditionError, match=r"^edge \(2, 2\) listed twice$"):
+        WeightedGraph._from_slots(3, [2, 0, 2], [2, 1, 2], [1.0, 1.0, -3.0])
+    # a zero weight is no edge, so its slot stores nothing and repeats nothing
+    g = WeightedGraph._from_slots(3, [0, 2, 0, 1], [1, 2, 1, 1], [1.0, 0.0, -0.0, 0.0])
+    assert g._rows.tolist() == [0, 1] and g._cols.tolist() == [1, 0]
 
 
 def test_path_builders_equal_the_dense_loop():

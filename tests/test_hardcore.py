@@ -52,7 +52,7 @@ from pstlab.hardcore import (
 )
 from pstlab import hardcore, tonks
 from pstlab.graph_core import _loops
-from pstlab.partition import _components
+from pstlab.graph_core import _components
 from pstlab.products import _digits
 from pstlab.tonks import _compound
 

@@ -27,6 +27,9 @@ from pstlab import (
     find_pst_pairs,
     hypercube,
     is_periodic,
+    mirror_partition,
+    normalized_partition_matrix,
+    quotient,
     simple_path,
     symmetric_power,
     transfer_amplitude,
@@ -280,7 +283,7 @@ def assert_matches_oracle(a, counts=None):
     assert vals.tobytes() == oracle_vals.tobytes() and vecs.tobytes() == oracle_vecs.tobytes()
 
 
-def probe_style_graph(kind, size, k, seed):
+def probe_graph(kind, size, k, seed):
     """Hard-core graph of a ring C_size or a cube Q_size with seeded weights in [0.5, 1.5]."""
     rng = np.random.default_rng(seed)
     if kind == "ring":
@@ -290,7 +293,11 @@ def probe_style_graph(kind, size, k, seed):
     a = np.zeros((n, n))
     for u, v in pairs:
         a[u, v] = a[v, u] = rng.uniform(0.5, 1.5)
-    return symmetric_power(WeightedGraph(n, a), k).adjacency
+    return symmetric_power(WeightedGraph(n, a), k)
+
+
+def probe_style_graph(kind, size, k, seed):
+    return probe_graph(kind, size, k, seed).adjacency
 
 
 @pytest.mark.parametrize("m", range(1, 131))
@@ -475,6 +482,349 @@ def test_iteration_budget_message_matches_oracle(monkeypatch, cap):
     assert str(batched.value) == str(oracle.value)
 
 
+def bidiagonal_rotation_by_rotation(d, e, ut, vt, tol, counts=None):
+    """Oracle for spectral._bidiagonal_qr: each rotation applied to the rows of ut or vt as it is made.
+
+    The same recurrence, shift, deflation and zero-diagonal tests, chases and
+    iteration cap, on the rows in their own order; ``counts``, when given,
+    counts the rotations of the steps and those of the chases.
+    """
+    n = len(d)
+    flip = np.array([[1.0], [-1.0]])
+    cap = pstlab.spectral._QL_ITERATION_CAP
+
+    def turn(z, i, j, c, s):
+        # Rows (i, j) become (c z_i + s z_j, c z_j - s z_i).
+        pair = z[i : j + 1 : j - i]
+        swapped = pair[::-1] * flip
+        swapped *= s
+        pair *= c
+        pair += swapped
+
+    def rotation(y, z):
+        r = math.hypot(y, z)
+        return (r, 1.0, 0.0) if r == 0.0 else (r, y / r, z / r)
+
+    hi = n - 1
+    steps = 0
+    while hi > 0:
+        if abs(e[hi - 1]) <= tol:
+            hi -= 1
+            steps = 0
+            continue
+        lo = hi - 1
+        while lo > 0 and abs(e[lo - 1]) > tol:
+            lo -= 1
+        zeros = [i for i in range(lo, hi + 1) if abs(d[i]) <= tol]
+        if zeros:
+            i = zeros[0]
+            d[i] = 0.0
+            if i < hi:
+                x, e[i] = e[i], 0.0
+                for j in range(i + 1, hi + 1):
+                    if x == 0.0:
+                        break
+                    r = math.hypot(d[j], x)
+                    c, s = d[j] / r, -x / r
+                    d[j] = r
+                    turn(ut, i, j, c, s)
+                    if counts is not None:
+                        counts["chase"] += 1
+                    if j < hi:
+                        x = s * e[j]
+                        e[j] *= c
+            else:
+                x, e[hi - 1] = e[hi - 1], 0.0
+                for j in range(hi - 1, lo - 1, -1):
+                    if x == 0.0:
+                        break
+                    r = math.hypot(d[j], x)
+                    c, s = d[j] / r, x / r
+                    d[j] = r
+                    turn(vt, j, hi, c, s)
+                    if counts is not None:
+                        counts["chase"] += 1
+                    if j > lo:
+                        x = -s * e[j - 1]
+                        e[j - 1] *= c
+            continue
+        if steps == cap:
+            raise ConvergenceError(
+                f"bidiagonal QR left superdiagonal {abs(e[hi - 1]):.3e} at index {hi - 1} after {cap} steps"
+            )
+        steps += 1
+        f = e[hi - 2] if hi - 1 > lo else 0.0
+        t11 = d[hi - 1] * d[hi - 1] + f * f
+        t12 = d[hi - 1] * e[hi - 1]
+        t22 = d[hi] * d[hi] + e[hi - 1] * e[hi - 1]
+        delta = 0.5 * (t11 - t22)
+        y = d[lo] * d[lo] - t22 + t12 * t12 / (delta + math.copysign(math.hypot(delta, t12), delta))
+        z = d[lo] * e[lo]
+        for k in range(lo, hi):
+            r, c, s = rotation(y, z)
+            if k > lo:
+                e[k - 1] = r
+            y = c * d[k] + s * e[k]
+            ek = c * e[k] - s * d[k]
+            z = s * d[k + 1]
+            dk = c * d[k + 1]
+            turn(vt, k, k + 1, c, s)
+            r, c, s = rotation(y, z)
+            d[k] = r
+            y = c * ek + s * dk
+            d[k + 1] = c * dk - s * ek
+            if k < hi - 1:
+                z = s * e[k + 1]
+                e[k + 1] *= c
+            turn(ut, k, k + 1, c, s)
+            if counts is not None:
+                counts["rotations"] += 1
+        e[hi - 1] = y
+
+
+def bipartite_eigh(g):
+    """The bipartite route on g whatever its size: eigenvalues and unsigned eigenvectors."""
+    side = pstlab.spectral._bipartition(g)
+    assert side is not None
+    return pstlab.spectral._eigh_bipartite(g, side)
+
+
+def oracle_bipartite_eigh(g, counts=None):
+    """bipartite_eigh with the rotation-by-rotation recurrence in place of the wave-batched one."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            pstlab.spectral,
+            "_bidiagonal_qr",
+            lambda d, e, ut, vt, tol: bidiagonal_rotation_by_rotation(d, e, ut, vt, tol, counts),
+        )
+        return bipartite_eigh(g)
+
+
+def assert_bipartite_matches_oracle(g, counts=None):
+    vals, vecs = bipartite_eigh(g)
+    oracle_vals, oracle_vecs = oracle_bipartite_eigh(g, counts)
+    assert vals.tobytes() == oracle_vals.tobytes() and vecs.tobytes() == oracle_vecs.tobytes()
+
+
+def random_bipartite(rng, p, q, rank=None, density=0.4):
+    """A graph whose off-diagonal block is a random p x q B (of the given rank), vertices shuffled."""
+    if rank is None:
+        b = rng.normal(size=(p, q)) * (rng.random((p, q)) < density)
+    else:
+        b = rng.normal(size=(p, rank)) @ rng.normal(size=(rank, q))
+    a = np.zeros((p + q, p + q))
+    a[:p, p:] = b
+    a[p:, :p] = b.T
+    order = rng.permutation(p + q)
+    return WeightedGraph(p + q, a[np.ix_(order, order)])
+
+
+def even_ring(n, rng):
+    a = np.zeros((n, n))
+    for v in range(n):
+        a[v, (v + 1) % n] = a[(v + 1) % n, v] = rng.uniform(0.5, 1.5)
+    return WeightedGraph(n, a)
+
+
+@pytest.mark.parametrize("kind,size,k", [("ring", 12, 2), ("ring", 10, 3), ("cube", 4, 2)])
+def test_bidiagonal_rotations_match_oracle_probe_graphs(kind, size, k):
+    assert_bipartite_matches_oracle(probe_graph(kind, size, k, seed=21))
+
+
+def test_bidiagonal_rotations_match_oracle_structured():
+    for n in range(2, 21):
+        assert_bipartite_matches_oracle(weighted_path(n))
+        assert_bipartite_matches_oracle(simple_path(n))
+    for dim in range(1, 7):
+        assert_bipartite_matches_oracle(hypercube(dim))
+    rng = np.random.default_rng(12)
+    for p, q, rank in [(9, 4, None), (8, 8, None), (12, 7, 3), (6, 6, 2)]:
+        assert_bipartite_matches_oracle(random_bipartite(rng, p, q, rank))
+
+
+def test_bidiagonal_zero_diagonal_chase_matches_oracle():
+    # the unweighted cube's hard-core power has zero singular values beyond p - q
+    g = symmetric_power(hypercube(4), 2)
+    counts = {"rotations": 0, "chase": 0}
+    assert_bipartite_matches_oracle(g, counts)
+    vals = bipartite_eigh(g)[0]
+    side = pstlab.spectral._bipartition(g)
+    assert np.count_nonzero(np.abs(vals) < 1e-12) > abs(g.n - 2 * int(side.sum()))
+    assert counts["chase"] > 0
+
+
+def test_bidiagonal_rotations_span_several_flush_blocks(monkeypatch):
+    g = random_bipartite(np.random.default_rng(6), 120, 110, density=0.5)
+    counts = {"rotations": 0, "chase": 0}
+    assert_bipartite_matches_oracle(g, counts)
+    assert counts["rotations"] > 2 * pstlab.spectral._ROTATION_BLOCK
+    # a flush after every step, and one after a handful of rotations, leave the bytes alone
+    for block in (1, 7):
+        monkeypatch.setattr(pstlab.spectral, "_ROTATION_BLOCK", block)
+        assert_bipartite_matches_oracle(g)
+        assert_bipartite_matches_oracle(symmetric_power(hypercube(4), 2))
+
+
+def test_bidiagonalize_reconstructs_its_input():
+    rng = np.random.default_rng(15)
+    for p, q in [(1, 1), (7, 7), (12, 5), (30, 29), (40, 3)]:
+        b = rng.normal(size=(p, q))
+        d, e, u, v = pstlab.spectral._bidiagonalize(b.copy())
+        bd = np.zeros((p, q))
+        bd[range(q), range(q)] = d
+        bd[range(q - 1), range(1, q)] = e
+        assert np.abs(u.T @ u - np.eye(p)).max() <= 10.0 * p * EPS
+        assert np.abs(v.T @ v - np.eye(q)).max() <= 10.0 * p * EPS
+        assert np.abs(u @ bd @ v.T - b).max() <= 10.0 * p * EPS * np.linalg.norm(b, 2)
+    # an upper bidiagonal b needs no reflector
+    b = np.zeros((6, 4))
+    b[range(4), range(4)] = rng.normal(size=4)
+    b[range(3), range(1, 4)] = rng.normal(size=3)
+    d, e, u, v = pstlab.spectral._bidiagonalize(b.copy())
+    assert d == np.diag(b).tolist() and e == np.diag(b, 1).tolist()
+    assert np.array_equal(u, np.eye(6)) and np.array_equal(v, np.eye(4))
+
+
+def assert_bipartite_accurate(g):
+    """Differential check of the bipartite route against numpy.linalg.eigh, as assert_eigh_accurate.
+
+    The bounds are those of assert_eigh_accurate; when g is big enough for
+    eigh to take the route, eigh returns its bytes with the signs fixed.
+    """
+    a = g.adjacency
+    n = g.n
+    vals, vecs = bipartite_eigh(g)
+    oracle = np.linalg.eigvalsh(a)
+    norm = float(np.abs(oracle).max())
+    bound = 10.0 * n * EPS * norm
+    assert np.all(vals[:-1] <= vals[1:])
+    assert np.abs(vals - oracle).max() <= bound
+    assert np.abs(a @ vecs - vecs * vals[None, :]).max() <= bound
+    assert np.abs(vecs.T @ vecs - np.eye(n)).max() <= 10.0 * n * EPS
+    again_vals, again_vecs = bipartite_eigh(g)
+    assert again_vals.tobytes() == vals.tobytes() and again_vecs.tobytes() == vecs.tobytes()
+    if n >= pstlab.spectral._BIPARTITE_MIN:
+        spec = eigh(g)
+        assert spec.eigenvalues.tobytes() == vals.tobytes()
+        assert spec.eigenvectors.tobytes() == pstlab.spectral._fix_signs(vecs).tobytes()
+
+
+@pytest.mark.parametrize("n", range(2, 21))
+def test_bipartite_route_paths(n):
+    assert_bipartite_accurate(weighted_path(n))
+    assert_bipartite_accurate(simple_path(n))
+
+
+def test_bipartite_route_rings_and_cubes():
+    rng = np.random.default_rng(8)
+    for n in range(4, 41, 2):
+        assert_bipartite_accurate(even_ring(n, rng))
+    for dim in range(1, 7):
+        assert_bipartite_accurate(hypercube(dim))
+
+
+@pytest.mark.parametrize("kind,size,k", [("ring", 12, 2), ("ring", 10, 3), ("cube", 4, 2)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_bipartite_route_probe_graphs(kind, size, k, seed):
+    assert_bipartite_accurate(probe_graph(kind, size, k, seed))
+
+
+def test_bipartite_route_random_blocks():
+    rng = np.random.default_rng(9)
+    for p, q in [(5, 1), (9, 4), (30, 12), (7, 7), (25, 25)]:
+        assert_bipartite_accurate(random_bipartite(rng, p, q))
+        assert_bipartite_accurate(random_bipartite(rng, q, p))
+    for p, q, rank in [(10, 6, 2), (8, 8, 3), (20, 20, 1), (40, 30, 5)]:
+        assert_bipartite_accurate(random_bipartite(rng, p, q, rank))
+
+
+def test_bipartite_route_disconnected_and_edgeless():
+    # two path pieces, a cube and isolated vertices, shuffled
+    rng = np.random.default_rng(10)
+    a = np.zeros((44, 44))
+    a[:9, :9] = weighted_path(9).adjacency
+    a[9:13, 9:13] = simple_path(4).adjacency
+    a[13:29, 13:29] = hypercube(4).adjacency
+    order = rng.permutation(44)
+    assert_bipartite_accurate(WeightedGraph(44, a[np.ix_(order, order)]))
+    for n in (1, 5, 40):
+        g = WeightedGraph(n, np.zeros((n, n)))
+        assert_bipartite_accurate(g)
+        vals, vecs = bipartite_eigh(g)
+        assert np.array_equal(vals, np.zeros(n)) and np.array_equal(vecs, np.eye(n))
+
+
+def test_bipartite_route_extreme_weights():
+    rng = np.random.default_rng(11)
+    big = np.finfo(float).max
+    for scale in (1e150, 1e-150, 1e300, 1e-300):
+        g = random_bipartite(rng, 12, 9)
+        assert_bipartite_accurate(WeightedGraph(g.n, g.adjacency * scale))
+    # float-maximum weights whose eigenvalues stay finite
+    assert_bipartite_accurate(WeightedGraph(2, np.array([[0.0, big], [big, 0.0]])))
+    assert_bipartite_accurate(WeightedGraph(3, weighted_path(3).adjacency * (big / 2.0)))
+    assert_bipartite_accurate(WeightedGraph(40, even_ring(40, rng).adjacency * (big / 4.0)))
+    # a star whose largest eigenvalue, sqrt(4) * max, is past the float range
+    star = np.zeros((5, 5))
+    star[0, 1:] = star[1:, 0] = big
+    with pytest.raises(ConvergenceError, match="^eigenvalues overflow a float$"):
+        bipartite_eigh(WeightedGraph(5, star))
+
+
+def non_bipartite_graphs():
+    rng = np.random.default_rng(13)
+    odd_ring = even_ring(41, rng)
+    looped = even_ring(40, rng).adjacency.copy()
+    looped[7, 7] = 0.25
+    mirror = symmetric_power(weighted_path(10), 3)
+    pm = normalized_partition_matrix(mirror, mirror_partition(mirror, 10, 3))
+    return [odd_ring, even_ring(5, rng), WeightedGraph(40, looped), quotient(mirror, pm)]
+
+
+def test_non_bipartite_graphs_keep_the_dense_route():
+    for g in non_bipartite_graphs():
+        assert g.n >= pstlab.spectral._BIPARTITE_MIN or g.n == 5
+        assert pstlab.spectral._bipartition(g) is None
+        vals, vecs = eigh_matrix(g.adjacency)
+        spec = eigh(g)
+        assert spec.eigenvalues.tobytes() == vals.tobytes()
+        assert spec.eigenvectors.tobytes() == pstlab.spectral._fix_signs(vecs).tobytes()
+
+
+def test_small_graphs_keep_the_dense_route():
+    # below the crossover a bipartite graph is solved as before, bytes and all
+    for g in (weighted_path(9), simple_path(14), hypercube(5)):
+        assert g.n < pstlab.spectral._BIPARTITE_MIN and pstlab.spectral._bipartition(g) is not None
+        vals, vecs = eigh_matrix(g.adjacency)
+        spec = eigh(g)
+        assert spec.eigenvalues.tobytes() == vals.tobytes()
+        assert spec.eigenvectors.tobytes() == pstlab.spectral._fix_signs(vecs).tobytes()
+
+
+def test_bipartition_colours_every_component():
+    g = random_bipartite(np.random.default_rng(14), 20, 15)
+    side = pstlab.spectral._bipartition(g)
+    # every edge joins the two sides, and the first vertex of each component is on the false side
+    assert np.all(side[g._rows] != side[g._cols])
+    component = pstlab.graph_core._components(g.n, g._rows, g._cols)
+    firsts = np.unique(component, return_index=True)[1]
+    assert not side[firsts].any()
+
+
+@pytest.mark.parametrize("cap", [0, 1])
+def test_bidiagonal_iteration_budget_message_matches_oracle(monkeypatch, cap):
+    monkeypatch.setattr(pstlab.spectral, "_QL_ITERATION_CAP", cap)
+    g = probe_graph("ring", 12, 2, seed=21)
+    with pytest.raises(ConvergenceError, match=f"^bidiagonal QR left superdiagonal .* after {cap} steps$") as batched:
+        bipartite_eigh(g)
+    with pytest.raises(ConvergenceError) as oracle:
+        oracle_bipartite_eigh(g)
+    assert str(batched.value) == str(oracle.value)
+    # nothing to iterate on: the edgeless graph and a single edge
+    assert np.array_equal(bipartite_eigh(WeightedGraph(3, np.zeros((3, 3))))[0], np.zeros(3))
+    assert np.array_equal(bipartite_eigh(simple_path(2))[0], [-1.0, 1.0])
+
+
 # Operators and names that reach BLAS (or let einsum pick a route that does).
 BLAS_TOKENS = {"@", "@=", "dot", "vdot", "matmul", "tensordot", "inner", "linalg", "optimize"}
 
@@ -492,7 +842,21 @@ def blas_tokens(func):
 def test_eigensolver_code_calls_no_blas():
     # the README's determinism promise: the bytes do not depend on the BLAS library or its threads
     spectral = pstlab.spectral
-    for func in (spectral._tridiagonalize, spectral._ql_implicit, spectral._rotate_rows, spectral.eigh_matrix):
+    solver = (
+        spectral._reflector,
+        spectral._accumulate,
+        spectral._tridiagonalize,
+        spectral._ql_implicit,
+        spectral._rotate_rows,
+        spectral.eigh_matrix,
+        spectral._bidiagonalize,
+        spectral._turn,
+        spectral._bidiagonal_qr,
+        spectral._bipartition,
+        spectral._eigh_bipartite,
+        spectral.eigh,
+    )
+    for func in solver:
         assert blas_tokens(func) == set(), func.__name__
     assert blas_tokens(spectral.evolve) == {"@"}  # the guard sees a product that is there
 
@@ -507,6 +871,18 @@ def test_eigh_matrix_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 3 * 2**20
+
+
+def test_bipartite_eigh_memory_is_bounded():
+    # about 1.6 MiB with the rotation record flushed in blocks; holding all of it peaks near 2.5 MiB
+    g = random_bipartite(np.random.default_rng(201), 100, 100, density=0.5)
+    tracemalloc.start()
+    try:
+        bipartite_eigh(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("n", range(2, 21))
