@@ -4,12 +4,11 @@ Exit codes: 0 success, 1 verification failure (including non-equitable
 quotient requests), 2 usage or precondition error (including an --out file
 that cannot be written), 3 input-format error (including an --in or
 --partition file that cannot be read or is not UTF-8), 4 resource-cap
-refusal. Graph documents, from build and quotient --out, hold the
-shortest repr that round-trips each weight (save_graph); every other JSON
-output, reports and the quotient embedded in stdout included, prints floats
-with 17 significant digits. Both forms read back bit for bit. Graph
-documents go to --out when given, otherwise to stdout; diagnostics and
-legends go to stderr.
+refusal. Every JSON output, graph documents (save_graph), reports and the
+quotient embedded in stdout alike, is ``json.dumps`` text, so each float is
+the shortest repr that reads back bit for bit; the verify table and the
+not-equitable line print the same repr. Graph documents go to --out when
+given, otherwise to stdout; diagnostics and legends go to stderr.
 """
 
 from __future__ import annotations
@@ -53,32 +52,6 @@ from .pst_verify import conjecture_probe, sweep
 from .spectral import PST_TOL, eigh, find_pst_pairs, is_periodic
 
 _BUILD_KINDS = ("path", "weighted-path", "hypercube", "cartesian-power", "symmetric-power")
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _to_json(obj) -> str:
-    """Serialize with floats at 17 significant digits (plain json uses repr)."""
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt(obj)
-    if isinstance(obj, dict):
-        items = ", ".join(f"{_to_json(str(key))}: {_to_json(val)}" for key, val in obj.items())
-        return "{" + items + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_to_json(x) for x in obj) + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def _parse_time(text: str) -> float:
@@ -178,7 +151,7 @@ def _print_legend(kind: str, n: int, k: int, size: int) -> None:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     g = _load_graph_arg(args.infile)
     spec = eigh(g)
-    print(_to_json([float(x) for x in spec.eigenvalues]))
+    print(json.dumps(spec.eigenvalues.tolist()))
     return 0
 
 
@@ -189,7 +162,7 @@ def cmd_pst(args: argparse.Namespace) -> int:
         {"u": p.u, "v": p.v, "phase": [p.phase.real, p.phase.imag]}
         for p in pairs
     ]
-    print(_to_json(doc))
+    print(json.dumps(doc))
     return 0
 
 
@@ -200,7 +173,7 @@ def cmd_periodic(args: argparse.Namespace) -> int:
         "periodic": phase is not None,
         "phase": None if phase is None else [phase.real, phase.imag],
     }
-    print(_to_json(doc))
+    print(json.dumps(doc))
     return 0
 
 
@@ -210,7 +183,7 @@ def cmd_quotient(args: argparse.Namespace) -> int:
     report = check_equitable(g, part)
     if not report.equitable:
         print(
-            f"not equitable: worst spread {_fmt(report.max_spread)} at cell "
+            f"not equitable: worst spread {report.max_spread!r} at cell "
             f"{report.worst_cell}, vertex {report.worst_vertex}, toward cell "
             f"{report.worst_target_cell}",
             file=sys.stderr,
@@ -222,14 +195,14 @@ def cmd_quotient(args: argparse.Namespace) -> int:
     doc = {
         "equitable": True,
         "max_spread": report.max_spread,
-        "b": [[float(x) for x in row] for row in report.b],
+        "b": report.b.tolist(),
     }
     if args.out is not None:
         _write_graph(quot, args.out)
         doc["written_to"] = args.out
     else:
         doc["quotient"] = json.loads(save_graph(quot))
-    print(_to_json(doc))
+    print(json.dumps(doc))
     return 0
 
 
@@ -260,21 +233,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
             worst = report.error
         else:
             top = max(report.checks, key=lambda c: c.value / c.tol)
-            worst = f"{top.name}={_fmt(top.value)}"
+            worst = f"{top.name}={float(top.value)!r}"
         status = "pass" if report.ok else "FAIL"
         print(
             f"{report.family:<10} {report.n:>3} {report.k:>3} {status:<6} "
             f"{passed:>3}/{len(report.checks):<3} {worst}"
         )
     if args.out is not None:
-        _write_text(args.out, _to_json([r.to_dict() for r in reports]))
+        _write_text(args.out, json.dumps([r.to_dict() for r in reports]))
     return 0 if all_ok else 1
 
 
 def cmd_probe(args: argparse.Namespace) -> int:
     g = _load_graph_arg(args.infile)
     report = conjecture_probe(g, args.k, pst_time=args.t)
-    print(_to_json(report.to_dict()))
+    print(json.dumps(report.to_dict()))
     return 0
 
 

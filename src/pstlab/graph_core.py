@@ -220,6 +220,7 @@ def weighted_path(n: int) -> WeightedGraph:
     """
     if not isinstance(n, int) or n < 2:
         raise InvalidSizeError(f"weighted_path needs n >= 2, got {n!r}")
+    _check_cap(n, f"weighted path has {n} vertices")
     v = np.arange(1, n)
     return WeightedGraph._from_slots(n, v - 1, v, np.sqrt(v * (n - v)))
 
@@ -228,6 +229,7 @@ def simple_path(n: int) -> WeightedGraph:
     """Unweighted path on ``n`` vertices (all edge weights 1)."""
     if not isinstance(n, int) or n < 2:
         raise InvalidSizeError(f"simple_path needs n >= 2, got {n!r}")
+    _check_cap(n, f"path has {n} vertices")
     v = np.arange(1, n)
     return WeightedGraph._from_slots(n, v - 1, v, np.ones(n - 1))
 

@@ -16,10 +16,10 @@ the n**k power, which ``cartesian_power``, ``apply_deletion`` and the
 lives on ``_kept_table``, its n!/(n-k)! labels. No builder reads a dense array.
 
 Both label families have closed-form lexicographic ranks, so a hop finds its
-target row with no sort or search: ascending labels by the combinatorial
-number system (``_rank_ascending``), k-permutations by their Lehmer code
-(``_rank_permutation``). The byte-key search ``_label_rows`` is left to the
-tables that are neither family.
+target row, and a sorted kept label its ascending rank, with no sort or
+search: ascending labels by the combinatorial number system
+(``_rank_ascending``), k-permutations by their Lehmer code
+(``_rank_permutation``).
 """
 
 from __future__ import annotations
@@ -43,25 +43,6 @@ from .products import OccupationLabel, _digits
 # Entries at or below this magnitude do not count as edges when walking
 # components.
 _EDGE_THRESHOLD = 1e-14
-
-
-def _label_rows(table: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """First row of ``table`` holding each row of ``labels``; PreconditionError if one is absent.
-
-    Rows compare as whole byte strings of int64 sites: exact for any table,
-    where a base-n code would overflow once n**k reaches 2**63. Tables of
-    ascending labels or k-permutations are ranked in closed form
-    (``_rank_ascending``, ``_rank_permutation``); this sort is left to
-    ``indistinguishability_partition`` and ``component_isomorphism_check``.
-    """
-    table, labels = (np.ascontiguousarray(x, dtype=np.int64) for x in (table, labels))
-    row_key = np.dtype((np.void, table.itemsize * table.shape[1]))
-    keys, wanted = table.view(row_key).ravel(), labels.view(row_key).ravel()
-    order = np.argsort(keys, kind="stable")
-    rows = order[np.minimum(np.searchsorted(keys, wanted, sorter=order), keys.size - 1)]
-    if (keys[rows] != wanted).any():
-        raise PreconditionError(f"label {labels[keys[rows] != wanted][0].tolist()} is not in the label table")
-    return rows
 
 
 def _refuse_flagged(sites: np.ndarray, bad: np.ndarray, family: str) -> None:
@@ -112,6 +93,13 @@ def _rank_permutation(labels: np.ndarray, n: int) -> np.ndarray:
         rank += digit * math.perm(n - 1 - i, k - 1 - i)
     _refuse_flagged(sites, bad, f"a k-permutation of range({n})")
     return rank
+
+
+def _first_rows(rank: np.ndarray, count: int) -> np.ndarray:
+    """First index of ``rank`` holding each value of range(count), ``rank.size`` for a value it lacks."""
+    first = np.full(count, rank.size)
+    np.minimum.at(first, rank, np.arange(rank.size))
+    return first
 
 
 def _hops(g: WeightedGraph, table: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -198,12 +186,19 @@ def apply_deletion(g_power: WeightedGraph, mask: DeletionMask) -> WeightedGraph:
 def _kept_table(n: int, k: int) -> np.ndarray:
     """Kept labels of ``deletion_mask(n, k)`` as 0-based sites: the k-permutations of range(n), lexicographic.
 
-    The size cap bounds their n!/(n-k)! count; needs 1 <= k <= n.
+    The size cap bounds their n!/(n-k)! count; needs 1 <= k <= n. Slot by
+    slot, every row is followed by each site it does not hold, ascending,
+    which keeps lexicographic order with no Python loop over labels.
     """
     size = math.perm(n, k)
     _check_cap(size, f"deleted power has {size} kept labels")
-    sites = itertools.chain.from_iterable(itertools.permutations(range(n), k))
-    return np.fromiter(sites, np.int64, size * k).reshape(size, k)
+    table = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(k):
+        free = np.ones((table.shape[0], n), dtype=bool)
+        free[np.arange(table.shape[0])[:, None], table] = False
+        row, site = np.nonzero(free)
+        table = np.column_stack([table[row], site])
+    return table
 
 
 def _kept_graph(g: WeightedGraph, table: np.ndarray) -> WeightedGraph:
@@ -240,16 +235,16 @@ class ComponentDecomposition:
 
     ``components`` holds 0-based kept-vertex indices in ascending order;
     ``component_of`` maps each kept vertex to its component position;
-    ``labels`` carries the 1-based site tuple of every kept vertex. The
-    first component is the canonical one, containing the strictly ascending
-    label (1, 2, ..., k).
+    ``labels`` holds the 1-based sites of every kept vertex, one read-only
+    int64 row each. The first component is the canonical one, containing
+    the strictly ascending label (1, 2, ..., k).
     """
 
     n: int
     k: int
     component_of: np.ndarray
     components: tuple[np.ndarray, ...]
-    labels: tuple[tuple[int, ...], ...]
+    labels: np.ndarray
 
     def __post_init__(self) -> None:
         comp_of = np.array(self.component_of, dtype=np.int64)
@@ -259,6 +254,9 @@ class ComponentDecomposition:
         for c in comps:
             c.flags.writeable = False
         object.__setattr__(self, "components", comps)
+        labels = np.array(self.labels, dtype=np.int64)
+        labels.flags.writeable = False
+        object.__setattr__(self, "labels", labels)
 
 
 def decompose_components(g_hc: WeightedGraph, n: int, k: int) -> ComponentDecomposition:
@@ -274,8 +272,6 @@ def decompose_components(g_hc: WeightedGraph, n: int, k: int) -> ComponentDecomp
         raise PreconditionError(
             f"graph has {g_hc.n} vertices but the (n={n}, k={k}) deletion keeps {kept_count}"
         )
-    # The collision-free labels in lexicographic order are the kept labels in kept order.
-    labels = tuple(itertools.permutations(range(1, n + 1), k))
     edge = np.abs(g_hc._weights) > _EDGE_THRESHOLD
     component_of = _components(g_hc.n, g_hc._rows[edge], g_hc._cols[edge])
     sizes = np.bincount(component_of)
@@ -298,7 +294,7 @@ def decompose_components(g_hc: WeightedGraph, n: int, k: int) -> ComponentDecomp
         k=k,
         component_of=component_of,
         components=tuple(np.flatnonzero(component_of == c) for c in range(expected_count)),
-        labels=labels,
+        labels=_kept_table(n, k) + 1,
     )
 
 
@@ -314,11 +310,20 @@ def component_isomorphism_check(decomp: ComponentDecomposition, g_hc: WeightedGr
     canonical positions of their sorted labels, are matched against the
     canonical component's edges, an edge missing on one side counting as 0.
     """
-    labels = np.array(decomp.labels)
     canonical = decomp.components[0]
     size = canonical.size
-    # Position of each vertex's sorted label inside the canonical component.
-    target = _label_rows(labels[canonical], np.sort(labels, axis=1))
+    labels = decomp.labels - 1
+    ascending = np.sort(labels, axis=1)
+    rank = _rank_ascending(ascending, decomp.n)
+    # Position of each vertex's sorted label inside the canonical component:
+    # the first canonical vertex holding it, which must ascend. Canonical
+    # vertices that do not ascend go to a rank m past the ascending ones.
+    holds = (ascending[canonical] == labels[canonical]).all(axis=1)
+    m = math.comb(decomp.n, decomp.k)
+    target = _first_rows(np.where(holds, rank[canonical], m), m + 1)[rank]
+    absent = target == size
+    if absent.any():
+        raise PreconditionError(f"label {(ascending[np.argmax(absent)] + 1).tolist()} is not in the label table")
     comp_of = np.full(g_hc.n, -1)
     for c, comp in enumerate(decomp.components):
         if (np.bincount(target[comp], minlength=size) != 1).any():
@@ -360,7 +365,7 @@ def unit_antisymmetry(decomp: ComponentDecomposition) -> SignedDiagonal:
     Squaring the diagonal gives the identity, and it commutes with the
     deleted adjacency because hops never reorder the walkers.
     """
-    firsts = np.array([decomp.labels[int(comp[0])] for comp in decomp.components])
+    firsts = decomp.labels[[comp[0] for comp in decomp.components]]
     per_component = _sort_signs(firsts)
     return SignedDiagonal(per_component[decomp.component_of], tuple(per_component.tolist()))
 
@@ -377,14 +382,16 @@ def indistinguishability_partition(mask: DeletionMask, n: int, k: int) -> Partit
     """Group the kept labels that agree as multisets, cells ordered by smallest member.
 
     The partition lives on the kept vertices: every cell has k! members, the
-    orderings of one ascending label.
+    orderings of one ascending label. A mask that keeps a label with a
+    repeated site, which ``deletion_mask`` never does, raises
+    PreconditionError.
     """
     if (mask.n, mask.k) != (n, k):
         raise PreconditionError("mask was built for different (n, k)")
     indices = mask.kept_indices()
-    multisets = np.sort(_digits(indices, n, k), axis=1)
-    # Each vertex's cell is named by its smallest member, the first row of its multiset.
-    first = _label_rows(multisets, multisets)
+    rank = _rank_ascending(np.sort(_digits(indices, n, k), axis=1), n)
+    # Each vertex's cell is named by its smallest member, the first vertex with its sorted label.
+    first = _first_rows(rank, math.comb(n, k))[rank]
     order = np.argsort(first, kind="stable")
     cells = np.split(order + 1, np.flatnonzero(np.diff(first[order])) + 1)
     return Partition(indices.size, tuple(tuple(cell.tolist()) for cell in cells))

@@ -37,7 +37,7 @@ from .errors import (
     PreconditionError,
 )
 from .graph_core import WeightedGraph, _check_cap, _check_vertex, _components, _parse_json
-from .spectral import eigh, eigh_matrix, evolve
+from .spectral import eigh, eigh_matrix, transfer_amplitude
 
 TOL_EQ = 1e-10
 
@@ -416,7 +416,8 @@ def singleton_evolution_check(
     """Deviation between quotient and parent walk amplitudes for singleton cells.
 
     Both u and v (1-based) must sit in singleton cells; returns
-    ``|<u~| U_B(t) |v~> - <u| U_A(t) |v>|`` where u~, v~ are their cells.
+    ``|<u~| U_B(t) |v~> - <u| U_A(t) |v>|`` where u~, v~ are their cells,
+    each amplitude read with ``transfer_amplitude``.
     """
     _check_vertex(g.n, u)
     _check_vertex(g.n, v)
@@ -426,9 +427,8 @@ def singleton_evolution_check(
     for label, cell in ((u, cu), (v, cv)):
         if len(part.cells[cell]) != 1:
             raise PreconditionError(f"vertex {label} does not sit in a singleton cell")
-    amp_parent = evolve(eigh(g), t)[u - 1, v - 1]
-    b = quotient(g, pm)
-    amp_quotient = evolve(eigh(b), t)[cu, cv]
+    amp_parent = transfer_amplitude(eigh(g), v, u, t)
+    amp_quotient = transfer_amplitude(eigh(quotient(g, pm)), cv + 1, cu + 1, t)
     return float(abs(amp_quotient - amp_parent))
 
 

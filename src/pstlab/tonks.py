@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .errors import InvalidSizeError
-from .graph_core import WeightedGraph, weighted_path
+from .graph_core import WeightedGraph, _check_cap, weighted_path
 from .hardcore import (
     SignedDiagonal,
     _ascending,
@@ -103,9 +103,12 @@ def hc_spectrum(n: int, k: int) -> tuple[tuple[float, int], ...]:
     Returns (value, degeneracy) pairs ascending. Values form the integer
     ladder k(k - n) + 2*d for d = 0..k(n - k); the degeneracy of step d
     counts the ascending mode tuples at ladder step d (``_ladder_steps``).
+    The size cap bounds their C(n, k) count.
     """
     if not isinstance(n, int) or not isinstance(k, int) or not 1 <= k <= n:
         raise InvalidSizeError(f"need 1 <= k <= n, got k={k!r}, n={n!r}")
+    m = math.comb(n, k)
+    _check_cap(m, f"hard-core spectrum has {m} mode tuples")
     counts = np.bincount(_ladder_steps(_ascending(n, k)), minlength=k * (n - k) + 1)
     return tuple((float(k * (k - n) + 2 * d), int(c)) for d, c in enumerate(counts))
 

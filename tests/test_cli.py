@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from pstlab import ascending_labels, load_graph, save_graph, simple_path, weighted_path
 from pstlab.cli import main
 
-from conftest import graph_documents, graph_from_edges, hamming_partition, partition_documents
+from conftest import graph_documents, graph_from_edges, hamming_partition, partition_documents, seeded_ring
 
 
 def run(capsys, *argv):
@@ -433,6 +433,15 @@ def test_cap_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("PSTLAB_CAP")
 
 
+@pytest.mark.parametrize("kind,builder,what", [("path", simple_path, "path"), ("weighted-path", weighted_path, "weighted path")])
+def test_build_path_obeys_the_size_cap(capsys, kind, builder, what):
+    # past the default cap the build is refused, where spectrum would refuse its document
+    assert run(capsys, "build", kind, "--n", "16385") == (4, "", f"error: {what} has 16385 vertices, cap is 16384\n")
+    code, out, err = run(capsys, "build", kind, "--n", "16384")
+    assert (code, err) == (0, "")
+    assert load_graph(out)._weights.tobytes() == builder(16384)._weights.tobytes()
+
+
 def test_probe_applies_one_cap_to_the_document_and_the_walkers(tmp_path, capsys, monkeypatch):
     path = write_graph(tmp_path, simple_path(20))
     monkeypatch.setenv("PSTLAB_CAP", "1000")
@@ -643,6 +652,100 @@ def test_oversized_integer_tokens_exit_three(tmp_path, capsys, graph_doc, partit
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def _to_json(obj) -> str:
+    """The JSON writer the CLI used before it printed ``json.dumps`` text, floats at 17 significant digits."""
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return f"{obj:.17g}"
+    if isinstance(obj, dict):
+        items = ", ".join(f"{_to_json(str(key))}: {_to_json(val)}" for key, val in obj.items())
+        return "{" + items + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(_to_json(x) for x in obj) + "]"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def same_numbers(a, b, signed_zeros=True):
+    """True when two JSON values have one shape and every number the same ``float.hex``.
+
+    Without ``signed_zeros``, -0.0 and 0.0 count as the same number.
+    """
+    if isinstance(a, dict):
+        return (
+            isinstance(b, dict)
+            and list(a) == list(b)
+            and all(same_numbers(a[key], b[key], signed_zeros) for key in a)
+        )
+    if isinstance(a, (list, tuple)):
+        return (
+            isinstance(b, (list, tuple))
+            and len(a) == len(b)
+            and all(same_numbers(x, y, signed_zeros) for x, y in zip(a, b))
+        )
+    if isinstance(a, (int, float)) and not isinstance(a, bool):
+        if isinstance(b, bool) or not isinstance(b, (int, float)):
+            return False
+        x, y = float(a), float(b)
+        return x.hex() == y.hex() or (not signed_zeros and x == y == 0.0)
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize("command", ["verify", "probe", "pst", "periodic", "spectrum", "quotient"])
+def test_json_output_reads_back_as_the_17_digit_writer(tmp_path, capsys, monkeypatch, command):
+    from pstlab import hypercube
+
+    ring, path = write_graph(tmp_path, seeded_ring(8, 5), "ring.json"), write_graph(tmp_path, weighted_path(6))
+    report = tmp_path / "report.json"
+    argv = {
+        "verify": ["verify", "--n", "2..7", "--k", "1..4", "--out", str(report)],
+        "probe": ["probe", "--in", ring, "--k", "2"],
+        "pst": ["pst", "--in", path, "--t", "pi/2"],
+        "periodic": ["periodic", "--in", path, "--t", "pi"],
+        "spectrum": ["spectrum", "--in", ring],
+        "quotient": [
+            "quotient", "--in", write_graph(tmp_path, hypercube(3), "q3.json"),
+            "--partition", write_partition(tmp_path, hamming_partition(3)),
+        ],
+    }[command]
+    # the object each command serializes, as the last json.dumps call sees it
+    written, dumps = [], json.dumps
+    monkeypatch.setattr(json, "dumps", lambda obj, **kwargs: written.append(obj) or dumps(obj, **kwargs))
+    code, out, err = run(capsys, *argv)
+    monkeypatch.undo()
+    assert (code, err) == (0, "")
+    text = report.read_text() if command == "verify" else out
+    assert text.strip() == dumps(written[-1])
+    doc = json.loads(text)
+    # every number reads back bit for bit, signed zeros included
+    assert same_numbers(doc, written[-1])
+    # and as from the 17-digit text, where -0.0 printed as "-0" and read back as the integer 0
+    assert same_numbers(doc, json.loads(_to_json(written[-1])), signed_zeros=False)
+
+
+def test_plain_text_floats_print_their_repr(tmp_path, capsys):
+    from pstlab import Partition, check_equitable, run_case
+
+    code, out, _ = run(capsys, "verify", "--n", "5", "--k", "2")
+    assert code == 0
+    top = max(run_case(5, 2).checks, key=lambda c: c.value / c.tol)
+    assert out.splitlines()[1].split()[-1] == f"{top.name}={float(top.value)!r}"
+    part = Partition(4, ((1, 2), (3, 4)))
+    spread = check_equitable(weighted_path(4), part).max_spread
+    gpath, ppath = write_graph(tmp_path, weighted_path(4)), write_partition(tmp_path, part)
+    code, _, err = run(capsys, "quotient", "--in", gpath, "--partition", ppath)
+    assert code == 1
+    assert err.startswith(f"not equitable: worst spread {spread!r} at cell ")
 
 
 def _main_quietly(argv):

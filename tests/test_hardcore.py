@@ -2,13 +2,16 @@
 
 import itertools
 import math
+import tokenize
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pstlab import (
     ComponentDecomposition,
+    DeletionMask,
     InvalidSizeError,
     InvariantViolationError,
     OccupationLabel,
@@ -23,7 +26,6 @@ from pstlab import (
     cartesian_power,
     commutator_check_antisymmetry,
     component_isomorphism_check,
-    conjecture_probe,
     decompose_components,
     deletion_mask,
     eigh,
@@ -34,10 +36,8 @@ from pstlab import (
     orbit_partition,
     simple_path,
     quotient,
-    run_case,
     symmetric_power,
     unit_antisymmetry,
-    verify_corollary1,
     weighted_path,
 )
 from pstlab.hardcore import (
@@ -45,7 +45,6 @@ from pstlab.hardcore import (
     _ascending,
     _kept_graph,
     _kept_table,
-    _label_rows,
     _mirror_permutation,
     _rank_ascending,
     _rank_permutation,
@@ -53,6 +52,7 @@ from pstlab.hardcore import (
 from pstlab import hardcore, tonks
 from pstlab.graph_core import _loops
 from pstlab.graph_core import _components
+from pstlab.partition import _slot_deviation
 from pstlab.products import _digits
 from pstlab.tonks import _compound
 
@@ -96,8 +96,7 @@ def test_component_counts_and_sizes(n, k):
     assert len(comps) == math.factorial(k)
     size = math.comb(n, k)
     assert all(len(c) == size for c in comps)
-    ascending = tuple(range(1, k + 1))
-    assert ascending in [decomp.labels[i] for i in comps[0]]
+    assert (decomp.labels[comps[0]] == np.arange(1, k + 1)).all(axis=1).any()
 
 
 def test_component_ordering_stable():
@@ -503,23 +502,125 @@ def test_mirror_permutation_on_explicit_kept_labels(n, k):
     assert {len(cell) for cell in part.cells} <= {1, 2}
 
 
+# The byte-key search the package used before every label lookup became a
+# closed-form rank, kept as the oracle of the ranks and of the lookups of
+# component_isomorphism_check and indistinguishability_partition.
+
+
+def label_rows(table, labels):
+    """First row of ``table`` holding each row of ``labels``; PreconditionError if one is absent.
+
+    Rows compare as whole byte strings of int64 sites: exact for any table,
+    where a base-n code would overflow once n**k reaches 2**63.
+    """
+    table, labels = (np.ascontiguousarray(x, dtype=np.int64) for x in (table, labels))
+    row_key = np.dtype((np.void, table.itemsize * table.shape[1]))
+    keys, wanted = table.view(row_key).ravel(), labels.view(row_key).ravel()
+    order = np.argsort(keys, kind="stable")
+    rows = order[np.minimum(np.searchsorted(keys, wanted, sorter=order), keys.size - 1)]
+    if (keys[rows] != wanted).any():
+        raise PreconditionError(f"label {labels[keys[rows] != wanted][0].tolist()} is not in the label table")
+    return rows
+
+
+def isomorphism_check_by_label_rows(decomp, g_hc):
+    """component_isomorphism_check with each sorted label looked up by ``label_rows``."""
+    labels = np.array(decomp.labels)
+    canonical = decomp.components[0]
+    size = canonical.size
+    target = label_rows(labels[canonical], np.sort(labels, axis=1))
+    comp_of = np.full(g_hc.n, -1)
+    for c, comp in enumerate(decomp.components):
+        if (np.bincount(target[comp], minlength=size) != 1).any():
+            raise PreconditionError(f"component {c} is not a relabeling of the canonical component")
+        comp_of[comp] = c
+    owner = comp_of[g_hc._rows]
+    inner = (owner == comp_of[g_hc._cols]) & (owner >= 0)
+    rows, cols, weights, owner = g_hc._rows[inner], g_hc._cols[inner], g_hc._weights[inner], owner[inner]
+    moved = (owner * size + target[rows]) * size + target[cols]
+    home = owner == 0
+    count = len(decomp.components)
+    expected = (np.arange(count)[:, None] * size**2 + moved[home]).ravel()
+    return _slot_deviation(moved, weights, expected, np.tile(weights[home], count))
+
+
+def indistinguishability_partition_by_label_rows(mask, n, k):
+    """indistinguishability_partition with each sorted label looked up by ``label_rows``."""
+    indices = mask.kept_indices()
+    multisets = np.sort(_digits(indices, n, k), axis=1)
+    first = label_rows(multisets, multisets)
+    order = np.argsort(first, kind="stable")
+    cells = np.split(order + 1, np.flatnonzero(np.diff(first[order])) + 1)
+    return Partition(indices.size, tuple(tuple(cell.tolist()) for cell in cells))
+
+
+def isomorphism_outcome(check, decomp, g_hc):
+    """The value of ``check`` as float hex, or the text of the PreconditionError it raises."""
+    try:
+        return check(decomp, g_hc).hex()
+    except PreconditionError as exc:
+        return f"error: {exc}"
+
+
+@pytest.mark.parametrize("n,k", COMPONENT_GRID)
+def test_isomorphism_check_matches_the_label_rows_route(n, k):
+    # the path along vertex order, its reverse and seeded relabelings, most of which the check refuses
+    rng = np.random.default_rng(10 * n + k)
+    orders = [np.arange(n), np.arange(n)[::-1]] + [rng.permutation(n) for _ in range(4)]
+    outcomes = set()
+    for order in orders:
+        a = np.zeros((n, n))
+        a[order[:-1], order[1:]] = a[order[1:], order[:-1]] = np.sqrt(np.arange(1, n) * (n - np.arange(1, n)))
+        g = WeightedGraph(n, a)
+        kept = _kept_graph(g, _kept_table(n, k))
+        decomp = decompose_components(kept, n, k)
+        outcome = isomorphism_outcome(component_isomorphism_check, decomp, kept)
+        assert outcome == isomorphism_outcome(isomorphism_check_by_label_rows, decomp, kept)
+        outcomes.add(outcome.startswith("error"))
+    assert outcomes == {False, True}
+
+
+@pytest.mark.parametrize("n,k", COMPONENT_GRID)
+def test_indistinguishability_partition_matches_the_label_rows_route_on_sub_masks(n, k):
+    rng = np.random.default_rng(100 * n + k)
+    full = deletion_mask(n, k).keep
+    assert indistinguishability_partition(DeletionMask(n, k, full), n, k) == (
+        indistinguishability_partition_by_label_rows(DeletionMask(n, k, full), n, k)
+    )
+    kept = np.flatnonzero(full)
+    for size in (1, kept.size // 2, kept.size - 1):
+        keep = np.zeros(full.size, dtype=bool)
+        keep[rng.choice(kept, size=size, replace=False)] = True
+        mask = DeletionMask(n, k, keep)
+        assert indistinguishability_partition(mask, n, k) == indistinguishability_partition_by_label_rows(mask, n, k)
+
+
+def test_indistinguishability_partition_refuses_a_mask_that_keeps_a_collision():
+    keep = deletion_mask(4, 2).keep.copy()
+    # power label 5 is (2, 2)
+    assert _digits(np.array([5]), 4, 2).tolist() == [[1, 1]]
+    keep[5] = True
+    with pytest.raises(PreconditionError, match="not an ascending label"):
+        indistinguishability_partition(DeletionMask(4, 2, keep), 4, 2)
+
+
 def test_label_rows_exact_past_int64_codes():
     # 20**16 overflows int64, so a base-n code could not rank these labels
     assert 20**16 > np.iinfo(np.int64).max
     table = _ascending(20, 16)
     assert table.shape == (math.comb(20, 16), 16)
     perm = np.random.default_rng(5).permutation(table.shape[0])
-    assert np.array_equal(_label_rows(table, table[perm]), perm)
+    assert np.array_equal(label_rows(table, table[perm]), perm)
     mirrored = _mirror_permutation(20, 16)
     assert np.array_equal(mirrored[mirrored], np.arange(table.shape[0]))
     assert np.array_equal(table[mirrored], 19 - table[:, ::-1])
     with pytest.raises(PreconditionError):
-        _label_rows(table, np.zeros((1, 16)))
+        label_rows(table, np.zeros((1, 16)))
 
 
 def test_label_rows_returns_first_of_repeated_rows():
     table = np.array([[1, 2], [3, 4], [1, 2], [0, 5]])
-    assert _label_rows(table, table).tolist() == [0, 1, 0, 3]
+    assert label_rows(table, table).tolist() == [0, 1, 0, 3]
 
 
 def test_isomorphism_check_rejects_path_out_of_vertex_order():
@@ -539,7 +640,7 @@ def dense_isomorphism_check(decomp, g_hc):
     a = g_hc.adjacency
     labels = np.array(decomp.labels)
     canonical = decomp.components[0]
-    target = _label_rows(labels[canonical], np.sort(labels, axis=1))
+    target = label_rows(labels[canonical], np.sort(labels, axis=1))
     canon_sub = a[np.ix_(canonical, canonical)]
     worst = 0.0
     for comp in decomp.components:
@@ -659,15 +760,15 @@ def test_symmetric_power_matches_label_loop_across_hop_blocks():
 
 
 def rank_by_lookup_ascending(labels, n):
-    return _label_rows(_ascending(n, labels.shape[1]), labels)
+    return label_rows(_ascending(n, labels.shape[1]), labels)
 
 
 def rank_by_lookup_permutation(labels, n):
-    return _label_rows(_kept_table(n, labels.shape[1]), labels)
+    return label_rows(_kept_table(n, labels.shape[1]), labels)
 
 
 def by_label_rows(monkeypatch, build):
-    """``build()`` with every closed-form rank replaced by its ``_label_rows`` oracle."""
+    """``build()`` with every closed-form rank replaced by its ``label_rows`` oracle."""
     with monkeypatch.context() as m:
         m.setattr(hardcore, "_rank_ascending", rank_by_lookup_ascending)
         m.setattr(hardcore, "_rank_permutation", rank_by_lookup_permutation)
@@ -693,17 +794,17 @@ def test_rank_ascending_matches_label_rows(n):
         order = rng.permutation(table.shape[0])
         assert np.array_equal(_rank_ascending(table, n), np.arange(table.shape[0]))
         assert np.array_equal(_rank_ascending(table[order], n), order)
-        assert np.array_equal(_rank_ascending(table[order], n), _label_rows(table, table[order]))
+        assert np.array_equal(_rank_ascending(table[order], n), label_rows(table, table[order]))
         # the tables _compound ranks at level j: tails of its offset rows, and columns less one slot
         for j in range(2, k + 1):
             rows, cols = _ascending(n - k + j, j) + (k - j), _ascending(n, j)
             tails = _ascending(n - k + j - 1, j - 1) + (k - j + 1)
             assert np.array_equal(
-                _rank_ascending(rows[:, 1:] - (k - j + 1), n - k + j - 1), _label_rows(tails, rows[:, 1:])
+                _rank_ascending(rows[:, 1:] - (k - j + 1), n - k + j - 1), label_rows(tails, rows[:, 1:])
             )
             for c in range(j):
                 less = np.delete(cols, c, axis=1)[rng.permutation(cols.shape[0])]
-                assert np.array_equal(_rank_ascending(less, n), _label_rows(_ascending(n, j - 1), less))
+                assert np.array_equal(_rank_ascending(less, n), label_rows(_ascending(n, j - 1), less))
 
 
 # Every k-permutation table with n <= 10 that the default size cap lets _kept_table list.
@@ -716,7 +817,14 @@ def test_rank_permutation_matches_label_rows(n, k):
     order = np.random.default_rng(n * 10 + k).permutation(table.shape[0])
     assert np.array_equal(_rank_permutation(table, n), np.arange(table.shape[0]))
     assert np.array_equal(_rank_permutation(table[order], n), order)
-    assert np.array_equal(_rank_permutation(table[order], n), _label_rows(table, table[order]))
+    assert np.array_equal(_rank_permutation(table[order], n), label_rows(table, table[order]))
+
+
+@pytest.mark.parametrize("n,k", PERMUTATION_GRID)
+def test_kept_table_matches_the_itertools_listing(n, k):
+    # the listing _kept_table replaced, kept as its oracle
+    listed = np.array(list(itertools.permutations(range(n), k)), dtype=np.int64).reshape(math.perm(n, k), k)
+    assert_same_bytes(_kept_table(n, k), listed)
 
 
 @pytest.mark.parametrize(
@@ -773,15 +881,14 @@ def test_builders_match_the_label_rows_route_off_paths(monkeypatch, name, g):
         assert_same_graph_bytes(built, by_label_rows(monkeypatch, lambda: symmetric_power(g, k)))
 
 
-def test_hot_paths_do_not_search_label_tables(monkeypatch):
-    def refuse(table, labels):
-        raise AssertionError("_label_rows called on a hot path")
-
-    monkeypatch.setattr(hardcore, "_label_rows", refuse)
-    monkeypatch.setattr(tonks, "_label_rows", refuse, raising=False)
-    assert verify_corollary1(9, 4) <= 1e-8
-    assert run_case(9, 3).ok
-    assert conjecture_probe(seeded_ring(10, 32), 3).pairs_total == math.comb(10, 3) * (math.comb(10, 3) - 1) // 2
+def test_hot_paths_do_not_search_label_tables():
+    # every label lookup in the package is a closed-form rank; the byte-key search lives in the tests only
+    names = set()
+    for path in Path(hardcore.__file__).parent.glob("*.py"):
+        with tokenize.open(path) as handle:
+            names |= {tok.string for tok in tokenize.generate_tokens(handle.readline) if tok.type == tokenize.NAME}
+    assert "_rank_ascending" in names
+    assert "_label_rows" not in names
 
 
 # The two-ended hop builder the hop graphs replaced, kept as their oracle: every

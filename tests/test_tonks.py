@@ -112,6 +112,25 @@ def test_hc_spectrum_enumeration_oracle():
         assert sum(c for _, c in ladder) == math.comb(n, k)
 
 
+def test_hc_spectrum_obeys_the_size_cap(monkeypatch):
+    # C(8, 4) = 70 mode tuples fit a cap of 70 and not one of 69
+    monkeypatch.setenv("PSTLAB_CAP", "70")
+    assert sum(c for _, c in hc_spectrum(8, 4)) == 70
+    monkeypatch.setenv("PSTLAB_CAP", "69")
+    with pytest.raises(ResourceCapError, match="70 mode tuples, cap is 69"):
+        hc_spectrum(8, 4)
+    # the C(30, 15) table would take about 18 GB; the refusal comes first
+    monkeypatch.setenv("PSTLAB_CAP", "50")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match="155117520 mode tuples, cap is 50"):
+            hc_spectrum(30, 15)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_hc_spectrum_matches_eigensolver():
     n, k = 5, 2
     vals = eigh(symmetric_power(weighted_path(n), k)).eigenvalues
