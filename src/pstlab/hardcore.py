@@ -417,6 +417,15 @@ def ascending_labels(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, (_ascending(n, k) + 1).tolist()))
 
 
+def _power_size(n: int, k: int) -> int:
+    """C(n, k), the vertex count of ``symmetric_power`` on n vertices, once k and the size cap admit it."""
+    if not isinstance(k, int) or not 1 <= k <= n:
+        raise InvalidSizeError(f"symmetric_power needs 1 <= k <= {n}, got {k!r}")
+    m = math.comb(n, k)
+    _check_cap(m, f"symmetric power has {m} vertices")
+    return m
+
+
 def symmetric_power(g: WeightedGraph, k: int) -> WeightedGraph:
     """Hard-core adjacency on ascending k-subsets of the vertex set: the symmetric power of any graph.
 
@@ -428,10 +437,7 @@ def symmetric_power(g: WeightedGraph, k: int) -> WeightedGraph:
     ``decompose_components`` and ``component_isomorphism_check`` check; on
     other graphs it may fail.
     """
-    if not isinstance(k, int) or not 1 <= k <= g.n:
-        raise InvalidSizeError(f"symmetric_power needs 1 <= k <= {g.n}, got {k!r}")
-    m = math.comb(g.n, k)
-    _check_cap(m, f"symmetric power has {m} vertices")
+    _power_size(g.n, k)
     table = _ascending(g.n, k)
     loops = _loops(g)[table].sum(axis=1)
     return _hop_graph(g, table, loops, sort=True)

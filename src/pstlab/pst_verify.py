@@ -50,13 +50,14 @@ from .hardcore import (
     _kept_graph,
     _kept_table,
     _mirror_permutation,
+    _power_size,
     ascending_labels,
     decompose_components,
     symmetric_power,
 )
 from .partition import _quotient_graph, check_equitable, normalized_partition_matrix, orbit_partition
 from .spectral import PST_TOL, SpectralDecomposition, _check_time, _pair_scan, eigh, evolve
-from .tonks import _compound, _eigenbasis_deviation, _ladder_steps, _minors
+from .tonks import _chain_eigenbasis, _chain_modes, _eigenbasis_deviation, _ladder_steps, _minors
 
 MODULUS_TOL = 1e-9
 PHASE_TOL = 1e-8
@@ -199,15 +200,15 @@ def _build_case(n: int, k: int) -> _Case:
     if not 1 <= k < n:
         raise PreconditionError(f"verify needs 1 <= k < n, got n={n}, k={k}")
     # Refuse before weighted_path(n) lists its n - 1 edges, since C(n, k) >= n here.
-    m = math.comb(n, k)
-    _check_cap(m, f"symmetric power has {m} vertices")
+    _power_size(n, k)
     path = weighted_path(n)
     graph = symmetric_power(path, k)
     single = eigh(path)
+    # The path runs along vertex order, so the chain route keeps the path's own eigenvectors and the compound's rows.
+    z, values = _chain_modes(path, np.arange(n), False, k, single)
+    z.flags.writeable = False
     # Ascending k-subsets of range(n): the site labels and the mode tuples alike.
     labels = _ascending(n, k)
-    z = _compound(single.eigenvectors, k)
-    z.flags.writeable = False
     mirror = _mirror_permutation(n, k)
     path_half = evolve(single, math.pi / 2.0)
     return _Case(
@@ -215,7 +216,7 @@ def _build_case(n: int, k: int) -> _Case:
         k=k,
         graph=graph,
         z=z,
-        values=single.eigenvalues[labels].sum(axis=1),
+        values=values,
         path_spec=single,
         mirror=mirror,
         labels=labels,
@@ -525,37 +526,47 @@ def _probe_grid() -> list[float]:
 def conjecture_probe(g: WeightedGraph, k: int, pst_time: float | None = None) -> ProbeReport:
     """Scan a dyadic time grid, and ``pst_time`` when given, for k-walker transfer on any graph.
 
-    Meant for inputs outside the path family: builds the ascending-label
-    hard-core graph regardless of component structure, records whether the
+    Meant for inputs outside the path family: takes the ascending-label
+    hard-core walk regardless of component structure, records whether the
     deleted power still splits into k! components, and reports the best
     off-diagonal modulus over the scanned times plus the scanned times at
     which a single walker transfers perfectly (within ``PST_TOL``).
     Exploratory output only.
+
+    The hard-core walk's eigenbasis comes from the cheapest route that holds.
+    At k = 1 the hard-core graph is g itself, so the single walker's scan
+    serves both. On a chain, a connected path or cycle, with k <= n / 2 the
+    walkers are free fermions (``tonks._chain_eigenbasis``): the compound of
+    the single walker's eigenvectors, with one more n x n solve only for the
+    signed wrap hop of a cycle at even k, noted in ``notes``. Any other input
+    solves ``symmetric_power(g, k)``.
 
     No propagator is assembled. Each walk amplitude is ``sum_l z_il z_jl
     exp(-i t lambda_l)``, taken for a block of label pairs ``i < j`` at every
     time at once, and the time-free bound ``sum_l |z_il| |z_jl|`` on its
     modulus leaves out every pair that cannot reach the best modulus found so
     far, or ``1 - PST_TOL`` if that is smaller, less a rounding slack of
-    ``64 m eps`` (see ``spectral._pair_scan``).
+    ``64 m eps`` (see ``spectral._pair_scan``). The bound, and so
+    ``pairs_scanned``, depends on the basis chosen inside degenerate
+    eigenspaces, which differs between the routes.
     The single walker's transfer times come from the same scan of its vertex
     pairs. Ties go to the largest modulus, then the earliest time, then the
     smallest ``(i, j)``; the report names ``labels[i]`` the target and
     ``labels[j]`` the source. With no positive amplitude, as with no edge or
     no pair of labels, both are empty and ``best_time`` is 0.
     """
+    m = _power_size(g.n, k)
     notes: list[str] = []
     candidates = _probe_grid()
     if pst_time is not None:
         candidates = sorted(set(candidates) | {_check_time(pst_time)})
     times = np.array(candidates)
-    transfers, _, _ = _pair_scan(eigh(g), times)
+    single = eigh(g)
+    transfers, best, scanned = _pair_scan(single, times)
     single_times = [t for t, hit in zip(candidates, transfers) if hit]
     if not single_times:
         notes.append("no single-walker transfer found on the probe grid")
 
-    # Validates k before the kept labels are listed.
-    identical = symmetric_power(g, k)
     try:
         decompose_components(_kept_graph(g, _kept_table(g.n, k)), g.n, k)
     except ResourceCapError:
@@ -563,8 +574,16 @@ def conjecture_probe(g: WeightedGraph, k: int, pst_time: float | None = None) ->
     except PstlabError as exc:
         notes.append(str(exc))
 
+    if k > 1:
+        chain = _chain_eigenbasis(g, k, single)
+        if chain is None:
+            spec = eigh(symmetric_power(g, k))
+        else:
+            spec, route = chain
+            notes.append(route)
+        _, best, scanned = _pair_scan(spec, times)
+    modulus, when, i, j = best
     labels = ascending_labels(g.n, k)
-    _, (modulus, when, i, j), scanned = _pair_scan(eigh(identical), times)
     found = when >= 0
     return ProbeReport(
         n=g.n,
@@ -577,6 +596,6 @@ def conjecture_probe(g: WeightedGraph, k: int, pst_time: float | None = None) ->
         best_target=labels[i] if found else (),
         achieves_transfer=modulus >= 1.0 - PST_TOL,
         pairs_scanned=scanned,
-        pairs_total=identical.n * (identical.n - 1) // 2,
+        pairs_total=m * (m - 1) // 2,
         notes=tuple(notes),
     )

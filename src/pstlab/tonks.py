@@ -15,6 +15,17 @@ verify case, which reads the compound as its eigenbasis, and
 ``verify_corollary1`` take no determinant per entry; the latter lists only
 the kept labels, never the n**k power. ``_minors`` takes one determinant per
 minor, for the few minors a verify case reads.
+
+The compound is the hard-core eigenbasis on any chain, a connected path or
+cycle in any vertex numbering: walkers on a chain never pass one another,
+so with the vertices taken in chain order the hard-core walk is the
+free-fermion walk, once the wrap hop of a cycle carries the sign
+(-1)**(k - 1) of moving one walker past the other k - 1 (Jordan-Wigner;
+Lieb, Schultz and Mattis, Ann. Phys. 16:407, 1961). ``_chain_modes`` takes
+the n x n single-walker eigenvectors in chain order and moves the compound's
+rows to the graph's own labels; verify reads it on the weighted path in
+vertex order, and ``probe`` reads ``_chain_eigenbasis`` on any chain with
+k <= n / 2 instead of solving the C(n, k)-vertex hard-core graph.
 """
 
 from __future__ import annotations
@@ -23,8 +34,8 @@ import math
 
 import numpy as np
 
-from .errors import InvalidSizeError
-from .graph_core import WeightedGraph, _check_cap, weighted_path
+from .errors import ConvergenceError, InvalidSizeError
+from .graph_core import WeightedGraph, _check_cap, _components, weighted_path
 from .hardcore import (
     SignedDiagonal,
     _ascending,
@@ -36,7 +47,7 @@ from .hardcore import (
     symmetric_power,
     unit_antisymmetry,
 )
-from .spectral import SpectralDecomposition, eigh
+from .spectral import SpectralDecomposition, _fix_signs, eigh
 
 # Entries gathered per block of rows by each Laplace level of ``_compound``.
 _DET_BLOCK = 2**18
@@ -84,6 +95,94 @@ def _compound(z: np.ndarray, k: int) -> np.ndarray:
                     acc += term
         prev = level
     return prev
+
+
+def _chain_order(g: WeightedGraph) -> tuple[np.ndarray, bool] | None:
+    """The vertices of a connected chain in walking order, and whether the chain closes into a cycle.
+
+    A chain has n >= 2 vertices, each with at most 2 distinct neighbours
+    among the stored off-diagonal entries; self-loops are allowed. A path is
+    walked from its lowest-numbered end, a cycle from vertex 0 toward its
+    smaller neighbour. Any other graph gives None.
+    """
+    n = g.n
+    off = g._rows != g._cols
+    rows, cols = g._rows[off], g._cols[off]
+    degree = np.bincount(rows, minlength=n)
+    if n < 2 or degree.max() > 2 or _components(n, rows, cols).any():
+        return None
+    # Stored entries run row by row, each row's columns ascending.
+    neighbours = [row.tolist() for row in np.split(cols, np.cumsum(degree)[:-1])]
+    ends = np.flatnonzero(degree == 1)
+    cycle = ends.size == 0
+    order, previous = [0 if cycle else int(ends[0])], -1
+    for _ in range(n - 1):
+        step = next(v for v in neighbours[order[-1]] if v != previous)
+        previous = order[-1]
+        order.append(step)
+    return np.array(order), cycle
+
+
+def _chain_modes(
+    g: WeightedGraph, order: np.ndarray, cycle: bool, k: int, single: SpectralDecomposition
+) -> tuple[np.ndarray, np.ndarray]:
+    """Free-fermion modes of ``symmetric_power(g, k)`` on a chain that ``_chain_order`` walks as ``order``, ``cycle``.
+
+    ``single`` is ``eigh(g)``. In chain order the single-walker matrix is g
+    with its rows and columns taken in ``order``, so its eigenvectors are the
+    rows ``order`` of those of ``single``, unless the wrap hop of a cycle
+    takes the sign (-1)**(k - 1) = -1, at even k, which needs a solve of its
+    own. Returns the compound C_k(Z) of those eigenvectors, its rows
+    moved from ascending chain positions to the ascending labels of g's own
+    numbering, its columns in ``_ascending(n, k)`` mode-tuple order; and
+    each column's mode sum. In the identity order, a path along vertex
+    order, the compound is that of ``single`` with its rows kept.
+    """
+    n = g.n
+    pos = np.empty(n, dtype=np.intp)
+    pos[order] = np.arange(n)
+    if cycle and k % 2 == 0:
+        rows, cols = pos[g._rows], pos[g._cols]
+        upper = rows <= cols
+        rows, cols, weights = rows[upper], cols[upper], g._weights[upper]
+        weights = np.where((rows == 0) & (cols == n - 1), -weights, weights)
+        twisted = eigh(WeightedGraph._from_slots(n, rows, cols, weights))
+        vectors, modes = twisted.eigenvectors, twisted.eigenvalues
+    else:
+        vectors, modes = single.eigenvectors[order], single.eigenvalues
+    labels = _ascending(n, k)
+    z = _compound(vectors, k)
+    if (pos != np.arange(n)).any():
+        z = z[_rank_ascending(np.sort(pos[labels], axis=1), n)]
+    with np.errstate(over="ignore"):
+        values = modes[labels].sum(axis=1)
+    return z, values
+
+
+def _chain_eigenbasis(
+    g: WeightedGraph, k: int, single: SpectralDecomposition
+) -> tuple[SpectralDecomposition, str] | None:
+    """Eigenbasis of ``symmetric_power(g, k)`` from free-fermion modes, with a note naming the route, or None.
+
+    ``single`` is ``eigh(g)``. None for a graph that is no chain
+    (``_chain_order``) and past n / 2 walkers, where the middle levels of
+    ``_compound`` would outgrow C(n, k)**2 entries; needs 1 <= k <= n.
+    Eigenvalues ascend (stable sort), the columns carry the sign convention
+    of SpectralDecomposition, and an eigenvalue past the float range raises
+    ConvergenceError, as in ``eigh``.
+    """
+    chain = _chain_order(g)
+    if chain is None or 2 * k > g.n:
+        return None
+    order, cycle = chain
+    z, values = _chain_modes(g, order, cycle, k, single)
+    note = "hard-core walk solved as free fermions along the " + ("cycle" if cycle else "path") + " order"
+    if cycle:
+        note += f", wrap hop signed (-1)^(k-1) = {(-1) ** (k - 1):+d}"
+    if not np.isfinite(values).all():
+        raise ConvergenceError("eigenvalues overflow a float")
+    column = np.argsort(values, kind="stable")
+    return SpectralDecomposition(values[column], _fix_signs(z[:, column])), note
 
 
 def _ladder_steps(labels: np.ndarray) -> np.ndarray:

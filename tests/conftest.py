@@ -93,6 +93,24 @@ def seeded_ring(n: int, seed: int) -> WeightedGraph:
     return WeightedGraph(n, a)
 
 
+def seeded_chain(n: int, seed: int, cycle: bool, signed: bool = False, loops: bool = False) -> WeightedGraph:
+    """A path, or with ``cycle`` a ring, through the n vertices in a seeded random order.
+
+    Edge weights are drawn uniformly from [0.5, 1.5], each with a random sign
+    when ``signed``; with ``loops`` each vertex carries, with probability 0.4,
+    a self-loop drawn from [-1, 1].
+    """
+    rng = np.random.default_rng(seed)
+    visit = rng.permutation(n)
+    a = np.zeros((n, n))
+    for e in range(n if cycle else n - 1):
+        u, v = visit[e], visit[(e + 1) % n]
+        a[u, v] = a[v, u] = rng.uniform(0.5, 1.5) * (rng.choice([-1.0, 1.0]) if signed else 1.0)
+    if loops:
+        a[np.diag_indices(n)] = np.where(rng.random(n) < 0.4, rng.uniform(-1.0, 1.0, n), 0.0)
+    return WeightedGraph(n, a)
+
+
 def seeded_cube(dim: int, seed: int) -> WeightedGraph:
     """The hypercube Q_dim with edge weights drawn uniformly from [0.5, 1.5]."""
     rng = np.random.default_rng(seed)

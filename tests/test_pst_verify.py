@@ -18,6 +18,7 @@ from pstlab import (
     eigh,
     evolve,
     find_pst_pairs,
+    hypercube,
     predicted_period_phase,
     predicted_transfer_phase,
     reflection_permutation,
@@ -26,7 +27,7 @@ from pstlab import (
     symmetric_power,
     weighted_path,
 )
-from pstlab.hardcore import _kept_table
+from pstlab.hardcore import _ascending, _kept_table
 from pstlab.pst_verify import (
     _build_case,
     _hadamard_bound,
@@ -36,9 +37,9 @@ from pstlab.pst_verify import (
     _unitarity_check,
 )
 from pstlab.spectral import PST_TOL, _PAIR_SLACK, _pair_scan
-from pstlab.tonks import _ladder_steps, _minors
+from pstlab.tonks import _compound, _ladder_steps, _minors
 
-from conftest import cycle_graph, seeded_cube, seeded_ring
+from conftest import cycle_graph, graph_from_edges, seeded_chain, seeded_cube, seeded_ring
 
 
 def test_predicted_transfer_phase_frozen():
@@ -172,6 +173,19 @@ def test_build_case_memory_holds_one_compound():
         tracemalloc.stop()
     assert peak / 2**20 < 38.0
     assert case.z.shape == (1716, 1716)
+
+
+@pytest.mark.parametrize("n", [2, 5, 9])
+def test_build_case_reads_the_path_compound_unchanged(n):
+    # the chain route solves the path in vertex order with no wrap sign: the
+    # compound and mode sums of the path's own decomposition, byte for byte
+    single = eigh(weighted_path(n))
+    for k in range(1, n):
+        case = _build_case(n, k)
+        labels = _ascending(n, k)
+        assert case.path_spec.eigenvectors.tobytes() == single.eigenvectors.tobytes()
+        assert case.z.tobytes() == _compound(single.eigenvectors, k).tobytes()
+        assert case.values.tobytes() == single.eigenvalues[labels].sum(axis=1).tobytes()
 
 
 def test_run_case_checks_equitability_once(monkeypatch):
@@ -581,6 +595,8 @@ PROBE_CASES = [
     ("ring-C9", seeded_ring(9, 34), 2),
     *((f"path-{n}", weighted_path(n), 2) for n in range(5, 9)),
     ("cycle-4", cycle_graph(4), 2),
+    ("ring-C9-shuffled", seeded_chain(9, 35, cycle=True), 3),
+    ("ring-C8-looped", seeded_chain(8, 36, cycle=True, loops=True), 2),
 ]
 
 
@@ -657,6 +673,70 @@ def test_conjecture_probe_assembles_no_propagator(monkeypatch):
     for _, g, k in PROBE_CASES[:3]:
         conjecture_probe(g, k, pst_time=1.0)
     assert calls == []
+
+
+def _eigensolve_sizes(monkeypatch):
+    """Record the size of every matrix either eigensolver route is given."""
+    import pstlab.spectral
+
+    sizes = []
+    for route in ("eigh_matrix", "_eigh_bipartite"):
+        solve = getattr(pstlab.spectral, route)
+        monkeypatch.setattr(pstlab.spectral, route, lambda *args, solve=solve: sizes.append(args[0].shape[0]) or solve(*args))
+    return sizes
+
+
+CHAIN_CASES = [case for case in PROBE_CASES if not case[0].startswith("cube")]
+
+
+@pytest.mark.parametrize("name,g,k", CHAIN_CASES, ids=[c[0] for c in CHAIN_CASES])
+def test_conjecture_probe_solves_chains_as_free_fermions(name, g, k, monkeypatch):
+    # the single walker's n x n solve serves the free-fermion modes, and only
+    # the signed wrap hop of a cycle at even k needs a second; none of size C(n, k)
+    sizes = _eigensolve_sizes(monkeypatch)
+    report = conjecture_probe(g, k, pst_time=1.0)
+    assert sizes == [g.n] * (2 if name.startswith(("ring", "cycle")) and k % 2 == 0 else 1)
+    shape = "cycle order, wrap hop signed (-1)^(k-1) = " + ("-1" if k % 2 == 0 else "+1")
+    if name.startswith("path"):
+        shape = "path order"
+    assert f"hard-core walk solved as free fermions along the {shape}" in report.notes
+
+
+@pytest.mark.parametrize("g,k", [(weighted_path(5), 3), (seeded_chain(6, 37, cycle=True), 4), (cycle_graph(4), 4)])
+def test_conjecture_probe_solves_chains_past_half_filling_densely(g, k, monkeypatch):
+    # past n / 2 walkers the compound's middle levels would outgrow C(n, k)**2
+    # entries, so the hard-core graph itself is solved
+    sizes = _eigensolve_sizes(monkeypatch)
+    report = conjecture_probe(g, k)
+    assert sizes == [g.n, math.comb(g.n, k)]
+    assert not any("free fermions" in note for note in report.notes)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [hypercube(4), weighted_path(9), *(seeded_chain(7, seed, cycle=True, signed=True, loops=True) for seed in range(3))]
+    + [graph_from_edges(5, [(1, 2, -0.7), (2, 3, 1.2), (1, 3, 0.4), (3, 4, -1.1), (4, 5, 0.9), (2, 2, 0.3)])]
+    + [graph_from_edges(6, [(1, 4, 1.0), (4, 6, -0.5), (2, 6, 0.8), (2, 5, 1.3), (3, 3, -0.6), (3, 5, 0.2)])],
+    ids=["cube-Q4", "path-9", "ring-0", "ring-1", "ring-2", "triangle-tail", "signed-path"],
+)
+def test_conjecture_probe_reads_one_walker_off_the_single_scan(g, monkeypatch):
+    # symmetric_power(g, 1) is g array for array, so k = 1 solves and scans g once
+    power = symmetric_power(g, 1)
+    assert [power.n, *map(bytes, (power._rows, power._cols, power._weights))] == [
+        g.n, *map(bytes, (g._rows, g._cols, g._weights))
+    ]
+    import pstlab.pst_verify
+
+    _, best, scanned = _pair_scan(eigh(g), np.array(_probe_grid()))
+    scans = []
+    monkeypatch.setattr(pstlab.pst_verify, "_pair_scan", lambda spec, times: scans.append(spec.n) or _pair_scan(spec, times))
+    sizes = _eigensolve_sizes(monkeypatch)
+    report = conjecture_probe(g, 1)
+    assert sizes == scans == [g.n]
+    labels = ascending_labels(g.n, 1)
+    assert (report.best_modulus, report.best_target, report.best_source) == (best[0], labels[best[2]], labels[best[3]])
+    assert report.best_time == _probe_grid()[best[1]]
+    assert (report.pairs_scanned, report.pairs_total) == (scanned, g.n * (g.n - 1) // 2)
 
 
 @pytest.mark.parametrize("name,g,k", PROBE_CASES, ids=[c[0] for c in PROBE_CASES])

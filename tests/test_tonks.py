@@ -17,6 +17,7 @@ from pstlab import (
     eigh,
     evolve,
     hc_spectrum,
+    hypercube,
     symmetric_power,
     unit_antisymmetry,
     verify_corollary1,
@@ -26,6 +27,8 @@ from pstlab import tonks
 from pstlab.hardcore import _ascending, _kept_graph, _kept_table, _mirror_permutation
 from pstlab.pst_verify import _build_case
 from pstlab.tonks import _compound, _minors, _projected_states
+
+from conftest import graph_from_edges, seeded_chain
 
 
 def kept_bosons(spec, table, signed):
@@ -387,3 +390,81 @@ def test_eigenbasis_routes_take_no_per_entry_determinant(monkeypatch):
     # the per-minor route still goes through the patched determinant
     _minors(np.eye(2), np.array([[0, 1]]), np.array([[0, 1]]))
     assert calls
+
+
+EPS = float(np.finfo(float).eps)
+CHAINS = [(n, seed, cycle) for n in range(2, 11) for cycle in (False, True) if n >= 3 or not cycle for seed in (1, 2)]
+
+
+@pytest.mark.parametrize("n,seed,cycle", CHAINS)
+def test_chain_eigenbasis_diagonalizes_the_symmetric_power(n, seed, cycle):
+    # shuffled numbering, signed weights and loops, every k up to n / 2: the
+    # bounds of test_spectral.assert_eigh_accurate against the dense adjacency
+    g = seeded_chain(n, seed, cycle, signed=True, loops=True)
+    single = eigh(g)
+    for k in range(1, n + 1):
+        chain = tonks._chain_eigenbasis(g, k, single)
+        if 2 * k > n:
+            assert chain is None
+            continue
+        spec, note = chain
+        assert note.startswith("hard-core walk solved as free fermions along the " + ("cycle" if cycle else "path"))
+        a = symmetric_power(g, k).adjacency
+        m = a.shape[0]
+        z, vals = spec.eigenvectors, spec.eigenvalues
+        oracle = np.linalg.eigvalsh(a)
+        bound = 10.0 * m * EPS * float(np.abs(oracle).max())
+        assert np.all(np.diff(vals) >= 0.0)
+        assert np.abs(vals - oracle).max() <= bound, (k, "values")
+        assert np.abs(a @ z - z * vals).max() <= bound, (k, "residual")
+        assert np.abs(z.T @ z - np.eye(m)).max() <= 10.0 * m * EPS, (k, "gram")
+        assert (z[np.argmax(np.abs(z), axis=0), np.arange(m)] > 0.0).all(), (k, "signs")
+
+
+def test_chain_order_walks_from_the_lowest_end_or_from_vertex_0():
+    path = graph_from_edges(5, [(3, 1, 1.0), (1, 5, 1.0), (5, 2, 1.0), (2, 4, 1.0)])
+    order, cycle = tonks._chain_order(path)
+    assert order.tolist() == [2, 0, 4, 1, 3] and not cycle
+    ring = graph_from_edges(5, [(1, 4, 1.0), (4, 2, 1.0), (2, 5, 1.0), (5, 3, 1.0), (3, 1, 1.0)])
+    order, cycle = tonks._chain_order(ring)
+    assert order.tolist() == [0, 2, 4, 1, 3] and cycle
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (6, 2), (7, 4), (8, 2)])
+def test_chain_modes_need_the_wrap_sign_at_even_k(n, k):
+    # an even number of walkers on a cycle without the sign (-1)**(k - 1) on the wrap hop
+    g = seeded_chain(n, n, cycle=True)
+    order, cycle = tonks._chain_order(g)
+    a = symmetric_power(g, k).adjacency
+    for wrap_signed, worst in ((True, 1e-12), (False, None)):
+        z, values = tonks._chain_modes(g, order, wrap_signed, k, eigh(g))
+        residual = np.abs(a @ z - z * values).max()
+        if worst is None:
+            assert residual > 0.1, residual
+        else:
+            assert residual <= worst, residual
+
+
+NOT_CHAINS = {
+    "cube-Q3": hypercube(3),
+    "star-K13": graph_from_edges(4, [(1, 2, 1.0), (1, 3, 1.0), (1, 4, 1.0)]),
+    "two-paths": graph_from_edges(4, [(1, 2, 1.0), (3, 4, 1.0)]),
+    "triangle-pendant": graph_from_edges(4, [(1, 2, 1.0), (2, 3, 1.0), (1, 3, 1.0), (3, 4, 1.0)]),
+    "one-vertex": graph_from_edges(1, [(1, 1, 0.5)]),
+}
+
+
+@pytest.mark.parametrize("name", NOT_CHAINS)
+def test_non_chains_take_the_dense_route(name, monkeypatch):
+    from pstlab import conjecture_probe, spectral
+
+    g = NOT_CHAINS[name]
+    assert tonks._chain_order(g) is None
+    k = min(2, g.n)
+    assert tonks._chain_eigenbasis(g, k, eigh(g)) is None
+    sizes = []
+    dense = spectral.eigh_matrix
+    monkeypatch.setattr(spectral, "eigh_matrix", lambda a: sizes.append(a.shape[0]) or dense(a))
+    report = conjecture_probe(g, k)
+    assert max(sizes) == math.comb(g.n, k)
+    assert not any("free fermions" in note for note in report.notes)
