@@ -132,7 +132,8 @@ class WeightedGraph:
         u, v, w = u[edge], v[edge], w[edge]
         off = u != v
         rows, cols = np.concatenate([u, v[off]]), np.concatenate([v, u[off]])
-        order = np.lexsort((cols, rows))
+        # Any order of a repeated edge's twins serves: it is refused below.
+        order = _slot_order(n, rows, cols)
         rows, cols = rows[order], cols[order]
         # A repeated edge sorts next to its twin, and the first such pair is an upper slot.
         step = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
@@ -203,6 +204,21 @@ def _components(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         if np.array_equal(hooked, root):
             return np.unique(root, return_inverse=True)[1]
         root = hooked
+
+
+# Largest vertex count whose slot key ``row * n + col`` stays exact in int64;
+# only a raised size cap goes past it, where _slot_order falls back to lexsort.
+_SLOT_KEY_MAX = math.isqrt(2**63 - 1)
+
+
+def _slot_order(n: int, rows: np.ndarray, cols: np.ndarray, kind: str | None = None) -> np.ndarray:
+    """``np.lexsort((cols, rows))`` of 0-based slots by one argsort of the int64 key ``rows * n + cols``.
+
+    Without ``kind="stable"`` repeated slots may come in another order.
+    """
+    if n > _SLOT_KEY_MAX:
+        return np.lexsort((cols, rows))
+    return np.argsort(rows.astype(np.int64) * n + cols, kind=kind)
 
 
 def _check_vertex(n: int, v: int) -> None:
@@ -351,21 +367,21 @@ def load_graph(text: str) -> WeightedGraph:
     if not isinstance(edges, list):
         raise FormatError('"edges" must be a list')
     p, u, v, w = _columns(n, edges)
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    order = np.lexsort((hi, lo))
+    lo, hi = np.minimum(u, v) - 1, np.maximum(u, v) - 1
+    order = _slot_order(n, lo, hi, kind="stable")
     repeat = np.flatnonzero((np.diff(lo[order]) == 0) & (np.diff(hi[order]) == 0))
     if repeat.size:
         # The earliest second listing; the item just before it in the stable
         # order is the slot's first listing.
         j = repeat[np.argmin(order[repeat + 1])]
-        slot = (int(lo[order[j]]), int(hi[order[j]]))
+        slot = (int(lo[order[j]]) + 1, int(hi[order[j]]) + 1)
         before, again = float(w[order[j]]), float(w[order[j + 1]])
         if before != again:
             raise AsymmetryError(f"edge {slot} listed with weights {before!r} and {again!r}")
         raise DuplicateEdgeError(f"edge {slot} listed twice")
     if p < len(edges):
         _check_edge(n, p, edges[p])
-    return WeightedGraph._from_slots(n, lo - 1, hi - 1, w)
+    return WeightedGraph._from_slots(n, lo, hi, w)
 
 
 def save_graph(g: WeightedGraph) -> str:

@@ -10,10 +10,12 @@ adjacency and is what turns free-fermion eigenvectors into hard-core-boson
 ones.
 
 In both graphs an edge is one walker hopping to a free site, so both are
-built as edge lists from one list of hops over their own labels, never from
-the n**k power, which ``cartesian_power``, ``apply_deletion`` and the
-``DeletionMask`` keep as the paper's reference construction. The deleted graph
-lives on ``_kept_table``, its n!/(n-k)! labels. No builder reads a dense array.
+read from one list of hops over their own labels, never from the n**k
+power, which ``cartesian_power``, ``apply_deletion`` and the ``DeletionMask``
+keep as the paper's reference construction. The symmetric power is built as
+an edge list; the deleted graph, on the n!/(n-k)! labels of ``_kept_table``,
+only has its components found (``_kept_components``). No builder reads a
+dense array.
 
 Both label families have closed-form lexicographic ranks, so a hop finds its
 target row, and a sorted kept label its ascending rank, with no sort or
@@ -201,34 +203,6 @@ def _kept_table(n: int, k: int) -> np.ndarray:
     return table
 
 
-def _kept_graph(g: WeightedGraph, table: np.ndarray) -> WeightedGraph:
-    """``apply_deletion(cartesian_power(g, k), deletion_mask(g.n, k))`` on ``table = _kept_table(g.n, k)``.
-
-    Each hop keeps its walker's slot, and the self-loops of the k slots are
-    accumulated first slot first, as the Kronecker sum adds them, so the
-    result is equal array for array, without the n**k power or any dense array.
-    """
-    loops = np.add.accumulate(_loops(g)[table], axis=1)[:, -1]
-    return _hop_graph(g, table, loops, sort=False)
-
-
-def _hop_graph(g: WeightedGraph, table: np.ndarray, loops: np.ndarray, sort: bool) -> WeightedGraph:
-    """Graph on the labels of ``table``: the hops of ``g`` as edges, ``loops`` on the diagonal.
-
-    ``table`` is ``_ascending(g.n, k)`` with ``sort``, where a hop reaches the
-    row of its sorted label, and ``_kept_table(g.n, k)`` without. A hop to a
-    higher site always reaches a later row: the sorted label grows at the
-    moved walker's slot, and a kept label changes only there and grows. So
-    every hop ``_hops`` yields is the upper slot ``row < col`` of its edge.
-    """
-    rows, cols, weights = [np.arange(table.shape[0])], [np.arange(table.shape[0])], [loops]
-    for row, moved, weight in _hops(g, table):
-        rows.append(row)
-        cols.append(_rank_ascending(np.sort(moved, axis=1), g.n) if sort else _rank_permutation(moved, g.n))
-        weights.append(weight)
-    return WeightedGraph._from_slots(table.shape[0], *map(np.concatenate, (rows, cols, weights)))
-
-
 @dataclass(frozen=True, eq=False)
 class ComponentDecomposition:
     """Connected components of a deleted power graph, canonical component first.
@@ -259,21 +233,12 @@ class ComponentDecomposition:
         object.__setattr__(self, "labels", labels)
 
 
-def decompose_components(g_hc: WeightedGraph, n: int, k: int) -> ComponentDecomposition:
-    """Split a deleted power graph into components and validate their structure.
+def _decomposition(component_of: np.ndarray, table: np.ndarray, n: int) -> ComponentDecomposition:
+    """The decomposition that ``component_of`` numbers on ``table = _kept_table(n, k)``.
 
-    Expects the restriction of the k-fold power of an n-vertex path-family
-    graph: exactly k! components, each of size C(n, k). Anything else raises
-    InvariantViolationError. Components appear canonical first, the rest
-    ordered by their smallest kept index.
+    Raises InvariantViolationError unless there are k! components of C(n, k) labels each.
     """
-    kept_count = math.perm(n, k)
-    if g_hc.n != kept_count:
-        raise PreconditionError(
-            f"graph has {g_hc.n} vertices but the (n={n}, k={k}) deletion keeps {kept_count}"
-        )
-    edge = np.abs(g_hc._weights) > _EDGE_THRESHOLD
-    component_of = _components(g_hc.n, g_hc._rows[edge], g_hc._cols[edge])
+    k = table.shape[1]
     sizes = np.bincount(component_of)
     expected_count = math.factorial(k)
     expected_size = math.comb(n, k)
@@ -289,13 +254,48 @@ def decompose_components(g_hc: WeightedGraph, n: int, k: int) -> ComponentDecomp
     # The label (1, ..., k) comes first; move its component to position 0, keeping the others in order.
     home = component_of[0]
     component_of = np.where(component_of == home, 0, component_of + (component_of < home))
+    members = np.argsort(component_of, kind="stable")
     return ComponentDecomposition(
         n=n,
         k=k,
         component_of=component_of,
-        components=tuple(np.flatnonzero(component_of == c) for c in range(expected_count)),
-        labels=_kept_table(n, k) + 1,
+        components=tuple(np.split(members, np.arange(1, expected_count) * expected_size)),
+        labels=table + 1,
     )
+
+
+def decompose_components(g_hc: WeightedGraph, n: int, k: int) -> ComponentDecomposition:
+    """Split a deleted power graph into components and validate their structure.
+
+    Expects the restriction of the k-fold power of an n-vertex path-family
+    graph: exactly k! components, each of size C(n, k). Anything else raises
+    InvariantViolationError. Components appear canonical first, the rest
+    ordered by their smallest kept index.
+    """
+    kept_count = math.perm(n, k)
+    if g_hc.n != kept_count:
+        raise PreconditionError(
+            f"graph has {g_hc.n} vertices but the (n={n}, k={k}) deletion keeps {kept_count}"
+        )
+    edge = np.abs(g_hc._weights) > _EDGE_THRESHOLD
+    return _decomposition(_components(g_hc.n, g_hc._rows[edge], g_hc._cols[edge]), _kept_table(n, k), n)
+
+
+def _kept_components(g: WeightedGraph, table: np.ndarray) -> ComponentDecomposition:
+    """``decompose_components`` of the deleted k-fold power of ``g`` on ``table = _kept_table(g.n, k)``.
+
+    The components come from the hops of ``g`` between kept labels (each
+    keeps its walker's slot), that power's edges, with no graph built.
+    """
+    rows, cols = [], []
+    for row, moved, weight in _hops(g, table):
+        edge = np.abs(weight) > _EDGE_THRESHOLD
+        rows.append(row[edge])
+        cols.append(_rank_permutation(moved[edge], g.n))
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    # _components reads every edge in both directions.
+    component_of = _components(table.shape[0], np.concatenate([rows, cols]), np.concatenate([cols, rows]))
+    return _decomposition(component_of, table, g.n)
 
 
 def component_isomorphism_check(decomp: ComponentDecomposition, g_hc: WeightedGraph) -> float:
@@ -439,8 +439,14 @@ def symmetric_power(g: WeightedGraph, k: int) -> WeightedGraph:
     """
     _power_size(g.n, k)
     table = _ascending(g.n, k)
-    loops = _loops(g)[table].sum(axis=1)
-    return _hop_graph(g, table, loops, sort=True)
+    # A hop to a higher site reaches the later row of its sorted label: the upper slot of its edge.
+    every = np.arange(table.shape[0])
+    rows, cols, weights = [every], [every], [_loops(g)[table].sum(axis=1)]
+    for row, moved, weight in _hops(g, table):
+        rows.append(row)
+        cols.append(_rank_ascending(np.sort(moved, axis=1), g.n))
+        weights.append(weight)
+    return WeightedGraph._from_slots(table.shape[0], *map(np.concatenate, (rows, cols, weights)))
 
 
 def c_operator(label: OccupationLabel) -> OccupationLabel:

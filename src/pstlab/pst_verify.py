@@ -6,14 +6,15 @@ the path propagators at t = pi/2 and t = pi. The eigenbasis is the k-th
 compound C_k(Z) of the n-vertex path's eigenvectors, whose columns are the
 Slater determinants of its modes (Corollary 1), kept in mode order with the
 compound's own signs; a check ties it back to the graph's adjacency. The
-mirror quotient of the graph is certified against the even-parity Slater
-columns by a residual bound, not diagonalized, so the n-vertex path is the
-only eigensolve of a case. Walkers on a path never cross, so U_k(t)[Y, X] =
-det U_1(t)[Y, X] (Karlin and McGregor 1959; compound matrices in Horn and
-Johnson, Matrix Analysis, 0.8.1): every amplitude a check reads is a k x k
-minor of a path propagator. The two n x n path propagators are the only
-walks a case assembles; the quotient walk is read off the certified
-eigenpairs of the quotient.
+path's eigenvectors and integer eigenvalues come in closed form
+(``spectral.eigh`` on ``weighted_path(n)``), and the mirror quotient of the
+graph is certified against the even-parity Slater columns by a residual
+bound, not diagonalized, so a case eigensolves nothing. Walkers on a path
+never cross, so U_k(t)[Y, X] = det U_1(t)[Y, X] (Karlin and McGregor 1959;
+compound matrices in Horn and Johnson, Matrix Analysis, 0.8.1): every
+amplitude a check reads is a k x k minor of a path propagator. The two
+n x n path propagators are the only walks a case assembles; the quotient
+walk is read off the certified eigenpairs of the quotient.
 
 Phase bookkeeping: propagators are U(t) = exp(-i t A), and the amplitude
 toward the mirror label at t = pi/2 is exactly
@@ -47,12 +48,11 @@ from .errors import PreconditionError, PstlabError, ResourceCapError
 from .graph_core import WeightedGraph, _check_cap, reflection_permutation, weighted_path
 from .hardcore import (
     _ascending,
-    _kept_graph,
+    _kept_components,
     _kept_table,
     _mirror_permutation,
     _power_size,
     ascending_labels,
-    decompose_components,
     symmetric_power,
 )
 from .partition import _quotient_graph, check_equitable, normalized_partition_matrix, orbit_partition
@@ -423,9 +423,9 @@ def run_case(n: int, k: int) -> VerificationReport:
     """Every check of one (n, k) case, with 1 <= k < n, in a single report.
 
     The case is built once and shared by every check: its eigenbasis comes
-    from one eigensolve of the n-vertex path, the only eigensolve of the
-    case, and its only walks are the two n x n path propagators at t = pi/2
-    and t = pi. The first check confirms that basis against the
+    from the n-vertex path's closed-form eigenbasis, so the case eigensolves
+    nothing, and its only walks are the two n x n path propagators at
+    t = pi/2 and t = pi. The first check confirms that basis against the
     C(n, k)-vertex graph, and the Lemma 5 block confirms its even half
     against the mirror quotient.
     Failures of preconditions or resource limits are captured in the
@@ -568,7 +568,7 @@ def conjecture_probe(g: WeightedGraph, k: int, pst_time: float | None = None) ->
         notes.append("no single-walker transfer found on the probe grid")
 
     try:
-        decompose_components(_kept_graph(g, _kept_table(g.n, k)), g.n, k)
+        _kept_components(g, _kept_table(g.n, k))
     except ResourceCapError:
         notes.append("deleted power graph exceeds the size cap; component structure unchecked")
     except PstlabError as exc:

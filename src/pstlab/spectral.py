@@ -1,6 +1,6 @@
 """Symmetric eigendecomposition and continuous-time walk dynamics.
 
-The eigensolver is the package's own, with two routes. ``eigh_matrix`` is
+The eigensolver is the package's own, with three routes. ``eigh_matrix`` is
 the general dense one: Householder reduction to tridiagonal form, then
 implicit-shift QL on the tridiagonal, with the eigenvectors accumulated
 through both stages. The QL recurrence records its plane rotations and
@@ -12,8 +12,10 @@ place as one block with the same elementwise formula as one rotation at a
 time. The bytes are those of the rotation-by-rotation loop; flushing the
 record every few thousand rotations bounds its memory and changes no byte.
 
-``eigh`` of a bipartite graph (no odd cycle, no self-loop) with at least
-``_BIPARTITE_MIN`` vertices takes the second route instead. Its adjacency is
+``eigh`` of exactly ``weighted_path(n)`` solves nothing: its eigenpairs
+come in closed form (``_eigh_weighted_path``). ``eigh`` of any other
+bipartite graph (no odd cycle, no self-loop) with at least
+``_BIPARTITE_MIN`` vertices takes the half-size route. Its adjacency is
 ``[[0, B], [B^T, 0]]`` once the larger side comes first, and the singular
 value decomposition of the half-size block ``B`` gives every eigenpair:
 Householder bidiagonalization of ``B``, then shifted implicit QR on the
@@ -21,7 +23,7 @@ bidiagonal (Golub and Kahan), whose rotations reach the singular vectors
 through the same wavefront batches. Every other graph, and every matrix
 given to ``eigh_matrix``, takes the dense route.
 
-Both routes are written with elementwise numpy products, reductions and
+Every route is written with elementwise numpy products, reductions and
 ``np.einsum`` without ``optimize``, never a BLAS call, so their output bytes
 do not depend on the BLAS library or its thread count; eigenvector signs
 follow one fixed convention (see SpectralDecomposition). Propagators are
@@ -63,6 +65,9 @@ _TINY_COLUMN = 2.0**-968
 # alternating calls put the bipartite route at 1.5x at 8 vertices, 1.0x at
 # 32 and 0.95x at 36; a bipartite graph with a 30% dense block wins from 8.
 _BIPARTITE_MIN = 36
+
+# Largest weighted path eigh takes in closed form: near n = 1030 the Krawtchouk values outgrow a float.
+_KRAWTCHOUK_MAX = 1024
 
 # _pair_scan prunes pairs whose bound lies this many n eps below its target (see there).
 _PAIR_SLACK = 64
@@ -597,6 +602,59 @@ def _eigh_bipartite(g: WeightedGraph, side: np.ndarray) -> tuple[np.ndarray, np.
     return vals[order], zt[order].T
 
 
+def _is_weighted_path(g: WeightedGraph) -> bool:
+    """Whether ``g`` stores exactly ``weighted_path(g.n)``, ``n <= _KRAWTCHOUK_MAX``: its edges bit for bit, no loop."""
+    n = g.n
+    # Both triangles are stored alike, so 2 (n - 1) entries leave no room for a loop.
+    if not 2 <= n <= _KRAWTCHOUK_MAX or g._weights.size != 2 * (n - 1):
+        return False
+    upper, v = g._rows < g._cols, np.arange(1, n)
+    return (
+        np.array_equal(g._rows[upper], v - 1)
+        and np.array_equal(g._cols[upper], v)
+        and np.array_equal(g._weights[upper], np.sqrt(v * (n - v)))
+    )
+
+
+def _sqrt_ratio(num: int, den: int) -> float:
+    """``sqrt(num / den)`` correctly rounded, for positive integers ``num`` and ``den``."""
+    # r = floor(sqrt(num / den) * 2**s) has at least 55 bits, and its low bit,
+    # set when the root is inexact, makes float(r) round as the exact root would.
+    s = 56 - (num.bit_length() - den.bit_length()) // 2
+    q, rem = divmod(num << 2 * s, den) if s >= 0 else divmod(num, den << -2 * s)
+    r = math.isqrt(q)
+    return math.ldexp(float(r | (rem != 0 or r * r != q)), -s)
+
+
+def _eigh_weighted_path(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of ``weighted_path(n)`` in closed form, unsigned (README, "Notes on the eigensolver").
+
+    With N = n - 1, mode l, in column N - l, has the eigenvalue N - 2 l and
+    the vector z_l(v) = K_l(v) sqrt(C(N, v) / 2^N) / sqrt(C(N, l))
+    (Christandl et al., PRL 92:187902, 2004). The Krawtchouk values K_l(v)
+    run their three-term recurrence in l on Python integers (in floats it is
+    unstable), for v, l <= N / 2 only: the rest follow by the signs (-1)^l
+    and (-1)^v, so |z_l(v)| == |z_l(N - v)| bit for bit.
+    """
+    big, half = n - 1, (n + 1) // 2
+    v = np.arange(half)
+    slope = np.array((big - 2 * v).tolist(), dtype=object)
+    values = np.ones((half, half))
+    prev, cur = np.zeros(half, dtype=object), np.ones(half, dtype=object)
+    for l in range(1, half):
+        prev, cur = cur, (slope * cur - (big - l + 2) * prev) // l
+        values[:, l] = cur.astype(float)
+    binomials = [math.comb(big, j) for j in range(half)]
+    site = np.array([_sqrt_ratio(c, 1 << big) for c in binomials])
+    quarter = values * [_sqrt_ratio(1, c) for c in binomials] * site[:, None]
+    signs = 1.0 - 2.0 * (np.arange(n) % 2)
+    z = np.empty((n, n))
+    z[:half, :half] = quarter
+    z[:half, big - v] = quarter * signs[:half, None]
+    z[big - v] = z[:half] * signs
+    return np.arange(-big, n, 2, dtype=float), z[:, ::-1]
+
+
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     cols = np.arange(vecs.shape[1])
     lead = np.argmax(np.abs(vecs), axis=0)
@@ -608,18 +666,19 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
 def eigh(g: WeightedGraph) -> SpectralDecomposition:
     """Spectral decomposition of a graph's adjacency matrix.
 
-    A bipartite graph with at least ``_BIPARTITE_MIN`` vertices is coloured
-    from its stored entries (``_bipartition``) and solved by the half-size
-    SVD of ``_eigh_bipartite``, without its dense adjacency; any other graph
-    by ``eigh_matrix(g.adjacency)``. Both meet the same accuracy bounds and
-    the same determinism promise, and both results get the sign convention
-    of SpectralDecomposition.
+    Exactly ``weighted_path(n)``, up to ``_KRAWTCHOUK_MAX`` vertices, comes in
+    closed form (``_eigh_weighted_path``). Any other bipartite graph with at
+    least ``_BIPARTITE_MIN`` vertices is coloured from its stored entries
+    (``_bipartition``) and solved by the half-size SVD of ``_eigh_bipartite``;
+    any other graph by ``eigh_matrix(g.adjacency)``. Every route meets the
+    same accuracy bounds and determinism promise, and every result gets the
+    sign convention of SpectralDecomposition.
     """
-    side = _bipartition(g) if g.n >= _BIPARTITE_MIN else None
-    if side is None:
-        vals, vecs = eigh_matrix(g.adjacency)
+    if _is_weighted_path(g):
+        vals, vecs = _eigh_weighted_path(g.n)
     else:
-        vals, vecs = _eigh_bipartite(g, side)
+        side = _bipartition(g) if g.n >= _BIPARTITE_MIN else None
+        vals, vecs = eigh_matrix(g.adjacency) if side is None else _eigh_bipartite(g, side)
     return SpectralDecomposition(vals, _fix_signs(vecs))
 
 

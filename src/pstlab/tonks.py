@@ -39,11 +39,10 @@ from .graph_core import WeightedGraph, _check_cap, _components, weighted_path
 from .hardcore import (
     SignedDiagonal,
     _ascending,
-    _kept_graph,
+    _kept_components,
     _kept_table,
     _rank_ascending,
     _sort_signs,
-    decompose_components,
     symmetric_power,
     unit_antisymmetry,
 )
@@ -250,16 +249,18 @@ def verify_corollary1(n: int, k: int) -> float:
     of the two maxima. The determinants are read off the compound C_k(Z)
     (see ``_projected_states``); a component sign that disagrees with the
     sort parity shrinks a cell's sum below k! and fails the Gram check.
-    Nothing is built on the n**k power labels: the deleted graph, its
-    components and the cell sums live on the n!/(n-k)! kept labels, whose
-    count the size cap bounds, and both graphs are edge lists.
+    The path's eigenbasis comes in closed form, with no eigensolve. Nothing
+    is built on the n**k power labels: the components of the deleted graph
+    come from its hops (``hardcore._kept_components``), with no graph built,
+    and they and the cell sums live on the n!/(n-k)! kept labels, whose
+    count the size cap bounds.
     """
     if not isinstance(n, int) or not isinstance(k, int) or not 1 <= k <= n or n < 2:
         raise InvalidSizeError(f"need n >= 2 and 1 <= k <= n, got n={n!r}, k={k!r}")
     table = _kept_table(n, k)
     path = weighted_path(n)
     spec = eigh(path)
-    signed = unit_antisymmetry(decompose_components(_kept_graph(path, table), n, k))
+    signed = unit_antisymmetry(_kept_components(path, table))
     states = _projected_states(spec, table, signed)
     energies = spec.eigenvalues[_ascending(n, k)].sum(axis=1)
     return _eigenbasis_deviation(symmetric_power(path, k), states, energies)

@@ -21,6 +21,8 @@ from pstlab import (
     indistinguishability_partition,
     mirror_partition,
 )
+from pstlab import hardcore
+from pstlab.graph_core import _loops
 
 
 def graph_from_edges(n: int, edges: list[tuple[int, int, float]]) -> WeightedGraph:
@@ -77,6 +79,25 @@ def partition_documents(draw, sizes=st.integers(1, 5)) -> str:
         member = st.integers(0, n + 1) | st.sampled_from(ODD_VALUES)
         cells = draw(st.lists(st.lists(member, max_size=4) | st.sampled_from(ODD_VALUES), max_size=5))
     return json.dumps({"n": n, "cells": cells}).replace(json.dumps(HUGE_FLOAT), "1e400")
+
+
+def kept_graph(g: WeightedGraph, table: np.ndarray) -> WeightedGraph:
+    """``apply_deletion(cartesian_power(g, k), deletion_mask(g.n, k))`` on ``table = _kept_table(g.n, k)``, from the hops.
+
+    The deleted power as an edge list, kept as the oracle of
+    ``hardcore._kept_components``: each hop keeps its walker's slot and is
+    ranked by its Lehmer code, and the self-loops of the k slots are
+    accumulated first slot first, as the Kronecker sum adds them, so the
+    result equals the dense build array for array. The ranks are looked up on
+    the module at call time, so a test may swap them for an oracle.
+    """
+    every = np.arange(table.shape[0])
+    rows, cols, weights = [every], [every], [np.add.accumulate(_loops(g)[table], axis=1)[:, -1]]
+    for row, moved, weight in hardcore._hops(g, table):
+        rows.append(row)
+        cols.append(hardcore._rank_permutation(moved, g.n))
+        weights.append(weight)
+    return WeightedGraph._from_slots(table.shape[0], *map(np.concatenate, (rows, cols, weights)))
 
 
 def cycle_graph(n: int) -> WeightedGraph:

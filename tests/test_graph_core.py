@@ -26,6 +26,7 @@ from pstlab import (
     symmetric_power,
     weighted_path,
 )
+from pstlab import graph_core
 from pstlab.graph_core import _parse_json, _reject_constant
 
 from conftest import HUGE_FLOAT, graph_documents, graph_from_edges
@@ -513,6 +514,45 @@ def test_load_graph_matches_the_edge_loop_past_int32_vertex_counts(monkeypatch):
     monkeypatch.setenv("PSTLAB_CAP", str(n))
     for edges in ([[1, n, 1.0], [n, n, 2.0]], [[1, n, 1.0], [n, 1, 1.0]], [[n, 1, 1.0], [1, n, 2.0]]):
         assert_loads_like_the_loop(json.dumps({"n": n, "edges": edges}))
+
+
+def by_lexsort(build):
+    """``build()`` with every slot sort taken by the two-key ``np.lexsort`` the key serves below its bound."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(graph_core, "_SLOT_KEY_MAX", 0)
+        return build()
+
+
+def test_slot_key_bound_is_the_largest_exact_one():
+    bound = graph_core._SLOT_KEY_MAX
+    assert bound * bound - 1 <= 2**63 - 1 < (bound + 1) ** 2 - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_slot_key_orders_like_lexsort(n, seed):
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(0, 3 * n))
+    rows, cols = rng.integers(0, n, size), rng.integers(0, n, size)
+    lex = np.lexsort((cols, rows))
+    assert np.array_equal(graph_core._slot_order(n, rows, cols, kind="stable"), lex)
+    assert np.array_equal(by_lexsort(lambda: graph_core._slot_order(n, rows, cols)), lex)
+    # unstable, the key may reorder repeated slots only
+    order = graph_core._slot_order(n, rows, cols)
+    assert np.array_equal(rows[order], rows[lex]) and np.array_equal(cols[order], cols[lex])
+    # every builder result and error is the one lexsort gives, repeated edges and lower slots included
+    u, v = np.minimum(rows, cols), np.maximum(rows, cols)
+    w = rng.choice([-1.5, 0.0, 1.0, 2.0], size)
+    key = np.unique(u * n + v)
+    for slots in ((u, v, w), (rows, cols, w), (key // n, key % n, np.ones(key.size))):
+        by_key = load_outcome(lambda slots: WeightedGraph._from_slots(n, *slots), slots)
+        assert by_key == load_outcome(lambda slots: by_lexsort(lambda: WeightedGraph._from_slots(n, *slots)), slots)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_documents())
+def test_load_graph_keys_its_slots_like_lexsort(text):
+    assert load_outcome(load_graph, text) == load_outcome(lambda t: by_lexsort(lambda: load_graph(t)), text)
 
 
 @settings(max_examples=300, deadline=None)

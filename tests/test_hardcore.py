@@ -43,7 +43,6 @@ from pstlab import (
 from pstlab.hardcore import (
     _EDGE_THRESHOLD,
     _ascending,
-    _kept_graph,
     _kept_table,
     _mirror_permutation,
     _rank_ascending,
@@ -56,7 +55,7 @@ from pstlab.partition import _slot_deviation
 from pstlab.products import _digits
 from pstlab.tonks import _compound
 
-from conftest import cycle_graph, seeded_cube, seeded_ring
+from conftest import cycle_graph, kept_graph, seeded_chain, seeded_cube, seeded_ring
 
 COMPONENT_GRID = [(4, 2), (5, 2), (6, 2), (7, 2), (5, 3), (6, 3), (7, 3), (6, 4)]
 
@@ -119,6 +118,50 @@ def test_cycle_breaks_component_invariant():
     g_hc = apply_deletion(g, deletion_mask(4, 2))
     with pytest.raises(InvariantViolationError):
         decompose_components(g_hc, 4, 2)
+
+
+def assert_same_decomposition(built, oracle):
+    assert (built.n, built.k, len(built.components)) == (oracle.n, oracle.k, len(oracle.components))
+    for got, want in zip(
+        (built.component_of, built.labels, *built.components), (oracle.component_of, oracle.labels, *oracle.components)
+    ):
+        assert_same_bytes(got, want)
+
+
+def decomposition_outcome(decompose):
+    try:
+        return decompose()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("n,k", COMPONENT_GRID)
+def test_kept_components_equal_the_kept_graph_decomposition(n, k):
+    # the components found from the hops are those of the kept graph built from them
+    table = _kept_table(n, k)
+    for g in (weighted_path(n), simple_path(n), seeded_chain(n, n + 10 * k, cycle=False, signed=True, loops=True)):
+        assert_same_decomposition(hardcore._kept_components(g, table), decompose_components(kept_graph(g, table), n, k))
+
+
+def split_paths():
+    """weighted_path(3) beside weighted_path(2), and a 5-path whose middle edge lies below the edge threshold."""
+    apart = np.zeros((5, 5))
+    apart[:3, :3], apart[3:, 3:] = weighted_path(3).adjacency, weighted_path(2).adjacency
+    faint = weighted_path(5).adjacency.copy()
+    faint[2, 3] = faint[3, 2] = 1e-15
+    return [WeightedGraph(5, apart), WeightedGraph(5, faint)]
+
+
+@pytest.mark.parametrize(
+    "g", [cycle_graph(4), cycle_graph(6), hypercube(4), *split_paths()], ids=["C4", "C6", "Q4", "apart", "faint"]
+)
+def test_kept_components_refuse_like_the_kept_graph(g):
+    for k in (2, 3):
+        table = _kept_table(g.n, k)
+        built = decomposition_outcome(lambda: hardcore._kept_components(g, table))
+        oracle = decomposition_outcome(lambda: decompose_components(kept_graph(g, table), g.n, k))
+        assert isinstance(oracle, tuple) and issubclass(oracle[0], InvariantViolationError)
+        assert built == oracle
 
 
 def test_unit_antisymmetry_signs():
@@ -331,14 +374,14 @@ def test_kept_graph_equals_deleted_power_on_paths(n):
         if n**k > 2401:
             break
         g = weighted_path(n)
-        assert_same_graph(_kept_graph(g, _kept_table(n, k)), apply_deletion(cartesian_power(g, k), deletion_mask(n, k)))
+        assert_same_graph(kept_graph(g, _kept_table(n, k)), apply_deletion(cartesian_power(g, k), deletion_mask(n, k)))
 
 
 @pytest.mark.parametrize("name,g", SEEDED, ids=[name for name, _ in SEEDED])
 def test_kept_graph_equals_deleted_power_off_paths(name, g):
     for k in (1, 2, 3):
         expected = apply_deletion(cartesian_power(g, k), deletion_mask(g.n, k))
-        assert_same_graph(_kept_graph(g, _kept_table(g.n, k)), expected)
+        assert_same_graph(kept_graph(g, _kept_table(g.n, k)), expected)
 
 
 def dense_power_and_deletion(g, k):
@@ -414,12 +457,12 @@ def test_commutator_reads_the_edges_like_the_dense_product(name, g):
     # seeded signs that break the commutation as well as the component signs that keep it
     rng = np.random.default_rng(11)
     for k in (1, 2, 3):
-        kept = _kept_graph(g, _kept_table(g.n, k))
+        kept = kept_graph(g, _kept_table(g.n, k))
         signs = rng.choice([-1.0, 1.0], kept.n)
         s = SignedDiagonal(signs, ())
         dense = float(np.abs(kept.adjacency * (signs[None, :] - signs[:, None])).max())
         assert commutator_check_antisymmetry(kept, s) == dense
-    kept = _kept_graph(g, _kept_table(g.n, 1))
+    kept = kept_graph(g, _kept_table(g.n, 1))
     assert commutator_check_antisymmetry(kept, SignedDiagonal(np.ones(kept.n), (1,))) == 0.0
 
 
@@ -458,7 +501,7 @@ def edge_components(g):
 )
 def test_edge_components_match_dense_bfs(name, g):
     # the graph itself and its kept graphs, whose components the deletion splits apart
-    for h in [g] + [_kept_graph(g, _kept_table(g.n, k)) for k in (2, 3)]:
+    for h in [g] + [kept_graph(g, _kept_table(g.n, k)) for k in (2, 3)]:
         assert np.array_equal(edge_components(h), dense_components(np.abs(h.adjacency) > _EDGE_THRESHOLD))
 
 
@@ -476,7 +519,7 @@ def test_components_on_a_shuffled_path():
 
 def test_tiny_bridge_does_not_join_kept_components():
     # a 1e-15 edge between two components of the deleted graph stays below the edge threshold
-    kept = _kept_graph(weighted_path(4), _kept_table(4, 2))
+    kept = kept_graph(weighted_path(4), _kept_table(4, 2))
     a = kept.adjacency.copy()
     decomp = decompose_components(kept, 4, 2)
     u, v = decomp.components[0][0], decomp.components[1][0]
@@ -498,7 +541,7 @@ def test_mirror_permutation_matches_c_operator_lookup(n):
 def test_mirror_permutation_on_explicit_kept_labels(n, k):
     # on the kept labels the mirror map is an automorphism of the deleted power, with orbits of size 1 or 2
     labels = list(map(tuple, (_kept_table(n, k) + 1).tolist()))
-    part = orbit_partition(_kept_graph(weighted_path(n), _kept_table(n, k)), mirror_lookup(n, labels))
+    part = orbit_partition(kept_graph(weighted_path(n), _kept_table(n, k)), mirror_lookup(n, labels))
     assert {len(cell) for cell in part.cells} <= {1, 2}
 
 
@@ -572,7 +615,7 @@ def test_isomorphism_check_matches_the_label_rows_route(n, k):
         a = np.zeros((n, n))
         a[order[:-1], order[1:]] = a[order[1:], order[:-1]] = np.sqrt(np.arange(1, n) * (n - np.arange(1, n)))
         g = WeightedGraph(n, a)
-        kept = _kept_graph(g, _kept_table(n, k))
+        kept = kept_graph(g, _kept_table(n, k))
         decomp = decompose_components(kept, n, k)
         outcome = isomorphism_outcome(component_isomorphism_check, decomp, kept)
         assert outcome == isomorphism_outcome(isomorphism_check_by_label_rows, decomp, kept)
@@ -666,7 +709,7 @@ def test_isomorphism_check_on_edges_matches_dense(n):
         for k in range(1, n + 1):
             if math.perm(n, k) > 3024:
                 continue
-            kept = _kept_graph(g, _kept_table(n, k))
+            kept = kept_graph(g, _kept_table(n, k))
             decomp = decompose_components(kept, n, k)
             value = component_isomorphism_check(decomp, kept)
             assert value.hex() == dense_isomorphism_check(decomp, kept).hex()
@@ -674,7 +717,7 @@ def test_isomorphism_check_on_edges_matches_dense(n):
 
 def test_isomorphism_check_on_edges_matches_dense_off_isomorphism():
     # a changed weight, an edge missing outside the canonical component and one missing inside it
-    kept = _kept_graph(weighted_path(6), _kept_table(6, 3))
+    kept = kept_graph(weighted_path(6), _kept_table(6, 3))
     decomp = decompose_components(kept, 6, 3)
     u, v = np.flatnonzero(decomp.component_of == 2)[:2]
     c = decomp.components[0]
@@ -693,7 +736,7 @@ def test_isomorphism_check_error_matches_dense():
     a = np.zeros((3, 3))
     a[0, 2] = a[2, 0] = 1.0
     a[1, 2] = a[2, 1] = 2.0
-    kept = _kept_graph(WeightedGraph(3, a), _kept_table(3, 2))
+    kept = kept_graph(WeightedGraph(3, a), _kept_table(3, 2))
     decomp = decompose_components(kept, 3, 2)
     with pytest.raises(PreconditionError) as edges:
         component_isomorphism_check(decomp, kept)
@@ -703,7 +746,7 @@ def test_isomorphism_check_error_matches_dense():
 
 
 def test_isomorphism_check_rejects_component_that_is_no_relabeling():
-    kept = _kept_graph(weighted_path(3), _kept_table(3, 2))
+    kept = kept_graph(weighted_path(3), _kept_table(3, 2))
     decomp = decompose_components(kept, 3, 2)
     # (2, 1) and (3, 1) sort to two of the three canonical labels; (1, 3) is left out
     bad = ComponentDecomposition(3, 2, decomp.component_of, (decomp.components[0], np.array([2, 4])), decomp.labels)
@@ -713,7 +756,7 @@ def test_isomorphism_check_rejects_component_that_is_no_relabeling():
 
 def test_isomorphism_check_memory_reads_edges_only():
     # the dense form scattered a 3024 x 3024 adjacency and peaked at about 70 MiB
-    kept = _kept_graph(weighted_path(9), _kept_table(9, 4))
+    kept = kept_graph(weighted_path(9), _kept_table(9, 4))
     decomp = decompose_components(kept, 9, 4)
     tracemalloc.start()
     try:
@@ -869,14 +912,14 @@ def test_builders_match_the_label_rows_route_on_paths(monkeypatch, n):
         assert_same_bytes(_compound(z, k), by_label_rows(monkeypatch, lambda: _compound(z, k)))
         if math.perm(n, k) <= 16384:
             table = _kept_table(n, k)
-            assert_same_graph_bytes(_kept_graph(g, table), by_label_rows(monkeypatch, lambda: _kept_graph(g, table)))
+            assert_same_graph_bytes(kept_graph(g, table), by_label_rows(monkeypatch, lambda: kept_graph(g, table)))
 
 
 @pytest.mark.parametrize("name,g", PROBE_INPUTS, ids=[name for name, _ in PROBE_INPUTS])
 def test_builders_match_the_label_rows_route_off_paths(monkeypatch, name, g):
     for k in (1, 2, 3):
         table = _kept_table(g.n, k)
-        assert_same_graph_bytes(_kept_graph(g, table), by_label_rows(monkeypatch, lambda: _kept_graph(g, table)))
+        assert_same_graph_bytes(kept_graph(g, table), by_label_rows(monkeypatch, lambda: kept_graph(g, table)))
         built = symmetric_power(g, k)
         assert_same_graph_bytes(built, by_label_rows(monkeypatch, lambda: symmetric_power(g, k)))
 
@@ -983,7 +1026,7 @@ def test_hop_graphs_match_the_two_ended_builder(name, g):
         if math.perm(g.n, k) <= 16384:
             table = _kept_table(g.n, k)
             assert_same_hops(g, table, sort=False)
-            assert_same_graph_bytes(_kept_graph(g, table), kept_graph_both_ends(g, table))
+            assert_same_graph_bytes(kept_graph(g, table), kept_graph_both_ends(g, table))
 
 
 def test_hop_graphs_match_the_two_ended_builder_on_q4_and_across_blocks():
@@ -991,7 +1034,7 @@ def test_hop_graphs_match_the_two_ended_builder_on_q4_and_across_blocks():
     assert_same_hops(g, _ascending(16, 2), sort=True)
     assert_same_hops(g, table, sort=False)
     assert_same_graph_bytes(symmetric_power(g, 2), symmetric_power_both_ends(g, 2))
-    assert_same_graph_bytes(_kept_graph(g, table), kept_graph_both_ends(g, table))
+    assert_same_graph_bytes(kept_graph(g, table), kept_graph_both_ends(g, table))
     # dense weights with k close to n: the hops toward higher sites still span several row blocks
     n, k = 36, 34
     upper = np.triu(np.random.default_rng(11).uniform(-1.0, 1.0, (n, n)))

@@ -105,21 +105,12 @@ def test_run_case_merges_all_checks():
 
 @pytest.mark.parametrize("n,k", [(n, k) for n in range(4, 8) for k in (2, 3)])
 def test_run_case_diagonalizes_once(monkeypatch, n, k):
-    # the n-vertex path is the only eigensolve; the mirror quotient is
-    # certified by a residual bound, not diagonalized
-    import pstlab.spectral
-
-    real = pstlab.spectral.eigh_matrix
-    dims = []
-
-    def counting(a):
-        dims.append(np.asarray(a).shape[0])
-        return real(a)
-
-    monkeypatch.setattr(pstlab.spectral, "eigh_matrix", counting)
+    # the n-vertex path is the only decomposition, in closed form, and nothing
+    # is eigensolved; the mirror quotient is certified by a residual bound
+    solves = _eigensolves(monkeypatch)
     report = run_case(n, k)
     assert report.ok
-    assert dims == [n]
+    assert solves == [("_eigh_weighted_path", n)]
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (6, 3), (7, 3), (9, 4)])
@@ -675,15 +666,28 @@ def test_conjecture_probe_assembles_no_propagator(monkeypatch):
     assert calls == []
 
 
-def _eigensolve_sizes(monkeypatch):
-    """Record the size of every matrix either eigensolver route is given."""
+def _eigensolves(monkeypatch):
+    """Record ``(route, vertex count)`` for every call of the three eigensolver routes, the closed form included."""
     import pstlab.spectral
 
-    sizes = []
-    for route in ("eigh_matrix", "_eigh_bipartite"):
+    calls = []
+    for route in ("_eigh_weighted_path", "eigh_matrix", "_eigh_bipartite"):
         solve = getattr(pstlab.spectral, route)
-        monkeypatch.setattr(pstlab.spectral, route, lambda *args, solve=solve: sizes.append(args[0].shape[0]) or solve(*args))
-    return sizes
+
+        def recording(first, *rest, route=route, solve=solve):
+            size = first if isinstance(first, int) else first.n if isinstance(first, WeightedGraph) else first.shape[0]
+            calls.append((route, size))
+            return solve(first, *rest)
+
+        monkeypatch.setattr(pstlab.spectral, route, recording)
+    return calls
+
+
+def _single_route(g):
+    """The route of g's own n x n solve: the closed form exactly when g stores weighted_path(g.n)'s bytes."""
+    path = weighted_path(g.n)
+    same = all(getattr(g, name).tobytes() == getattr(path, name).tobytes() for name in ("_rows", "_cols", "_weights"))
+    return "_eigh_weighted_path" if same else "eigh_matrix"
 
 
 CHAIN_CASES = [case for case in PROBE_CASES if not case[0].startswith("cube")]
@@ -693,9 +697,11 @@ CHAIN_CASES = [case for case in PROBE_CASES if not case[0].startswith("cube")]
 def test_conjecture_probe_solves_chains_as_free_fermions(name, g, k, monkeypatch):
     # the single walker's n x n solve serves the free-fermion modes, and only
     # the signed wrap hop of a cycle at even k needs a second; none of size C(n, k)
-    sizes = _eigensolve_sizes(monkeypatch)
+    solves = _eigensolves(monkeypatch)
     report = conjecture_probe(g, k, pst_time=1.0)
-    assert sizes == [g.n] * (2 if name.startswith(("ring", "cycle")) and k % 2 == 0 else 1)
+    # a weighted path's single walker comes in closed form; a cycle's twisted walker by QL
+    single = ("_eigh_weighted_path" if name.startswith("path") else "eigh_matrix", g.n)
+    assert solves == [single] + [("eigh_matrix", g.n)] * (name.startswith(("ring", "cycle")) and k % 2 == 0)
     shape = "cycle order, wrap hop signed (-1)^(k-1) = " + ("-1" if k % 2 == 0 else "+1")
     if name.startswith("path"):
         shape = "path order"
@@ -706,9 +712,9 @@ def test_conjecture_probe_solves_chains_as_free_fermions(name, g, k, monkeypatch
 def test_conjecture_probe_solves_chains_past_half_filling_densely(g, k, monkeypatch):
     # past n / 2 walkers the compound's middle levels would outgrow C(n, k)**2
     # entries, so the hard-core graph itself is solved
-    sizes = _eigensolve_sizes(monkeypatch)
+    solves = _eigensolves(monkeypatch)
     report = conjecture_probe(g, k)
-    assert sizes == [g.n, math.comb(g.n, k)]
+    assert solves == [(_single_route(g), g.n), ("eigh_matrix", math.comb(g.n, k))]
     assert not any("free fermions" in note for note in report.notes)
 
 
@@ -730,9 +736,10 @@ def test_conjecture_probe_reads_one_walker_off_the_single_scan(g, monkeypatch):
     _, best, scanned = _pair_scan(eigh(g), np.array(_probe_grid()))
     scans = []
     monkeypatch.setattr(pstlab.pst_verify, "_pair_scan", lambda spec, times: scans.append(spec.n) or _pair_scan(spec, times))
-    sizes = _eigensolve_sizes(monkeypatch)
+    solves = _eigensolves(monkeypatch)
     report = conjecture_probe(g, 1)
-    assert sizes == scans == [g.n]
+    assert solves == [(_single_route(g), g.n)]
+    assert scans == [g.n]
     labels = ascending_labels(g.n, 1)
     assert (report.best_modulus, report.best_target, report.best_source) == (best[0], labels[best[2]], labels[best[3]])
     assert report.best_time == _probe_grid()[best[1]]

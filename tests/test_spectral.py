@@ -10,6 +10,7 @@ import math
 import textwrap
 import tokenize
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,9 +28,11 @@ from pstlab import (
     find_pst_pairs,
     hypercube,
     is_periodic,
+    load_graph,
     mirror_partition,
     normalized_partition_matrix,
     quotient,
+    save_graph,
     simple_path,
     symmetric_power,
     transfer_amplitude,
@@ -792,13 +795,102 @@ def test_non_bipartite_graphs_keep_the_dense_route():
 
 
 def test_small_graphs_keep_the_dense_route():
-    # below the crossover a bipartite graph is solved as before, bytes and all
-    for g in (weighted_path(9), simple_path(14), hypercube(5)):
+    # below the crossover a bipartite graph is solved as before, bytes and all;
+    # weighted_path(9) itself takes the closed form, so its simple twin stands in
+    for g in (simple_path(9), simple_path(14), hypercube(5)):
         assert g.n < pstlab.spectral._BIPARTITE_MIN and pstlab.spectral._bipartition(g) is not None
         vals, vecs = eigh_matrix(g.adjacency)
         spec = eigh(g)
         assert spec.eigenvalues.tobytes() == vals.tobytes()
         assert spec.eigenvectors.tobytes() == pstlab.spectral._fix_signs(vecs).tobytes()
+
+
+@pytest.mark.parametrize("n", range(2, 201))
+def test_weighted_path_closed_form_matches_ql(n):
+    # eigh of weighted_path(n) is the closed form; QL of its dense adjacency is the oracle
+    g = weighted_path(n)
+    assert pstlab.spectral._is_weighted_path(g)
+    spec = eigh(g)
+    z, vals = spec.eigenvectors, spec.eigenvalues
+    assert vals.tobytes() == np.arange(1 - n, n, 2, dtype=float).tobytes()
+    a = g.adjacency
+    assert np.linalg.norm(a @ z - z * vals, 2) <= 10.0 * n * EPS
+    assert np.linalg.norm(z.T @ z - np.eye(n), 2) <= 10.0 * n * EPS
+    # mode l = n - 1 - c of ascending column c has mirror parity (-1)**l, exactly
+    for c in range(n):
+        assert np.array_equal(z[::-1, c], (-1.0) ** (n - 1 - c) * z[:, c])
+    oracle_vals, oracle_vecs = eigh_matrix(a)
+    bound = 10.0 * n * EPS * (n - 1)
+    assert np.abs(oracle_vals - vals).max() <= bound
+    # simple eigenvalues two apart: each column is the oracle's up to its sign
+    signs = np.sign(np.einsum("ij,ij->j", oracle_vecs, z))
+    assert np.abs(oracle_vecs * signs - z).max() <= bound
+    # ties |z(v)| == |z(n - 1 - v)| break toward the lower vertex
+    assert np.array_equal(np.abs(z[::-1]), np.abs(z))
+    lead = np.argmax(np.abs(z), axis=0)
+    assert np.all(lead <= n - 1 - lead) and np.all(z[lead, np.arange(n)] > 0.0)
+
+
+def test_weighted_path_closed_form_reaches_its_largest_size():
+    n = pstlab.spectral._KRAWTCHOUK_MAX
+    vals, z = pstlab.spectral._eigh_weighted_path(n)
+    assert vals.tobytes() == np.arange(1 - n, n, 2, dtype=float).tobytes()
+    a = weighted_path(n).adjacency
+    assert np.abs(a @ z - z * vals).max() <= 10.0 * n * EPS
+    assert np.abs(z.T @ z - np.eye(n)).max() <= 10.0 * n * EPS
+    assert pstlab.spectral._is_weighted_path(weighted_path(n))
+    assert not pstlab.spectral._is_weighted_path(weighted_path(n + 1))
+
+
+def near_weighted_paths(n):
+    """Graphs one step from weighted_path(n): a 1-ulp weight skew, a self-loop, a relabelling, the simple path."""
+    a = weighted_path(n).adjacency.copy()
+    skewed = a.copy()
+    v = n // 2
+    skewed[v - 1, v] = skewed[v, v - 1] = np.nextafter(a[v - 1, v], np.inf)
+    looped = a.copy()
+    looped[0, 0] = 0.5
+    graphs = [WeightedGraph(n, skewed), WeightedGraph(n, looped)]
+    if n > 2:
+        # simple_path(2) is weighted_path(2), whose one weight is sqrt(1)
+        graphs.append(simple_path(n))
+        # a rotation of the vertex numbers; the reversal would be weighted_path(n) itself
+        shift = np.roll(np.arange(n), 1)
+        graphs.append(WeightedGraph(n, a[shift][:, shift]))
+    return graphs
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 9, 14, 35, 36, 40])
+def test_near_weighted_paths_keep_the_ql_routes(monkeypatch, n):
+    def refuse(n):
+        raise AssertionError("closed form taken")
+
+    monkeypatch.setattr(pstlab.spectral, "_eigh_weighted_path", refuse)
+    for g in near_weighted_paths(n):
+        assert not pstlab.spectral._is_weighted_path(g)
+        side = pstlab.spectral._bipartition(g) if n >= pstlab.spectral._BIPARTITE_MIN else None
+        if side is None:
+            vals, vecs = eigh_matrix(g.adjacency)
+        else:
+            vals, vecs = pstlab.spectral._eigh_bipartite(g, side)
+        spec = eigh(g)
+        assert spec.eigenvalues.tobytes() == vals.tobytes()
+        assert spec.eigenvectors.tobytes() == pstlab.spectral._fix_signs(vecs).tobytes()
+
+
+def test_weighted_path_documents_take_the_closed_form():
+    # the JSON round trip keeps every weight bit for bit, so a loaded file qualifies
+    for n in (2, 5, 40, 200):
+        assert pstlab.spectral._is_weighted_path(load_graph(save_graph(weighted_path(n))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2**300), st.integers(1, 2**300))
+def test_sqrt_ratio_is_correctly_rounded(num, den):
+    root = pstlab.spectral._sqrt_ratio(num, den)
+    # the exact root lies between the midpoints to the neighbouring floats: no float is nearer
+    low, high = ((Fraction(root) + Fraction(math.nextafter(root, side))) / 2 for side in (0.0, math.inf))
+    assert low**2 <= Fraction(num, den) <= high**2
 
 
 def test_bipartition_colours_every_component():

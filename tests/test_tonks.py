@@ -24,11 +24,11 @@ from pstlab import (
     weighted_path,
 )
 from pstlab import tonks
-from pstlab.hardcore import _ascending, _kept_graph, _kept_table, _mirror_permutation
+from pstlab.hardcore import _ascending, _kept_table, _mirror_permutation
 from pstlab.pst_verify import _build_case
 from pstlab.tonks import _compound, _minors, _projected_states
 
-from conftest import graph_from_edges, seeded_chain
+from conftest import graph_from_edges, kept_graph, seeded_chain
 
 
 def kept_bosons(spec, table, signed):
@@ -56,7 +56,7 @@ def cell_sums(bosons, table):
 def deleted_chain(n, k):
     """Eigenbasis of the n-vertex path, kept table, deleted graph and its component signs."""
     path, table = weighted_path(n), _kept_table(n, k)
-    g_hc = _kept_graph(path, table)
+    g_hc = kept_graph(path, table)
     return eigh(path), table, g_hc, unit_antisymmetry(decompose_components(g_hc, n, k))
 
 
@@ -278,6 +278,19 @@ def test_kept_label_routes_build_no_mask(monkeypatch):
     assert conjecture_probe(weighted_path(5), 2).achieves_transfer
     with pytest.raises(AssertionError):
         hardcore.deletion_mask(4, 2)
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (8, 3), (9, 4), (12, 4)])
+def test_verify_corollary1_eigensolves_nothing(monkeypatch, n, k):
+    # the weighted path's eigenbasis comes in closed form, and no other graph is solved
+    from pstlab import spectral
+
+    def refuse(*args):
+        raise AssertionError("eigensolve called")
+
+    for route in ("eigh_matrix", "_eigh_bipartite"):
+        monkeypatch.setattr(spectral, route, refuse)
+    assert verify_corollary1(n, k) <= 1e-12
 
 
 @pytest.mark.parametrize("n", range(2, 8))
